@@ -19,7 +19,7 @@ from .rational import (
     search_curve,
     validate_hypotheses,
 )
-from .finite import FiniteCurve, NAIVE_THRESHOLD, hasse_interval
+from .finite import FiniteCurve, hasse_interval
 from .quotient import (
     InvariantViolation,
     PrimeRecord,
@@ -63,7 +63,6 @@ __all__ = [
     "HypothesisReport",
     "InvariantViolation",
     "LabConfig",
-    "NAIVE_THRESHOLD",
     "PrimeRecord",
     "QuotientContext",
     "QuotientPoint",

@@ -111,6 +111,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = _load_config(args.config)
     report = run_scan(config, workers=args.workers)
     write_report(report, args.out_csv, args.out_json)
@@ -157,7 +159,7 @@ def _cmd_endo_check(args) -> int:
 
 
 def _cmd_no_relation(args) -> int:
-    if args.p < 2 or not is_prime(args.p):
+    if not is_prime(args.p):
         raise UsageError(f"--p must be prime, got {args.p}")
     cert = verify_no_medium_relation(args.p)
     print(f"p = {args.p}: {cert.kind}")

@@ -155,7 +155,12 @@ def relation_holds(
     k: int, f: EndoMatrix, ctxs, R: RationalPoint, transposed: bool = False
 ) -> bool:
     """Check k*Q = f(P) (or k*P = f(Q) when transposed) at every context."""
-    for ctx, P, Q in _context_images(ctxs, R):
+    return _holds_all(k, f, _context_images(ctxs, R), transposed)
+
+
+def _holds_all(k: int, f: EndoMatrix, triples, transposed: bool) -> bool:
+    """relation_holds on (ctx, P, Q) triples already built by _context_images."""
+    for ctx, P, Q in triples:
         src, dst = (Q, P) if transposed else (P, Q)
         if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
             return False
@@ -217,14 +222,6 @@ def find_weak_relation(
         transposed_f=hit_t[1] if hit_t else None,
         searched_primes=qs,
     )
-
-
-def _holds_all(k: int, f: EndoMatrix, triples, transposed: bool) -> bool:
-    for ctx, P, Q in triples:
-        src, dst = (Q, P) if transposed else (P, Q)
-        if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
-            return False
-    return True
 
 
 def verify_no_medium_relation(p: int) -> RelationCertificate:

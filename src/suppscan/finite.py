@@ -13,8 +13,11 @@ from .arith import factorize, is_prime
 
 FinitePoint = tuple[int, int] | None
 
-# Above this field size, exhaustive O(q) routines refuse to run.
-NAIVE_THRESHOLD = 100_000
+
+def hasse_interval(q: int):
+    """[q + 1 - w, q + 1 + w], w = floor(2*sqrt(q)): where #E(F_q) lies."""
+    w = isqrt(4 * q)
+    return q + 1 - w, q + 1 + w
 
 
 @dataclass(frozen=True)
@@ -73,57 +76,18 @@ class FiniteCurve:
             n >>= 1
         return acc
 
-    def count_points_naive(self, threshold: int = NAIVE_THRESHOLD) -> int:
-        """#E(F_q) by the quadratic-character sum; only for q below threshold."""
-        if self.q >= threshold:
-            raise ValueError(f"q = {self.q} exceeds the naive counting threshold")
-        q = self.q
-        squares = {(y * y) % q for y in range(q // 2 + 1)}
-        count = 1  # identity
-        for x in range(q):
-            v = (x * x * x + self.a * x + self.b) % q
-            if v == 0:
-                count += 1
-            elif v in squares:
-                count += 2
-        return count
-
-    def enumerate_points(self, threshold: int = NAIVE_THRESHOLD) -> list:
-        """Every point, identity first, affine points in lexicographic order."""
-        if self.q >= threshold:
-            raise ValueError(f"q = {self.q} exceeds the naive enumeration threshold")
-        q = self.q
-        ys = {}
-        for y in range(q):
-            ys.setdefault((y * y) % q, []).append(y)
-        points = [None]
-        for x in range(q):
-            v = (x * x * x + self.a * x + self.b) % q
-            for y in ys.get(v, ()):
-                points.append((x, y))
-        return points
-
-    def point_order_naive(self, s) -> int:
-        n, t = 1, s
-        while t is not None:
-            t = self.add(t, s)
-            n += 1
-        return n
-
     def point_order(self, s) -> int:
         """Exact order of s.
 
-        Finds one annihilator N in the Hasse interval [q+1-w, q+1+w],
-        w = floor(2*sqrt(q)), by baby-step/giant-step (the minimal one, for
-        determinism), then strips prime factors of N that are not needed.
+        Finds one annihilator N in hasse_interval(q) by baby-step/giant-step
+        (the minimal one, for determinism), then strips prime factors of N
+        that are not needed.
         Cost is O(q^(1/4)) group operations.
         """
         if s is None:
             return 1
-        q = self.q
-        w = isqrt(4 * q)
-        lo = q + 1 - w
-        m = isqrt(2 * w) + 1
+        lo, hi = hasse_interval(self.q)
+        m = isqrt(hi - lo) + 1
         baby = {}
         t = None
         for j in range(m):
@@ -133,7 +97,7 @@ class FiniteCurve:
         giant = self.scalar_mul(m, s)
         walk = self.scalar_mul(lo, s)
         k = None
-        for i in range(2 * w // m + 2):
+        for i in range((hi - lo) // m + 2):
             j = baby.get(self.neg(walk))
             if j is not None:
                 k = i * m + j
@@ -146,107 +110,3 @@ class FiniteCurve:
             while n % f == 0 and self.scalar_mul(n // f, s) is None:
                 n //= f
         return n
-
-    def p_torsion_points(self, p: int, threshold: int = NAIVE_THRESHOLD) -> list:
-        """All points killed by the prime p, identity included.
-
-        p = 2 reduces to the roots of the cubic and works at any q; other p
-        filter the full point enumeration and need q below the threshold.
-        """
-        if p == self.q:
-            raise ValueError("p-torsion undefined in characteristic p")
-        if p == 2:
-            pts = [None] + [(r, 0) for r in _cubic_roots(self.q, self.a, self.b)]
-            return pts
-        points = self.enumerate_points(threshold)
-        return [s for s in points if self.scalar_mul(p, s) is None]
-
-
-def hasse_interval(q: int):
-    w = isqrt(4 * q)
-    return q + 1 - w, q + 1 + w
-
-
-# ----------------------------------------------------------------------
-# Root finding for monic cubics over F_q (deterministic, no table scans).
-# Polynomials are coefficient lists, ascending degree.
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mulmod(f, g, mod, q):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % q
-    return _poly_divmod(out, mod, q)[1]
-
-
-def _poly_divmod(f, g, q):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, q)
-    quo = [0] * max(0, len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * inv % q
-        quo[i - dg] = c
-        if c:
-            for j, gj in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * gj) % q
-    return _poly_trim(quo), _poly_trim(f)
-
-
-def _poly_powmod(base, e, mod, q):
-    result = [1]
-    base = _poly_divmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, q)
-        base = _poly_mulmod(base, base, mod, q)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(f, g, q):
-    f, g = _poly_trim(list(f)), _poly_trim(list(g))
-    while g:
-        f, g = g, _poly_divmod(f, g, q)[1]
-    if f:
-        inv = pow(f[-1], -1, q)
-        f = [c * inv % q for c in f]
-    return f
-
-
-def _cubic_roots(q: int, a: int, b: int) -> list:
-    """Sorted roots of x^3 + a*x + b over F_q via gcd with x^q - x."""
-    f = [b % q, a % q, 0, 1]
-    xq = _poly_powmod([0, 1], q, f, q)
-    xq = list(xq) + [0] * max(0, 2 - len(xq))
-    xq[1] = (xq[1] - 1) % q  # x^q - x
-    g = _poly_gcd(xq, f, q)
-    return sorted(_split_linear(g, q))
-
-
-def _split_linear(g, q: int) -> list:
-    """Roots of a squarefree product of linear factors, by deterministic
-    equal-degree splitting: gcd((x + r)^((q-1)/2) - 1, g) for r = 0, 1, 2, ...
-    """
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % q]
-    for r in range(q):
-        h = _poly_powmod([r, 1], (q - 1) // 2, g, q)
-        h = list(h) if h else [0]
-        h[0] = (h[0] - 1) % q
-        d = _poly_gcd(h, g, q)
-        if 0 < len(d) - 1 < deg:
-            rest = _poly_divmod(g, d, q)[0]
-            return _split_linear(d, q) + _split_linear(rest, q)
-    raise RuntimeError("equal-degree splitting failed")  # unreachable for squarefree input

@@ -75,14 +75,13 @@ def make_context(
 ) -> QuotientContext:
     """Reduce the kernel data at q, checking q is usable first.
 
-    Raises ValueError for a bad prime (q in {2, 3, p} or q | discriminant)
-    and InvariantViolation if the reduced generators collapse, which cannot
+    Raises ValueError for a bad prime (q in {2, 3, p}, q not prime or
+    q | discriminant; all but q = p are checked by curve.reduce) and
+    InvariantViolation if the reduced generators collapse, which cannot
     happen for valid input.
     """
-    if q in (2, 3) or q == p or not is_prime(q):
-        raise ValueError(f"bad prime {q}")
-    if curve.discriminant() % q == 0:
-        raise ValueError(f"bad prime {q}: divides the discriminant")
+    if q == p:
+        raise ValueError(f"bad prime {q}: equals the torsion prime p")
     finite = curve.reduce(q)
     return QuotientContext(finite, reduce_coordinates(R1, q), reduce_coordinates(R2, q), p)
 

@@ -368,8 +368,8 @@ def reduce_coordinates(point: RationalPoint, q: int) -> FinitePoint:
 
 def reduce_point(curve: RationalCurve, point: RationalPoint, q: int) -> FinitePoint:
     """Reduce a rational point mod a good prime q."""
-    _check_good_prime(curve, q)
+    finite = curve.reduce(q)
     reduced = reduce_coordinates(point, q)
-    if not curve.reduce(q).contains(reduced):
+    if not finite.contains(reduced):
         raise ValueError(f"point does not lie on the curve, or {q} is not usable")
     return reduced

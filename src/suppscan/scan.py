@@ -72,7 +72,7 @@ class LabConfig:
     def from_dict(cls, data: dict) -> "LabConfig":
         try:
             a, b = data["curve"]
-            return cls(
+            config = cls(
                 curve=RationalCurve(int(a), int(b)),
                 R=RationalPoint(*map(int, data["R"])),
                 R1=RationalPoint(*map(int, data["R1"])),
@@ -83,6 +83,11 @@ class LabConfig:
                 entry_bound=int(data.get("entry_bound", 4)),
                 workers=int(data.get("workers", 1)),
             )
+            if config.entry_bound < 1:
+                raise ValueError(f"entry_bound must be >= 1, got {config.entry_bound}")
+            if config.workers < 1:
+                raise ValueError(f"workers must be >= 1, got {config.workers}")
+            return config
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed config: {exc}") from exc
 
@@ -129,8 +134,8 @@ class ScanReport:
             "config_digest": self.config_digest,
             "primes_scanned": self.primes_scanned,
             "primes_skipped": [[q, reason] for q, reason in self.primes_skipped],
-            "condition1_forward_rate": _rate_str(self.condition1_forward_rate),
-            "condition1_backward_rate": _rate_str(self.condition1_backward_rate),
+            "condition1_forward_rate": str(self.condition1_forward_rate),
+            "condition1_backward_rate": str(self.condition1_backward_rate),
             "records": records,
             "weak_relation": self.weak_relation.to_dict(),
             "medium_impossibility": self.medium_impossibility.to_dict(),
@@ -141,8 +146,15 @@ class ScanReport:
         return _sha256_of(self.to_dict(include_elapsed=False))
 
 
-def _rate_str(rate: Fraction) -> str:
-    return str(rate)
+def _skip_reason(q: int, p: int, disc: int) -> str | None:
+    """Why the prime q is not scanned, or None when q is good."""
+    if q in (2, 3):
+        return SKIP_WEIERSTRASS
+    if q == p:
+        return SKIP_TORSION_PRIME
+    if disc % q == 0:
+        return SKIP_DISCRIMINANT
+    return None
 
 
 def classify_primes(config: LabConfig):
@@ -150,14 +162,11 @@ def classify_primes(config: LabConfig):
     disc = config.curve.discriminant()
     good, skipped = [], []
     for q in primes_up_to(config.prime_bound):
-        if q in (2, 3):
-            skipped.append((q, SKIP_WEIERSTRASS))
-        elif q == config.p:
-            skipped.append((q, SKIP_TORSION_PRIME))
-        elif disc % q == 0:
-            skipped.append((q, SKIP_DISCRIMINANT))
-        else:
+        reason = _skip_reason(q, config.p, disc)
+        if reason is None:
             good.append(q)
+        else:
+            skipped.append((q, reason))
     return good, skipped
 
 
@@ -165,9 +174,8 @@ def iter_good_primes(config: LabConfig, start: int = 5):
     """Unbounded ascending stream of usable primes for this config."""
     disc = config.curve.discriminant()
     for q in iter_primes(start):
-        if q in (2, 3) or q == config.p or disc % q == 0:
-            continue
-        yield q
+        if _skip_reason(q, config.p, disc) is None:
+            yield q
 
 
 def _scan_one(config: LabConfig, q: int) -> PrimeRecord:

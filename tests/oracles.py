@@ -1,6 +1,6 @@
 """Deliberately naive reference machinery the tests check the library against.
 
-Everything here favors transparency over speed: double loops over F_q,
+Everything here favors transparency over speed: exhaustive point listings,
 stepwise order walks, explicit reduced-form counting. None of it shares
 strategy with the code under test.
 """
@@ -20,6 +20,20 @@ def affine_points_brute(q, a, b):
 
 def count_points_brute(q, a, b):
     return 1 + len(affine_points_brute(q, a, b))
+
+
+def all_points(curve):
+    """Every point of a FiniteCurve, identity first, then affine points in
+    lexicographic order; O(q) through a table of square roots."""
+    q = curve.q
+    roots = {}
+    for y in range(q):
+        roots.setdefault((y * y) % q, []).append(y)
+    points = [None]
+    for x in range(q):
+        for y in roots.get((x * x * x + curve.a * x + curve.b) % q, ()):
+            points.append((x, y))
+    return points
 
 
 def order_by_walk(add, s):
@@ -60,10 +74,6 @@ def class_number(D):
                         h += 1
         a += 1
     return h
-
-
-def cubic_roots_brute(q, a, b):
-    return sorted(x for x in range(q) if (x * x * x + a * x + b) % q == 0)
 
 
 def integer_points_in_range(a, b, lo, hi):

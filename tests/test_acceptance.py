@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from oracles import coset_order_by_walk
+from oracles import all_points, coset_order_by_walk, order_by_walk
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import (
@@ -31,6 +31,10 @@ from suppscan.rational import (
     search_curve,
 )
 from suppscan.scan import LabConfig, default_config, run_scan, write_report
+
+# report_digest of the default config (prime_bound 10^4). A change that alters
+# the report on purpose records the old and the new digest in CHANGES.md.
+DEFAULT_REPORT_DIGEST = "68e227260ca8d6cf6b8e7366cdaf47ceb74605525c4c11f91b8544edcf0d281b"
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -131,26 +135,26 @@ def test_criterion_3_order_oracle_equivalence():
                 if (4 * a**3 + 27 * b**2) % q == 0:
                     continue
                 curve = FiniteCurve(q, a, b)
-                n = curve.count_points_naive()
+                points = all_points(curve)
                 lo, hi = hasse_interval(q)
-                ok = ok and lo <= n <= hi
-                for s in curve.enumerate_points():
-                    ok = ok and curve.point_order(s) == curve.point_order_naive(s)
+                ok = ok and lo <= len(points) <= hi
+                for s in points:
+                    ok = ok and curve.point_order(s) == order_by_walk(curve.add, s)
                     checked += 1
     # every point of the scanned curve's reduction at every field 5 <= q < 500
     for q in primes_up_to(499):
         if q < 5:
             continue
         curve = FiniteCurve(q, -21, -20)
-        n = curve.count_points_naive()
+        points = all_points(curve)
         lo, hi = hasse_interval(q)
-        ok = ok and lo <= n <= hi
-        for s in curve.enumerate_points():
-            ok = ok and curve.point_order(s) == curve.point_order_naive(s)
+        ok = ok and lo <= len(points) <= hi
+        for s in points:
+            ok = ok and curve.point_order(s) == order_by_walk(curve.add, s)
             checked += 1
     _report(
         3,
-        "BSGS point order equals naive order on every checked point; "
+        "BSGS point order equals the walk-oracle order on every checked point; "
         "counts lie in the Hasse interval",
         ok,
         f"{checked} points",
@@ -247,9 +251,12 @@ def test_criterion_7_determinism(tmp_path, full_scan):
     d8 = json.loads(paths["w8"][1].read_text())["report_digest"]
     _report(
         7,
-        "workers=1 and workers=8 produce identical CSV bodies and JSON digests",
-        csv_same and d1 == d8 and report1.digest() == report8.digest(),
-        f"digest {d1[:12]}...",
+        "workers=1 and workers=8 produce identical CSV bodies and JSON digests, "
+        "equal to the pinned default report digest",
+        csv_same
+        and d1 == d8 == DEFAULT_REPORT_DIGEST
+        and report1.digest() == report8.digest(),
+        f"digest {d1}",
     )
 
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oracles import affine_points_brute, count_points_brute, cubic_roots_brute, order_by_walk
+from oracles import affine_points_brute, all_points, count_points_brute, order_by_walk
 from suppscan.arith import primes_up_to
-from suppscan.finite import FiniteCurve, _cubic_roots, hasse_interval
+from suppscan.finite import FiniteCurve, hasse_interval
 
 # y^2 = x^3 - x over F_5: the fully hand-checked table
 F5 = FiniteCurve(5, -1, 0)
@@ -24,8 +24,8 @@ def test_curve_validation():
 
 def test_f5_point_set():
     assert sorted(affine_points_brute(5, -1, 0)) == sorted(F5_POINTS[1:])
-    assert sorted(F5.enumerate_points()[1:]) == sorted(F5_POINTS[1:])
-    assert F5.enumerate_points()[0] is None
+    assert sorted(all_points(F5)[1:]) == sorted(F5_POINTS[1:])
+    assert all_points(F5)[0] is None
 
 
 def test_f5_addition_examples():
@@ -46,7 +46,7 @@ def test_add_commutative_associative_sampled():
     rng = random.Random(11)
     curves = [F5, FiniteCurve(101, 3, 7), FiniteCurve(997, -21, -20)]
     for curve in curves:
-        pts = curve.enumerate_points()
+        pts = all_points(curve)
         for _ in range(60):
             s, t, u = (rng.choice(pts) for _ in range(3))
             assert curve.add(s, t) == curve.add(t, s)
@@ -66,14 +66,14 @@ def test_scalar_mul():
 
 
 def test_count_points_examples():
-    assert F5.count_points_naive() == 8
-    assert FiniteCurve(5, 0, 1).count_points_naive() == 6
+    assert len(all_points(F5)) == 8
+    assert len(all_points(FiniteCurve(5, 0, 1))) == 6
     for q in (7, 11, 13):
         for a in range(q):
             for b in range(q):
                 if (4 * a**3 + 27 * b**2) % q == 0:
                     continue
-                assert FiniteCurve(q, a, b).count_points_naive() == count_points_brute(q, a, b)
+                assert len(all_points(FiniteCurve(q, a, b))) == count_points_brute(q, a, b)
 
 
 def test_count_points_hasse_envelope():
@@ -83,16 +83,9 @@ def test_count_points_hasse_envelope():
         a, b = rng.randrange(q), rng.randrange(q)
         if (4 * a**3 + 27 * b**2) % q == 0:
             continue
-        n = FiniteCurve(q, a, b).count_points_naive()
+        n = len(all_points(FiniteCurve(q, a, b)))
         lo, hi = hasse_interval(q)
         assert lo <= n <= hi
-
-
-def test_count_points_threshold():
-    with pytest.raises(ValueError):
-        FiniteCurve(100003, 1, 1).count_points_naive()
-    # explicit override allows it
-    assert FiniteCurve(100003, 1, 1).count_points_naive(threshold=200000) > 0
 
 
 def test_point_order_examples():
@@ -108,24 +101,24 @@ def test_point_order_equals_naive_exhaustive_small_fields():
                 if (4 * a**3 + 27 * b**2) % q == 0:
                     continue
                 curve = FiniteCurve(q, a, b)
-                for s in curve.enumerate_points():
-                    assert curve.point_order(s) == curve.point_order_naive(s), (q, a, b, s)
+                for s in all_points(curve):
+                    assert curve.point_order(s) == order_by_walk(curve.add, s), (q, a, b, s)
 
 
 def test_point_order_default_curve_reductions():
     for q in [p for p in primes_up_to(600) if p >= 5]:
         curve = FiniteCurve(q, -21, -20)
-        for s in curve.enumerate_points():
-            assert curve.point_order(s) == curve.point_order_naive(s), (q, s)
+        for s in all_points(curve):
+            assert curve.point_order(s) == order_by_walk(curve.add, s), (q, s)
 
 
 def test_point_order_sampled_to_2000():
     rng = random.Random(29)
     for q in (701, 997, 1231, 1543, 1999):
         curve = FiniteCurve(q, -21, -20)
-        pts = curve.enumerate_points()
+        pts = all_points(curve)
         for s in rng.sample(pts, 12):
-            assert curve.point_order(s) == curve.point_order_naive(s), (q, s)
+            assert curve.point_order(s) == order_by_walk(curve.add, s), (q, s)
 
 
 def test_point_order_divides_group_order():
@@ -136,14 +129,14 @@ def test_point_order_divides_group_order():
         if (4 * a**3 + 27 * b**2) % q == 0:
             continue
         curve = FiniteCurve(q, a, b)
-        n = curve.count_points_naive()
-        pts = curve.enumerate_points()
+        pts = all_points(curve)
+        n = len(pts)
         for _ in range(5):
             assert n % curve.point_order(rng.choice(pts)) == 0
 
 
 def test_point_order_large_q_certificate():
-    # beyond any naive range: certify n*S = 0 and (n/l)*S != 0 for prime l | n
+    # too large for the walk oracle: certify n*S = 0 and (n/l)*S != 0 for prime l | n
     q = 999983
     curve = FiniteCurve(q, -21, -20)
     s = (0, 400686)  # 400686^2 = -20 mod 999983
@@ -160,61 +153,6 @@ def test_point_order_large_q_certificate():
 
 def test_point_order_walk_oracle():
     curve = FiniteCurve(997, -21, -20)
-    pts = curve.enumerate_points()
+    pts = all_points(curve)
     for s in (pts[1], pts[len(pts) // 2], pts[-1]):
         assert curve.point_order(s) == order_by_walk(curve.add, s)
-
-
-def test_two_torsion_examples():
-    assert F5.p_torsion_points(2) == [None, (0, 0), (1, 0), (4, 0)]
-    # irreducible cubic: x^3 + 2 over F_7 has no roots
-    assert FiniteCurve(7, 0, 2).p_torsion_points(2) == [None]
-    # exactly one root: x^3 + x = x(x^2 + 1) over F_7, -1 not a square
-    assert FiniteCurve(7, 1, 0).p_torsion_points(2) == [None, (0, 0)]
-
-
-def test_two_torsion_closed_under_add():
-    for curve in (F5, FiniteCurve(13, -21, -20), FiniteCurve(10007, -21, -20)):
-        tors = curve.p_torsion_points(2)
-        for s in tors:
-            for t in tors:
-                assert curve.add(s, t) in tors
-
-
-def test_two_torsion_above_naive_threshold():
-    # the cubic splits globally, so three roots must appear mod any good q
-    curve = FiniteCurve(1000003, -21, -20)
-    pts = curve.p_torsion_points(2)
-    assert len(pts) == 4
-    assert {x % 1000003 for x in (-4, -1, 5)} == {p[0] for p in pts if p}
-
-
-def test_three_torsion_filter():
-    # y^2 = x^3 + 1 over F_7 has exactly three 3-torsion points
-    curve = FiniteCurve(7, 0, 1)
-    pts = curve.p_torsion_points(3)
-    assert pts == [None, (0, 1), (0, 6)]
-    with pytest.raises(ValueError):
-        FiniteCurve(100003, 1, 1).p_torsion_points(3)
-    with pytest.raises(ValueError):
-        FiniteCurve(7, 0, 1).p_torsion_points(7)
-
-
-def test_cubic_roots_against_brute_force():
-    rng = random.Random(17)
-    for q in (5, 7, 11, 13, 29, 97, 101):
-        for _ in range(12):
-            a, b = rng.randrange(q), rng.randrange(q)
-            if (4 * a**3 + 27 * b**2) % q == 0:
-                continue
-            assert _cubic_roots(q, a, b) == cubic_roots_brute(q, a, b), (q, a, b)
-
-
-def test_cubic_roots_split_cases():
-    # all three roots rational: (x-1)(x-2)(x-8) mod 11, root sum 11 = 0
-    a = (1 * 2 + 2 * 8 + 8 * 1) % 11
-    b = (-1 * 2 * 8) % 11
-    assert _cubic_roots(11, a, b) == [1, 2, 8]
-    assert _cubic_roots(999983, -21 % 999983, -20 % 999983) == sorted(
-        x % 999983 for x in (-4, -1, 5)
-    )

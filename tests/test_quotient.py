@@ -2,8 +2,10 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import coset_order_by_walk
+from oracles import all_points, coset_order_by_walk, order_by_walk
+from suppscan.arith import primes_up_to
 from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
     InvariantViolation,
@@ -60,8 +62,6 @@ def test_make_context_good_and_bad_primes():
 
 
 def test_make_context_every_good_prime_under_2000():
-    from suppscan.arith import primes_up_to
-
     for q in primes_up_to(2000):
         if q in (2, 3):
             continue
@@ -98,7 +98,7 @@ def test_quotient_order_examples():
 
 def test_quotient_order_matches_walk_oracle():
     curve = F5_CTX.curve
-    pts = curve.enumerate_points()
+    pts = all_points(curve)
     for s in pts:
         for t in pts:
             pt = QuotientPoint(s, t)
@@ -109,12 +109,35 @@ def test_quotient_order_matches_walk_oracle():
 def test_quotient_order_divides_p_lcm():
     rng = random.Random(23)
     ctx = make_context(DEFAULT, R1, R2, 2, 101)
-    pts = ctx.curve.enumerate_points()
+    pts = all_points(ctx.curve)
     for _ in range(30):
         s, t = rng.choice(pts), rng.choice(pts)
         n = quotient_order(ctx, QuotientPoint(s, t))
         bound = ctx.p * lcm(ctx.curve.point_order(s), ctx.curve.point_order(t))
         assert bound % n == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_order_random_split_curves(data):
+    # y^2 = (x - e1)(x - e2)(x - e3) over F_q with kernel <((e1, 0), (e2, 0))>
+    q = data.draw(st.sampled_from([q for q in primes_up_to(499) if q >= 5]), label="q")
+    e1 = data.draw(st.integers(0, q - 1), label="e1")
+    e2 = data.draw(st.integers(0, q - 1), label="e2")
+    e3 = (-e1 - e2) % q
+    assume(len({e1, e2, e3}) == 3)
+    curve = FiniteCurve(q, e1 * e2 + e2 * e3 + e3 * e1, -e1 * e2 * e3)
+    ctx = QuotientContext(curve, (e1, 0), (e2, 0), 2)
+    pts = all_points(curve)
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), min_size=1, max_size=4),
+        label="pairs",
+    )
+    for s, t in pairs:
+        n = quotient_order(ctx, QuotientPoint(s, t))
+        assert n == coset_order_by_walk(curve.add, ctx.kernel(), (s, t))
+        m = lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
+        assert n == m or n * ctx.p == m
 
 
 def test_scalar_mul_matches_repeated_add():
@@ -144,7 +167,7 @@ def test_evaluate_prime_orders_vs_walk_oracle():
         walk_p = coset_order_by_walk(curve.add, ctx.kernel(), (r, None))
         walk_q = coset_order_by_walk(curve.add, ctx.kernel(), (r, r))
         assert (rec.ord_p, rec.ord_q) == (walk_p, walk_q)
-        assert rec.ord_r == curve.point_order_naive(r)
+        assert rec.ord_r == order_by_walk(curve.add, r)
 
 
 def test_ord_p_always_equals_ord_r():

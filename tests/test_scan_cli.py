@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,8 +55,15 @@ def test_config_roundtrip_and_digest():
 
 
 def test_config_malformed():
-    with pytest.raises(ValueError):
-        LabConfig.from_dict({"curve": {"a": 1}})
+    good = default_config().to_dict()
+    for data in (
+        {"curve": {"a": 1}},
+        {**good, "entry_bound": 0},
+        {**good, "entry_bound": -2},
+        {**good, "workers": 0},
+    ):
+        with pytest.raises(ValueError, match="malformed config"):
+            LabConfig.from_dict(data)
 
 
 def test_classify_primes_complete():
@@ -267,6 +278,32 @@ def test_cli_usage_errors(capsys):
     assert cli_main(["scan"]) == 2
     assert cli_main(["no-relation", "--p", "4"]) == 2
     assert cli_main(["bogus"]) == 2
+
+
+def test_cli_out_of_range_values_exit_2(tmp_path, capsys):
+    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    good = small_config(bound=50).to_dict()
+    bad_path = tmp_path / "bad.json"
+    for bad in ({"entry_bound": 0}, {"entry_bound": -1}, {"workers": 0}):
+        bad_path.write_text(json.dumps({**good, **bad}))
+        assert cli_main(["validate", "--config", str(bad_path)]) == 2
+        assert cli_main(["scan", "--config", str(bad_path), *outs]) == 2
+    good_path = write_config(tmp_path, small_config(bound=50))
+    assert cli_main(["scan", "--config", good_path, "--workers", "0", *outs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 7 and all(line.startswith("usage error: ") for line in err)
+
+    # as a user runs it: one line on stderr, no traceback
+    bad_path.write_text(json.dumps({**good, "entry_bound": 0}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "suppscan.cli", "scan", "--config", str(bad_path), *outs],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "entry_bound must be >= 1" in proc.stderr
 
 
 def test_cli_no_relation(capsys):
