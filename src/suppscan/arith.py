@@ -1,6 +1,6 @@
 """Exact integer helpers: primality, sieves, factoring, divisors."""
 
-from math import isqrt
+from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,20 +53,77 @@ def iter_primes(start: int = 2):
         n += 1
 
 
+# Trial division runs over the primes below this; Pollard-Brent does the rest.
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n >= 1."""
+    """Prime factorization {prime: exponent} of n >= 1, keys ascending.
+
+    Trial division takes the factors below 1000; a cofactor left after that
+    is split by Pollard-Brent, with is_prime deciding when to stop.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
+    for f in _SMALL_PRIMES:
+        if f * f > n:
+            break
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    # Below 1000^2 a cofactor free of the small primes is 1 or prime.
+    if n >= _TRIAL_LIMIT**2:
+        large: list[int] = []
+        _split(n, large)
+        for f in sorted(large):
+            out[f] = out.get(f, 0) + 1
+    elif n > 1:
+        out[n] = 1
     return out
+
+
+def _split(n: int, primes: list[int]) -> None:
+    """Append the prime factors of n (no factor below 1000), with multiplicity."""
+    if is_prime(n):
+        primes.append(n)
+        return
+    d = _pollard_brent(n)
+    _split(d, primes)
+    _split(n // d, primes)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n (Brent, BIT 20, 1980).
+
+    Iterates x -> x^2 + c from x = 2, for c = 1, 2, ... until a c splits n;
+    gcds are taken over batches of 128 products, backtracking one step at
+    a time when a batch overshoots to n.
+    """
+    for c in range(1, n):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard-Brent found no factor of {n}")
 
 
 def sorted_divisors(n: int) -> list[int]:

@@ -6,6 +6,7 @@ error, 3 internal invariant violation.
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import is_prime
@@ -71,9 +72,18 @@ class UsageError(Exception):
     pass
 
 
+def _check_out_dir(flag: str, path: str) -> None:
+    """Refuse an output path whose directory is missing, before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag} {path}: directory {parent} does not exist")
+
+
 def _cmd_search_curve(args) -> int:
     if args.height_bound < 1:
         raise UsageError("--height-bound must be >= 1")
+    if args.out:
+        _check_out_dir("--out", args.out)
     try:
         curve, R, R1, R2 = search_curve(args.height_bound)
     except CurveSearchError as exc:
@@ -92,8 +102,11 @@ def _cmd_search_curve(args) -> int:
     )
     text = json.dumps(config.to_dict(), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write config: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -113,9 +126,14 @@ def _cmd_validate(args) -> int:
 def _cmd_scan(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    _check_out_dir("--out-csv", args.out_csv)
+    _check_out_dir("--out-json", args.out_json)
     config = _load_config(args.config)
     report = run_scan(config, workers=args.workers)
-    write_report(report, args.out_csv, args.out_json)
+    try:
+        write_report(report, args.out_csv, args.out_json)
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from exc
     print(
         f"scanned {report.primes_scanned} primes "
         f"(skipped {len(report.primes_skipped)}); "

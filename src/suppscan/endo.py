@@ -65,6 +65,11 @@ def descends(m: EndoMatrix, p: int) -> DescentWitness:
     """Congruence criterion: b, c = 0 and a = d (mod p); then k = a mod p."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
+    return _descent_witness(m, p)
+
+
+def _descent_witness(m: EndoMatrix, p: int) -> DescentWitness:
+    """The congruence test of descends, for a p already known to be prime."""
     if m.b % p == 0 and m.c % p == 0 and (m.a - m.d) % p == 0:
         return DescentWitness(True, m.a % p)
     return DescentWitness(False)
@@ -82,7 +87,8 @@ def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
 
 def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
     """Matrix action on a coset; requires descent so the action is well defined."""
-    if not descends(m, ctx.p).descends:
+    # QuotientContext has already proven ctx.p prime.
+    if not _descent_witness(m, ctx.p).descends:
         raise ValueError(f"matrix {m.entries()} does not descend mod {ctx.p}")
     curve = ctx.curve
     return QuotientPoint(

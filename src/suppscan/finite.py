@@ -79,34 +79,55 @@ class FiniteCurve:
     def point_order(self, s) -> int:
         """Exact order of s.
 
-        Finds one annihilator N in hasse_interval(q) by baby-step/giant-step
-        (the minimal one, for determinism), then strips prime factors of N
-        that are not needed.
+        Finds an annihilator N of s in (or just past) hasse_interval(q) by
+        baby-step/giant-step, then strips the prime factors of N that are not
+        needed; the exact order is unique, so which N is found does not
+        matter. The search first runs on t = 4*s over N/4: the scanned curves
+        have full rational 2-torsion, which injects into E(F_q), so
+        4 | #E(F_q) and an annihilator with 4 | N lies in the window. Only
+        when that finds nothing does the search rerun on s itself.
         Cost is O(q^(1/4)) group operations.
         """
         if s is None:
             return 1
         lo, hi = hasse_interval(self.q)
-        m = isqrt(hi - lo) + 1
-        baby = {}
-        t = None
-        for j in range(m):
-            if t not in baby:
-                baby[t] = j
-            t = self.add(t, s)
-        giant = self.scalar_mul(m, s)
-        walk = self.scalar_mul(lo, s)
-        k = None
-        for i in range((hi - lo) // m + 2):
-            j = baby.get(self.neg(walk))
-            if j is not None:
-                k = i * m + j
-                break
-            walk = self.add(walk, giant)
-        if k is None:
+        c = self._annihilator(self.scalar_mul(4, s), -(-lo // 4), hi // 4)
+        n = 4 * c if c else self._annihilator(s, lo, hi)
+        if n is None:
             raise RuntimeError("no annihilator in the Hasse interval; group law is broken")
-        n = lo + k
         for f in factorize(n):
             while n % f == 0 and self.scalar_mul(n // f, s) is None:
                 n //= f
         return n
+
+    def _annihilator(self, t, lo: int, hi: int):
+        """Some c >= 1 with c*t = 0, found by covering [lo, hi] with windows
+        [centre - m, centre + m]; None if no c in [lo, hi] kills t.
+
+        Baby steps j*t (j = 1..m) are keyed by x, so one lookup matches both
+        centre*t = j*t and centre*t = -j*t; y tells the sign apart.
+        """
+        if t is None:
+            return 1
+        # m + (hi - lo) / (4m) steps on average: least at m = sqrt(hi - lo) / 2.
+        m = isqrt((hi - lo + 1) // 4) + 1
+        baby = {}
+        u = None
+        for j in range(1, m + 1):
+            u = self.add(u, t)
+            if u is None:
+                return j
+            baby.setdefault(u[0], (j, u[1]))
+        giant = self.add(self.add(u, u), t)  # (2m + 1) * t
+        centre = lo + m
+        walk = self.scalar_mul(centre, t)
+        while centre - m <= hi:
+            if walk is None:
+                return centre
+            hit = baby.get(walk[0])
+            if hit is not None:
+                j, y = hit
+                return centre - j if y == walk[1] else centre + j
+            walk = self.add(walk, giant)
+            centre += 2 * m + 1
+        return None

@@ -1,5 +1,7 @@
 from math import isqrt
 
+from hypothesis import given, settings, strategies as st
+
 from suppscan.arith import (
     factorize,
     is_perfect_square,
@@ -58,6 +60,38 @@ def test_factorize():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def check_factorization(n):
+    f = factorize(n)
+    prod = 1
+    for p, e in f.items():
+        assert is_prime(p) and e >= 1, (n, f)
+        prod *= p**e
+    assert prod == n, (n, f)
+    assert list(f) == sorted(f), (n, f)
+    return f
+
+
+def test_factorize_edge_cases():
+    assert check_factorization(1) == {}
+    for p in (2, 3, 997, 1009, 999983, 10**9 + 7, 9999999967):
+        assert check_factorization(p) == {p: 1}
+    assert check_factorization(997**2) == {997: 2}
+    assert check_factorization(1009**2) == {1009: 2}
+    assert check_factorization(1009 * 1013) == {1009: 1, 1013: 1}
+    assert check_factorization(2**40) == {2: 40}
+    assert check_factorization(3**25) == {3: 25}
+    assert check_factorization(1009**4) == {1009: 4}
+    assert check_factorization(999983 * 1000003) == {999983: 1, 1000003: 1}
+    assert check_factorization(999983**2) == {999983: 2}
+    assert check_factorization(8 * 997 * 1009 * 999983) == {2: 3, 997: 1, 1009: 1, 999983: 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**13))
+def test_factorize_random(n):
+    check_factorization(n)
 
 
 def test_sorted_divisors():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import affine_points_brute, all_points, count_points_brute, order_by_walk
 from suppscan.arith import primes_up_to
@@ -156,3 +157,28 @@ def test_point_order_walk_oracle():
     pts = all_points(curve)
     for s in (pts[1], pts[len(pts) // 2], pts[-1]):
         assert curve.point_order(s) == order_by_walk(curve.add, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_point_order_random_curves(data):
+    # arbitrary nonsingular curves, most not split: 4 need not divide #E(F_q)
+    q = data.draw(st.sampled_from([q for q in primes_up_to(1999) if q >= 5]), label="q")
+    a = data.draw(st.integers(0, q - 1), label="a")
+    b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    pts = all_points(curve)
+    for s in data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3), label="points"):
+        assert curve.point_order(s) == order_by_walk(curve.add, s), (q, a, b, s)
+
+
+def test_point_order_group_order_not_divisible_by_4():
+    # #E = 1057 = 7 * 151: no c in [lo/4, hi/4] kills 4*s, so only the
+    # stride-1 search can find the order
+    curve = FiniteCurve(997, 0, 7)
+    s = (3, 55)
+    assert len(all_points(curve)) == 1057
+    lo, hi = hasse_interval(997)
+    assert all(curve.scalar_mul(4 * c, s) is not None for c in range(-(-lo // 4), hi // 4 + 1))
+    assert curve.point_order(s) == 1057 == order_by_walk(curve.add, s)

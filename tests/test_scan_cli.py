@@ -306,6 +306,41 @@ def test_cli_out_of_range_values_exit_2(tmp_path, capsys):
     assert proc.stderr.count("\n") == 1 and "entry_bound must be >= 1" in proc.stderr
 
 
+def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    path = write_config(tmp_path, small_config(bound=50))
+    ok = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+
+    # refused before the sweep starts
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("work started despite a missing output directory")
+
+    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
+    assert cli_main(["scan", "--config", path, *ok[:2], "--out-json", str(missing / "o.json")]) == 2
+    assert cli_main(["scan", "--config", path, "--out-csv", str(missing / "o.csv"), *ok[2:]]) == 2
+    monkeypatch.setattr("suppscan.cli.search_curve", no_sweep)
+    assert cli_main(["search-curve", "--height-bound", "5", "--out", str(missing / "c.json")]) == 2
+    monkeypatch.undo()
+    # an output path that is a directory fails only at the write, still as a usage error
+    assert cli_main(["scan", "--config", path, "--out-csv", str(tmp_path), *ok[2:]]) == 2
+    assert cli_main(["search-curve", "--height-bound", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("usage error: ") for line in err)
+    assert all("does not exist" in line for line in err[:3])
+    assert not missing.exists()
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "suppscan.cli", "scan", "--config", path,
+         "--out-csv", str(missing / "o.csv"), *ok[2:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "does not exist" in proc.stderr
+
+
 def test_cli_no_relation(capsys):
     assert cli_main(["no-relation", "--p", "2"]) == 0
     out = capsys.readouterr().out
