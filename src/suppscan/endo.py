@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arith import is_prime
-from .quotient import (
-    QuotientContext,
-    QuotientPoint,
-    quotient_equal,
-    quotient_scalar_mul,
-)
+from .quotient import QuotientContext, QuotientPoint
 from .rational import RationalPoint, reduce_coordinates
 
 KIND_WEAK_FOUND = "weak_relation_found"
@@ -85,11 +80,15 @@ def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
     return image in ctx.kernel()
 
 
-def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
-    """Matrix action on a coset; requires descent so the action is well defined."""
+def _require_descent(m: EndoMatrix, ctx: QuotientContext) -> None:
     # QuotientContext has already proven ctx.p prime.
     if not _descent_witness(m, ctx.p).descends:
         raise ValueError(f"matrix {m.entries()} does not descend mod {ctx.p}")
+
+
+def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
+    """Matrix action on a coset; requires descent so the action is well defined."""
+    _require_descent(m, ctx)
     curve = ctx.curve
     return QuotientPoint(
         curve.add(curve.scalar_mul(m.a, s.rep1), curve.scalar_mul(m.b, s.rep2)),
@@ -146,29 +145,60 @@ def _signed_values(bound: int) -> list[int]:
     return out
 
 
-def _context_images(ctxs, R: RationalPoint):
-    """(ctx, P, Q) per context, P and Q the images of (R, 0) and (R, R)."""
-    triples = []
+def _context_images(ctxs, R: RationalPoint, entry_bound: int):
+    """(kernel, curve, r, table) per context, r = R mod q and table[j] = j*r.
+
+    The table covers |j| <= 3*entry_bound, every multiple that a candidate
+    with entries and k bounded by entry_bound needs (see _differences).
+    """
+    images = []
     for ctx in ctxs:
-        r = reduce_coordinates(R, ctx.curve.q)
-        if not ctx.curve.contains(r):
-            raise ValueError(f"R does not reduce onto the curve mod {ctx.curve.q}")
-        triples.append((ctx, QuotientPoint(r, None), QuotientPoint(r, r)))
-    return triples
+        curve = ctx.curve
+        r = reduce_coordinates(R, curve.q)
+        if not curve.contains(r):
+            raise ValueError(f"R does not reduce onto the curve mod {curve.q}")
+        table = {0: None}
+        t = None
+        for j in range(1, 3 * entry_bound + 1):
+            t = curve.add(t, r)
+            table[j] = t
+            table[-j] = curve.neg(t)
+        images.append((ctx.kernel(), curve, r, table))
+    return images
 
 
 def relation_holds(
     k: int, f: EndoMatrix, ctxs, R: RationalPoint, transposed: bool = False
 ) -> bool:
     """Check k*Q = f(P) (or k*P = f(Q) when transposed) at every context."""
-    return _holds_all(k, f, _context_images(ctxs, R), transposed)
+    # One candidate reads two multiples per context, fewer than a table
+    # would cost to build: take the empty table and compute them directly.
+    images = _context_images(ctxs, R, 0)
+    for ctx in ctxs:
+        _require_descent(f, ctx)
+    return _holds_all(*_differences(k, *f.entries(), transposed), images)
 
 
-def _holds_all(k: int, f: EndoMatrix, triples, transposed: bool) -> bool:
-    """relation_holds on (ctx, P, Q) triples already built by _context_images."""
-    for ctx, P, Q in triples:
-        src, dst = (Q, P) if transposed else (P, Q)
-        if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
+def _differences(k: int, a: int, b: int, c: int, d: int, transposed: bool):
+    """(j1, j2) with f(P) - k*Q = (j1*r, j2*r), or f(Q) - k*P if transposed.
+
+    P = (r, 0) and Q = (r, r), so f(P) = (a*r, c*r) and f(Q) = ((a+b)*r, (c+d)*r).
+    """
+    if transposed:
+        return a + b - k, c + d
+    return a - k, c - k
+
+
+def _holds_all(j1: int, j2: int, images) -> bool:
+    """True iff (j1*r, j2*r) lies in the kernel at every context of images.
+
+    Each multiple is read from the context's table, or computed by
+    scalar_mul when it lies outside.
+    """
+    for kernel, curve, r, table in images:
+        s1 = table[j1] if j1 in table else curve.scalar_mul(j1, r)
+        s2 = table[j2] if j2 in table else curve.scalar_mul(j2, r)
+        if (s1, s2) not in kernel:
             return False
     return True
 
@@ -188,7 +218,7 @@ def find_weak_relation(
         raise ValueError("need at least 3 contexts to make the search meaningful")
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
-    triples = _context_images(ctxs, R)
+    images = _context_images(ctxs, R, entry_bound)
     values = _signed_values(entry_bound)
     hit = None
     hit_t = None
@@ -203,12 +233,14 @@ def find_weak_relation(
                     for d in values:
                         if (a - d) % p:
                             continue
-                        if hit is None or hit_t is None:
-                            f = EndoMatrix(a, b, c, d)
-                            if hit is None and _holds_all(k, f, triples, False):
-                                hit = (k, f)
-                            if hit_t is None and _holds_all(k, f, triples, True):
-                                hit_t = (k, f)
+                        if hit is None and _holds_all(
+                            *_differences(k, a, b, c, d, False), images
+                        ):
+                            hit = (k, EndoMatrix(a, b, c, d))
+                        if hit_t is None and _holds_all(
+                            *_differences(k, a, b, c, d, True), images
+                        ):
+                            hit_t = (k, EndoMatrix(a, b, c, d))
         if hit and hit_t:
             break
     qs = tuple(ctx.curve.q for ctx in ctxs)

@@ -351,7 +351,9 @@ def search_curve(height_bound: int):
 
 
 def _check_good_prime(curve: RationalCurve, q: int) -> None:
-    if q in (2, 3) or not is_prime(q):
+    # Primality is left to FiniteCurve, which tests it once; q < 5 is
+    # rejected here so that q = 0 never reaches the discriminant test.
+    if q < 5:
         raise ValueError(f"bad prime {q}: reduction needs a prime >= 5")
     if curve.discriminant() % q == 0:
         raise ValueError(f"bad prime {q}: divides the discriminant")

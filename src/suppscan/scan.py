@@ -7,7 +7,6 @@ the only nondeterministic output and are excluded from every digest.
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -232,6 +231,11 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
     good, skipped = classify_primes(config)
 
     if workers > 1 and len(good) > 1:
+        # Imported here, not at module level: only this branch uses the pool,
+        # and its modules add measurably to the start-up time and memory of
+        # every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(good) // (4 * workers))
             records = list(pool.map(partial(_scan_one, config), good, chunksize=chunk))

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import all_points
 from suppscan.arith import primes_up_to
@@ -16,9 +17,18 @@ from suppscan.endo import (
     kernel_preserved,
     relation_holds,
     verify_no_medium_relation,
+    _context_images,
+    _differences,
+    _holds_all,
 )
 from suppscan.finite import FiniteCurve
-from suppscan.quotient import QuotientContext, QuotientPoint, make_context, quotient_equal
+from suppscan.quotient import (
+    QuotientContext,
+    QuotientPoint,
+    make_context,
+    quotient_equal,
+    quotient_scalar_mul,
+)
 from suppscan.rational import RationalCurve, RationalPoint
 
 DEFAULT = RationalCurve(-21, -20)
@@ -188,6 +198,64 @@ def test_weak_relation_reverifies_at_fresh_primes():
     assert relation_holds(cert.transposed_k, cert.transposed_f, fresh, R, transposed=True)
     # and a deliberately wrong relation fails
     assert not relation_holds(1, EndoMatrix.identity(), fresh, R)
+
+
+GOOD_PRIMES = [q for q in primes_up_to(2000) if q >= 5]
+ENTRIES = st.integers(-40, 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from(GOOD_PRIMES),
+    k=ENTRIES,
+    a=ENTRIES,
+    b=ENTRIES,
+    c=ENTRIES,
+    d=ENTRIES,
+    transposed=st.booleans(),
+    on_relation=st.booleans(),
+    entry_bound=st.integers(1, 14),
+)
+def test_relation_holds_matches_apply_oracle(
+    q, k, a, b, c, d, transposed, on_relation, entry_bound
+):
+    # Move b, c and d by at most one so that f descends mod 2.
+    b, c = b - b % 2, c - c % 2
+    if on_relation:
+        # Random candidates almost never hold: half the draws make the two
+        # sides equal, so the oracle sees both outcomes.
+        k -= k % 2
+        if transposed:
+            a -= a % 2
+            b, d = k - a, -c
+        else:
+            a = c = k
+    if (a - d) % 2:
+        d += 1 if d < 40 else -1
+    f = EndoMatrix(a, b, c, d)
+    ctx = ctx_at(q)
+    r = (R.x % q, R.y % q)
+    P, Q = QuotientPoint(r, None), QuotientPoint(r, r)
+    src, dst = (Q, P) if transposed else (P, Q)
+    expected = quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst))
+    assert relation_holds(k, f, [ctx], R, transposed=transposed) == expected
+    # The search's path: a table of multiples that may or may not cover
+    # the pair the candidate needs.
+    images = _context_images([ctx], R, entry_bound)
+    [(_, _, _, table)] = images
+    assert len(table) == 6 * entry_bound + 1
+    assert all(table[j] == ctx.curve.scalar_mul(j, r) for j in table)
+    assert _holds_all(*_differences(k, a, b, c, d, transposed), images) == expected
+
+
+def test_relation_holds_rejects_bad_input():
+    ctxs = contexts(3)
+    with pytest.raises(ValueError):
+        relation_holds(2, EndoMatrix(0, 1, 1, 0), ctxs, R)
+    with pytest.raises(ValueError):
+        relation_holds(2, EndoMatrix(0, 1, 1, 0), ctxs, R, transposed=True)
+    with pytest.raises(ValueError):
+        relation_holds(2, EndoMatrix(2, 0, 2, 0), ctxs, RationalPoint(1, 1))
 
 
 def test_find_weak_relation_small_bound_fails():

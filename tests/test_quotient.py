@@ -55,8 +55,9 @@ def test_make_context_good_and_bad_primes():
         make_context(DEFAULT, R1, R2, 2, 2)  # q = p and short-Weierstrass
     with pytest.raises(ValueError):
         make_context(DEFAULT, R1, R2, 2, 3)
-    with pytest.raises(ValueError):
-        make_context(DEFAULT, R1, R2, 2, 9)  # not prime
+    for q in (9, 25, 0, 1, -7):  # not prime; 0 must not reach disc % q
+        with pytest.raises(ValueError):
+            make_context(DEFAULT, R1, R2, 2, q)
     with pytest.raises(ValueError):
         make_context(RationalCurve(-7, -6), RationalPoint(3, 0), RationalPoint(-1, 0), 2, 5)
 

@@ -136,6 +136,22 @@ def test_scan_deterministic_across_workers(tmp_path):
     assert d1["config_digest"] == d8["config_digest"]
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # run_scan imports the pool only for workers > 1; every other command
+    # and the serial scan start without it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, suppscan, suppscan.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_write_report_shapes(tmp_path):
     rep = run_scan(small_config(bound=4))
     csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
