@@ -44,15 +44,6 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if flags[n]]
 
 
-def iter_primes(start: int = 2):
-    """Unbounded ascending prime generator."""
-    n = max(2, start)
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
-
-
 # Trial division runs over the primes below this; Pollard-Brent does the rest.
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))

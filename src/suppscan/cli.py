@@ -89,17 +89,7 @@ def _cmd_search_curve(args) -> int:
     except CurveSearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    config = LabConfig(
-        curve=curve,
-        R=R,
-        R1=R1,
-        R2=R2,
-        p=2,
-        prime_bound=10_000,
-        naive_threshold=100_000,
-        entry_bound=4,
-        workers=1,
-    )
+    config = LabConfig(curve=curve, R=R, R1=R1, R2=R2, p=2)
     text = json.dumps(config.to_dict(), indent=2) + "\n"
     if args.out:
         try:
@@ -148,6 +138,11 @@ def _cmd_endo_check(args) -> int:
     config = _load_config(args.config)
     if args.primes < 1:
         raise UsageError("--primes must be >= 1")
+    # As in run_scan: a config that fails validation can have no good prime
+    # (a singular curve) or no reduced kernel of order p.
+    report = config.validate()
+    if not report.ok:
+        raise HypothesisFailure(report)
     p = config.p
     qs = []
     for q in iter_good_primes(config):

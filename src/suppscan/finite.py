@@ -34,7 +34,7 @@ class FiniteCurve:
         object.__setattr__(self, "a", self.a % self.q)
         object.__setattr__(self, "b", self.b % self.q)
         if (4 * self.a**3 + 27 * self.b**2) % self.q == 0:
-            raise ValueError("singular curve over F_q")
+            raise ValueError(f"bad prime {self.q}: the curve is singular over F_{self.q}")
 
     def contains(self, s) -> bool:
         if s is None:

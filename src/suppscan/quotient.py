@@ -50,15 +50,13 @@ class QuotientContext:
                 raise InvariantViolation(f"{name} does not have exact order {self.p}")
         if self.k1 == self.k2:
             raise InvariantViolation("kernel generators coincide after reduction")
-        # Independence of the reduced generators (automatic for p = 2).
-        t = self.k1
-        for _ in range(self.p - 1):
-            if t == self.k2:
-                raise InvariantViolation("K2 lies in the cyclic group generated by K1")
-            t = self.curve.add(t, self.k1)
+        # The walk over i * (K1, K2) also proves the reduced generators
+        # independent (automatic for p = 2): K2 is no multiple i * K1.
         pairs = []
         s, t = None, None
         for _ in range(self.p):
+            if s == self.k2:
+                raise InvariantViolation("K2 lies in the cyclic group generated by K1")
             pairs.append((s, t))
             s = self.curve.add(s, self.k1)
             t = self.curve.add(t, self.k2)

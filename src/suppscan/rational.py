@@ -64,9 +64,9 @@ class RationalCurve:
         return j.denominator == 1 and j.numerator in CM_J_INVARIANTS
 
     def reduce(self, q: int) -> FiniteCurve:
-        """Reduction mod a good prime q (q >= 5, q not dividing the discriminant)."""
-        _check_good_prime(self, q)
-        return FiniteCurve(q, self.a % q, self.b % q)
+        """Reduction mod a good prime q; FiniteCurve rejects q < 5, composite q
+        and q dividing 4a^3 + 27b^2 (for q >= 5, the same as q | discriminant)."""
+        return FiniteCurve(q, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -158,43 +158,34 @@ def rational_scalar_mul(curve: RationalCurve, n: int, s: RationalPoint) -> Ratio
     return acc
 
 
-def is_torsion(curve: RationalCurve, point: RationalPoint) -> bool:
-    """Finite-order test: Lutz-Nagell filter, then multiples up to the Mazur bound.
+def torsion_order(curve: RationalCurve, point: RationalPoint):
+    """Exact order if the point is torsion, else None.
 
-    Torsion points have integral coordinates with y = 0 or y^2 dividing the
-    discriminant; the same applies to every multiple, which gives an early
-    exit as soon as a multiple goes non-integral.
+    Lutz-Nagell filter, then multiples up to the Mazur bound. Torsion points
+    have integral coordinates with y = 0 or y^2 dividing the discriminant;
+    the same applies to every multiple, which gives an early exit as soon as
+    a multiple goes non-integral.
     """
     if point.is_identity:
-        return True
-    if point.z != 1:
-        return False
-    if point.y == 0:
-        return True
-    if curve.discriminant() % (point.y * point.y) != 0:
-        return False
-    t = point
-    for _ in range(2, MAZUR_ORDER_BOUND + 1):
-        t = rational_add(curve, t, point)
-        if t.is_identity:
-            return True
-        if t.z != 1:
-            return False
-    return False
-
-
-def torsion_order(curve: RationalCurve, point: RationalPoint):
-    """Exact order if the point is torsion, else None."""
-    if point.is_identity:
         return 1
-    if not is_torsion(curve, point):
+    if point.z != 1:
+        return None
+    if point.y == 0:
+        return 2
+    if curve.discriminant() % (point.y * point.y) != 0:
         return None
     t = point
     for n in range(2, MAZUR_ORDER_BOUND + 1):
         t = rational_add(curve, t, point)
         if t.is_identity:
             return n
-    raise AssertionError("torsion point with order beyond the Mazur bound")
+        if t.z != 1:
+            return None
+    return None
+
+
+def is_torsion(curve: RationalCurve, point: RationalPoint) -> bool:
+    return torsion_order(curve, point) is not None
 
 
 @dataclass(frozen=True)
@@ -348,15 +339,6 @@ def search_curve(height_bound: int):
     raise CurveSearchError(
         f"no non-CM split curve with a non-torsion point of height <= {height_bound}"
     )
-
-
-def _check_good_prime(curve: RationalCurve, q: int) -> None:
-    # Primality is left to FiniteCurve, which tests it once; q < 5 is
-    # rejected here so that q = 0 never reaches the discriminant test.
-    if q < 5:
-        raise ValueError(f"bad prime {q}: reduction needs a prime >= 5")
-    if curve.discriminant() % q == 0:
-        raise ValueError(f"bad prime {q}: divides the discriminant")
 
 
 def reduce_coordinates(point: RationalPoint, q: int) -> FinitePoint:

@@ -7,12 +7,13 @@ the only nondeterministic output and are excluded from every digest.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
+from itertools import count
 
-from .arith import primes_up_to, iter_primes
+from .arith import is_prime, primes_up_to
 from .endo import (
     KIND_WEAK_FOUND,
     RelationCertificate,
@@ -49,10 +50,10 @@ class LabConfig:
     R1: RationalPoint
     R2: RationalPoint
     p: int
-    prime_bound: int
-    naive_threshold: int
-    entry_bound: int
-    workers: int
+    prime_bound: int = 10_000
+    naive_threshold: int = 100_000
+    entry_bound: int = 4
+    workers: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -71,16 +72,14 @@ class LabConfig:
     def from_dict(cls, data: dict) -> "LabConfig":
         try:
             a, b = data["curve"]
+            optional = ("prime_bound", "naive_threshold", "entry_bound", "workers")
             config = cls(
-                curve=RationalCurve(int(a), int(b)),
-                R=RationalPoint(*map(int, data["R"])),
-                R1=RationalPoint(*map(int, data["R1"])),
-                R2=RationalPoint(*map(int, data["R2"])),
-                p=int(data["p"]),
-                prime_bound=int(data.get("prime_bound", 10_000)),
-                naive_threshold=int(data.get("naive_threshold", 100_000)),
-                entry_bound=int(data.get("entry_bound", 4)),
-                workers=int(data.get("workers", 1)),
+                curve=RationalCurve(_json_int(a), _json_int(b)),
+                R=RationalPoint(*map(_json_int, data["R"])),
+                R1=RationalPoint(*map(_json_int, data["R1"])),
+                R2=RationalPoint(*map(_json_int, data["R2"])),
+                p=_json_int(data["p"]),
+                **{k: _json_int(data[k]) for k in optional if k in data},
             )
             if config.entry_bound < 1:
                 raise ValueError(f"entry_bound must be >= 1, got {config.entry_bound}")
@@ -97,6 +96,13 @@ class LabConfig:
 
     def validate(self) -> HypothesisReport:
         return validate_hypotheses(self.curve, self.R, self.R1, self.R2, self.p)
+
+
+def _json_int(value) -> int:
+    """A JSON integer as is; floats, bools and strings are malformed, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _sha256_of(obj) -> str:
@@ -169,12 +175,10 @@ def classify_primes(config: LabConfig):
     return good, skipped
 
 
-def iter_good_primes(config: LabConfig, start: int = 5):
+def iter_good_primes(config: LabConfig):
     """Unbounded ascending stream of usable primes for this config."""
     disc = config.curve.discriminant()
-    for q in iter_primes(start):
-        if _skip_reason(q, config.p, disc) is None:
-            yield q
+    return (q for q in count(5) if is_prime(q) and _skip_reason(q, config.p, disc) is None)
 
 
 def _scan_one(config: LabConfig, q: int) -> PrimeRecord:
@@ -205,16 +209,7 @@ def _relation_certificates(config: LabConfig):
             raise InvariantViolation(
                 "weak relation failed re-verification at fresh primes"
             )
-        weak = RelationCertificate(
-            kind=weak.kind,
-            p=weak.p,
-            k=weak.k,
-            f=weak.f,
-            transposed_k=weak.transposed_k,
-            transposed_f=weak.transposed_f,
-            searched_primes=weak.searched_primes,
-            verified_primes=tuple(fresh_qs),
-        )
+        weak = replace(weak, verified_primes=tuple(fresh_qs))
     medium = verify_no_medium_relation(config.p)
     return weak, medium
 
@@ -241,7 +236,7 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
             records = list(pool.map(partial(_scan_one, config), good, chunksize=chunk))
     else:
         records = [_scan_one(config, q) for q in good]
-    records.sort(key=lambda r: r.q)
+    # pool.map keeps the order of good, so records are in ascending q either way.
 
     # For a validated config the three orders must agree at every good prime;
     # anything else means a bug, not a finding.

@@ -6,7 +6,6 @@ from suppscan.arith import (
     factorize,
     is_perfect_square,
     is_prime,
-    iter_primes,
     primes_up_to,
     sorted_divisors,
 )
@@ -40,12 +39,6 @@ def test_primes_up_to():
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10_000)) == 1229
-
-
-def test_iter_primes_matches_sieve():
-    stream = iter_primes(5)
-    got = [next(stream) for _ in range(20)]
-    assert got == [p for p in primes_up_to(100) if p >= 5][:20]
 
 
 def test_factorize():

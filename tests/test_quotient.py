@@ -46,6 +46,13 @@ def test_context_invariants():
         QuotientContext(curve, (0, 1), (1, 0), 2)  # off the curve
     with pytest.raises(ValueError):
         QuotientContext(curve, (0, 0), (1, 0), 4)  # p not prime
+    # y^2 = x^3 + 2 over F_7 has full 3-torsion: (0, 4) = 2 * (0, 3) lies in
+    # the group K1 generates, (3, 1) does not; the kernel walk tells them apart.
+    f7 = FiniteCurve(7, 0, 2)
+    with pytest.raises(InvariantViolation, match="cyclic group generated by K1"):
+        QuotientContext(f7, (0, 3), (0, 4), 3)
+    ctx = QuotientContext(f7, (0, 3), (3, 1), 3)
+    assert ctx.kernel() == ((None, None), ((0, 3), (3, 1)), ((0, 4), (3, 6)))
 
 
 def test_make_context_good_and_bad_primes():
@@ -58,7 +65,7 @@ def test_make_context_good_and_bad_primes():
     for q in (9, 25, 0, 1, -7):  # not prime; 0 must not reach disc % q
         with pytest.raises(ValueError):
             make_context(DEFAULT, R1, R2, 2, q)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad prime 5: the curve is singular over F_5"):
         make_context(RationalCurve(-7, -6), RationalPoint(3, 0), RationalPoint(-1, 0), 2, 5)
 
 

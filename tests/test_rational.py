@@ -128,18 +128,32 @@ def test_is_torsion_nontrivial_order():
 
 
 def test_is_torsion_agrees_with_multiple_walk():
-    # independent check: torsion iff some multiple up to 12 is the identity
-    samples = [DEFAULT_R, DEFAULT_R1, DEFAULT_R2, rational_scalar_mul(DEFAULT, 3, DEFAULT_R)]
-    for pt in samples:
-        walk_hits_identity = False
+    # independent check: the order is the least n <= 12 with n * pt the
+    # identity, and the point is torsion iff there is one
+    x3_plus_1 = RationalCurve(0, 1)
+    samples = [
+        (DEFAULT, pt)
+        for pt in (
+            RationalPoint.identity(),
+            DEFAULT_R,
+            DEFAULT_R1,
+            DEFAULT_R2,
+            rational_scalar_mul(DEFAULT, 3, DEFAULT_R),
+        )
+    ] + [(x3_plus_1, RationalPoint(x, y)) for x, y in ((-1, 0), (0, 1), (2, 3))]
+    orders = []
+    for curve, pt in samples:
+        walk_order = None
         t = pt
-        for _ in range(12):
+        for n in range(1, 13):
             if t.is_identity:
-                walk_hits_identity = True
+                walk_order = n
                 break
-            t = rational_add(DEFAULT, t, pt)
-        walk_hits_identity = walk_hits_identity or t.is_identity
-        assert is_torsion(DEFAULT, pt) == walk_hits_identity
+            t = rational_add(curve, t, pt)
+        assert torsion_order(curve, pt) == walk_order
+        assert is_torsion(curve, pt) == (walk_order is not None)
+        orders.append(walk_order)
+    assert orders == [1, None, 2, 2, None, 2, 3, 6]
 
 
 def test_search_curve_height_one_rejected_for_cm():

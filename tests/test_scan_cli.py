@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from suppscan.scan import (
     ScanReport,
     classify_primes,
     default_config,
+    iter_good_primes,
     run_scan,
     write_report,
 )
@@ -61,9 +63,35 @@ def test_config_malformed():
         {**good, "entry_bound": 0},
         {**good, "entry_bound": -2},
         {**good, "workers": 0},
+        # only JSON integers: a float or a bool is not read as an int
+        {**good, "curve": [-21.9, -20]},
+        {**good, "p": True},
+        {**good, "R": [-3, "4", 1]},
+        {**good, "prime_bound": 1e4},
+        {**good, "naive_threshold": 100_000.0},
+        {**good, "workers": False},
     ):
         with pytest.raises(ValueError, match="malformed config"):
             LabConfig.from_dict(data)
+
+
+def test_config_defaults():
+    cfg = default_config()
+    required = {k: v for k, v in cfg.to_dict().items() if k in ("curve", "R", "R1", "R2", "p")}
+    assert LabConfig.from_dict(required) == cfg
+    assert LabConfig(cfg.curve, cfg.R, cfg.R1, cfg.R2, 2) == cfg
+    assert LabConfig(cfg.curve, cfg.R, cfg.R1, cfg.R2, 2, 10_000, 100_000, 4, 1) == cfg
+
+
+def test_iter_good_primes_extends_classify_primes():
+    base = small_config(bound=100)
+    for cfg in (base, replace(base, curve=RationalCurve(-7, -6)), replace(base, p=7)):
+        good, _ = classify_primes(cfg)
+        stream = iter_good_primes(cfg)
+        assert list(islice(stream, len(good))) == good
+        assert list(islice(stream, 2)) == [101, 103]
+    assert 5 not in classify_primes(replace(base, curve=RationalCurve(-7, -6)))[0]
+    assert 7 not in classify_primes(replace(base, p=7))[0]
 
 
 def test_classify_primes_complete():
@@ -235,6 +263,16 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
+def run_cli_process(args, timeout=60):
+    """The CLI as a user runs it: a fresh interpreter on the source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "suppscan.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def test_cli_search_curve(tmp_path, capsys):
     out = tmp_path / "cfg.json"
     assert cli_main(["search-curve", "--height-bound", "5", "--out", str(out)]) == 0
@@ -300,23 +338,24 @@ def test_cli_out_of_range_values_exit_2(tmp_path, capsys):
     outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     good = small_config(bound=50).to_dict()
     bad_path = tmp_path / "bad.json"
-    for bad in ({"entry_bound": 0}, {"entry_bound": -1}, {"workers": 0}):
+    for bad in (
+        {"entry_bound": 0},
+        {"entry_bound": -1},
+        {"workers": 0},
+        {"curve": [-21.9, -20]},  # not truncated to -21
+        {"p": True},  # not read as p = 1
+    ):
         bad_path.write_text(json.dumps({**good, **bad}))
         assert cli_main(["validate", "--config", str(bad_path)]) == 2
         assert cli_main(["scan", "--config", str(bad_path), *outs]) == 2
     good_path = write_config(tmp_path, small_config(bound=50))
     assert cli_main(["scan", "--config", good_path, "--workers", "0", *outs]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 7 and all(line.startswith("usage error: ") for line in err)
+    assert len(err) == 11 and all(line.startswith("usage error: ") for line in err)
 
     # as a user runs it: one line on stderr, no traceback
     bad_path.write_text(json.dumps({**good, "entry_bound": 0}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "suppscan.cli", "scan", "--config", str(bad_path), *outs],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli_process(["scan", "--config", str(bad_path), *outs])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "entry_bound must be >= 1" in proc.stderr
@@ -345,13 +384,7 @@ def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
     assert all("does not exist" in line for line in err[:3])
     assert not missing.exists()
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "suppscan.cli", "scan", "--config", path,
-         "--out-csv", str(missing / "o.csv"), *ok[2:]],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli_process(["scan", "--config", path, "--out-csv", str(missing / "o.csv"), *ok[2:]])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "does not exist" in proc.stderr
@@ -370,3 +403,22 @@ def test_cli_endo_check(tmp_path, capsys):
     assert cli_main(["endo-check", "--config", path, "--primes", "4"]) == 0
     out = capsys.readouterr().out
     assert "16/16" in out
+
+
+def test_cli_endo_check_validates_first(tmp_path, capsys):
+    good = default_config().to_dict()
+    bad_path = tmp_path / "bad.json"
+    for bad, failure in (
+        ({"p": 4}, "torsion: p = 4 is not prime"),
+        ({"R1": [0, 1, 0]}, "torsion: R1 does not have exact order 2"),
+    ):
+        bad_path.write_text(json.dumps({**good, **bad}))
+        assert cli_main(["endo-check", "--config", str(bad_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"hypothesis failure: {failure}"]
+
+    # A singular curve has no good prime, so the prime stream never yields:
+    # only validation stops it. A fresh process with a timeout fails, not hangs.
+    bad_path.write_text(json.dumps({**good, "curve": [0, 0]}))
+    proc = run_cli_process(["endo-check", "--config", str(bad_path)])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["hypothesis failure: curve: discriminant is zero"]
