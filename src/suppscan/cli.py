@@ -5,6 +5,7 @@ error, 3 internal invariant violation.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,10 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and
+    # building it costs more than parsing one command line.
     parser = argparse.ArgumentParser(
         prog="suppscan",
         description="Order-divisibility scans on a quotient of E x E, with "

@@ -172,11 +172,16 @@ def relation_holds(
 ) -> bool:
     """Check k*Q = f(P) (or k*P = f(Q) when transposed) at every context."""
     # One candidate reads two multiples per context, fewer than a table
-    # would cost to build: take the empty table and compute them directly.
+    # would cost to build: the empty table only reduces and checks R, and
+    # the two multiples are computed directly.
     images = _context_images(ctxs, R, 0)
     for ctx in ctxs:
         _require_descent(f, ctx)
-    return _holds_all(*_differences(k, *f.entries(), transposed), images)
+    j1, j2 = _differences(k, *f.entries(), transposed)
+    return all(
+        (curve.scalar_mul(j1, r), curve.scalar_mul(j2, r)) in kernel
+        for kernel, curve, r, _ in images
+    )
 
 
 def _differences(k: int, a: int, b: int, c: int, d: int, transposed: bool):
@@ -189,18 +194,84 @@ def _differences(k: int, a: int, b: int, c: int, d: int, transposed: bool):
     return a - k, c - k
 
 
-def _holds_all(j1: int, j2: int, images) -> bool:
-    """True iff (j1*r, j2*r) lies in the kernel at every context of images.
+def _good_pairs(images) -> dict:
+    """{j1: {j2}}: the pairs with |j1|, |j2| inside the tables and
+    (j1*r, j2*r) in the kernel at every context of images.
 
-    Each multiple is read from the context's table, or computed by
-    scalar_mul when it lies outside.
+    Each table is inverted (point -> every j with j*r = point), so a kernel
+    pair (A, B) contributes the product of the j's of A and of B; the sets
+    are then intersected across contexts.
     """
-    for kernel, curve, r, table in images:
-        s1 = table[j1] if j1 in table else curve.scalar_mul(j1, r)
-        s2 = table[j2] if j2 in table else curve.scalar_mul(j2, r)
-        if (s1, s2) not in kernel:
-            return False
-    return True
+    good = None
+    for kernel, _, _, table in images:
+        where = {}
+        for j, s in table.items():
+            where.setdefault(s, []).append(j)
+        here = {}
+        for A, B in kernel:
+            if A in where and B in where:
+                for j1 in where[A]:
+                    here.setdefault(j1, set()).update(where[B])
+        if good is None:
+            good = here
+        else:
+            good = {
+                j1: both
+                for j1, js in good.items()
+                if (both := js & here.get(j1, set()))
+            }
+    return good
+
+
+def _rank(v: int) -> int:
+    """Position of v in the _signed_values order."""
+    return 2 * v - 1 if v > 0 else -2 * v
+
+
+def _first_relation(p: int, bound: int, good: dict):
+    """First (k, f) in search order with f(P) - k*Q = ((a-k)*r, (c-k)*r) good.
+
+    Neither b nor d enters the differences, so b is the first admissible
+    value, 0, and d the first value congruent to a mod p.
+    """
+    values = _signed_values(bound)
+    for k in range(1, bound + 1):
+        for a in values:
+            cs = [
+                j2 + k
+                for j2 in good.get(a - k, ())
+                if abs(j2 + k) <= bound and (j2 + k) % p == 0
+            ]
+            if cs:
+                d = next(v for v in values if (a - v) % p == 0)
+                return k, EndoMatrix(a, 0, min(cs, key=_rank), d)
+    return None
+
+
+def _first_transposed(p: int, bound: int, good: dict):
+    """First (k, f) in search order with f(Q) - k*P = ((a+b-k)*r, (c+d)*r) good.
+
+    Each (k, a, b) whose j1 = a+b-k has no good partner is skipped; for the
+    others the first c with an admissible d = j2 - c, and the first such d.
+    """
+    values = _signed_values(bound)
+    for k in range(1, bound + 1):
+        for a in values:
+            for b in values:
+                if b % p or a + b - k not in good:
+                    continue
+                js = good[a + b - k]
+                for c in values:
+                    if c % p:
+                        continue
+                    ds = [
+                        j2 - c
+                        for j2 in js
+                        if abs(j2 - c) <= bound and (a - j2 + c) % p == 0
+                    ]
+                    if ds:
+                        return k, EndoMatrix(a, b, c, min(ds, key=_rank))
+    return None
 
 
 def find_weak_relation(
@@ -210,39 +281,22 @@ def find_weak_relation(
 
     Candidates run over k = 1 .. entry_bound and matrix entries ordered by
     absolute value (0, 1, -1, 2, -2, ...), nested (k, a, b, c, d); only
-    matrices satisfying the descent congruences are tried, and a candidate
+    matrices satisfying the descent congruences count, and a candidate
     must hold at every supplied context. The transposed orientation
     k*P = f(Q) is searched the same way and reported alongside.
+
+    A candidate holds exactly when its difference pair (see _differences)
+    lies in the kernel at every context, so the good pairs are found once
+    from the tables of multiples of r, and the first candidate in that
+    order is read off them; no candidate is tested on its own.
     """
     if len(ctxs) < 3:
         raise ValueError("need at least 3 contexts to make the search meaningful")
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
-    images = _context_images(ctxs, R, entry_bound)
-    values = _signed_values(entry_bound)
-    hit = None
-    hit_t = None
-    for k in range(1, entry_bound + 1):
-        for a in values:
-            for b in values:
-                if b % p:
-                    continue
-                for c in values:
-                    if c % p:
-                        continue
-                    for d in values:
-                        if (a - d) % p:
-                            continue
-                        if hit is None and _holds_all(
-                            *_differences(k, a, b, c, d, False), images
-                        ):
-                            hit = (k, EndoMatrix(a, b, c, d))
-                        if hit_t is None and _holds_all(
-                            *_differences(k, a, b, c, d, True), images
-                        ):
-                            hit_t = (k, EndoMatrix(a, b, c, d))
-        if hit and hit_t:
-            break
+    good = _good_pairs(_context_images(ctxs, R, entry_bound))
+    hit = _first_relation(p, entry_bound, good)
+    hit_t = _first_transposed(p, entry_bound, good)
     qs = tuple(ctx.curve.q for ctx in ctxs)
     if hit is None and hit_t is None:
         return RelationCertificate(

@@ -108,8 +108,9 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
 def quotient_order(ctx: QuotientContext, s: QuotientPoint, component_lcm: int = 0) -> int:
     """Smallest n >= 1 with n * s zero in the quotient.
 
-    The order divides m * p, m the lcm of the component orders; divisors of
-    m * p are tested ascending, so the result is deterministic. Callers that
+    The order divides m, the lcm of the component orders, because m * s is
+    0 and so lies in the kernel. The divisors of m * p, which include those
+    of m, are tested ascending, so the result is deterministic. Callers that
     already know m can pass it to skip the two order computations.
     """
     m = component_lcm

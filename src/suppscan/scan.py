@@ -15,7 +15,6 @@ from itertools import count
 
 from .arith import is_prime, primes_up_to
 from .endo import (
-    KIND_WEAK_FOUND,
     RelationCertificate,
     find_weak_relation,
     relation_holds,
@@ -198,14 +197,15 @@ def _relation_certificates(config: LabConfig):
     weak = find_weak_relation(
         config.p, [make(q) for q in search_qs], config.R, config.entry_bound
     )
-    if weak.kind == KIND_WEAK_FOUND:
+    # Every orientation found is re-checked, also a transposed one alone.
+    found = [(weak.k, weak.f, False), (weak.transposed_k, weak.transposed_f, True)]
+    found = [(k, f, transposed) for k, f, transposed in found if f is not None]
+    if found:
         fresh_ctxs = [make(q) for q in fresh_qs]
-        ok = relation_holds(weak.k, weak.f, fresh_ctxs, config.R)
-        if weak.transposed_f is not None:
-            ok = ok and relation_holds(
-                weak.transposed_k, weak.transposed_f, fresh_ctxs, config.R, transposed=True
-            )
-        if not ok:
+        if not all(
+            relation_holds(k, f, fresh_ctxs, config.R, transposed=transposed)
+            for k, f, transposed in found
+        ):
             raise InvariantViolation(
                 "weak relation failed re-verification at fresh primes"
             )

@@ -5,7 +5,12 @@ stepwise order walks, explicit reduced-form counting. None of it shares
 strategy with the code under test.
 """
 
+from itertools import product
 from math import gcd, isqrt
+
+from suppscan.endo import KIND_WEAK_FOUND, KIND_WEAK_NOT_FOUND, EndoMatrix, apply
+from suppscan.quotient import QuotientPoint, quotient_equal, quotient_scalar_mul
+from suppscan.rational import reduce_coordinates
 
 
 def affine_points_brute(q, a, b):
@@ -57,6 +62,41 @@ def coset_order_by_walk(add, kernel_pairs, pair):
         if n > 10_000_000:
             raise AssertionError("runaway coset walk")
     return n
+
+
+def weak_relation_by_sweep(p, ctxs, R, entry_bound):
+    """(kind, k, f, transposed_k, transposed_f) of find_weak_relation, by
+    trying every candidate of the box in the documented (k, a, b, c, d)
+    order: apply each descending matrix to the cosets P = (r, 0) and
+    Q = (r, r) and compare with k*Q (k*P when transposed) at every context.
+    """
+    cosets = []
+    for ctx in ctxs:
+        r = reduce_coordinates(R, ctx.curve.q)
+        cosets.append((ctx, QuotientPoint(r, None), QuotientPoint(r, r)))
+
+    def holds(k, f, transposed):
+        for ctx, P, Q in cosets:
+            src, dst = (Q, P) if transposed else (P, Q)
+            if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
+                return False
+        return True
+
+    values = [0] + [v for n in range(1, entry_bound + 1) for v in (n, -n)]
+    hit = hit_t = None
+    for k in range(1, entry_bound + 1):
+        for a, b, c, d in product(values, repeat=4):
+            if b % p or c % p or (a - d) % p:
+                continue
+            f = EndoMatrix(a, b, c, d)
+            if hit is None and holds(k, f, False):
+                hit = (k, f)
+            if hit_t is None and holds(k, f, True):
+                hit_t = (k, f)
+        if hit and hit_t:
+            break
+    kind = KIND_WEAK_FOUND if hit else KIND_WEAK_NOT_FOUND
+    return (kind, *(hit or (None, None)), *(hit_t or (None, None)))
 
 
 def class_number(D):

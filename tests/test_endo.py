@@ -2,9 +2,9 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_points
+from oracles import all_points, order_by_walk, weak_relation_by_sweep
 from suppscan.arith import primes_up_to
 from suppscan.endo import (
     KIND_MEDIUM_IMPOSSIBLE,
@@ -19,7 +19,7 @@ from suppscan.endo import (
     verify_no_medium_relation,
     _context_images,
     _differences,
-    _holds_all,
+    _good_pairs,
 )
 from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
@@ -239,13 +239,59 @@ def test_relation_holds_matches_apply_oracle(
     src, dst = (Q, P) if transposed else (P, Q)
     expected = quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst))
     assert relation_holds(k, f, [ctx], R, transposed=transposed) == expected
-    # The search's path: a table of multiples that may or may not cover
-    # the pair the candidate needs.
+    # The search's path: the good pairs of a table of multiples, which may
+    # or may not cover the pair the candidate needs.
     images = _context_images([ctx], R, entry_bound)
     [(_, _, _, table)] = images
     assert len(table) == 6 * entry_bound + 1
     assert all(table[j] == ctx.curve.scalar_mul(j, r) for j in table)
-    assert _holds_all(*_differences(k, a, b, c, d, transposed), images) == expected
+    j1, j2 = _differences(k, a, b, c, d, transposed)
+    good = _good_pairs(images)
+    if j1 in table and j2 in table:
+        assert (j2 in good.get(j1, ())) == expected
+    else:
+        assert j1 not in good or j2 not in good[j1]
+
+
+def _crt(residues, moduli):
+    x, m = 0, 1
+    for r, q in zip(residues, moduli):
+        x += m * ((r - x) * pow(m, -1, q) % q)
+        m *= q
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_find_weak_relation_matches_sweep_oracle(data):
+    # y^2 = (x - e1)(x - e2)(x - e3), |e_i| <= 12, kernel <((e1, 0), (e2, 0))>.
+    e1 = data.draw(st.integers(-12, 12), label="e1")
+    e2 = data.draw(st.integers(-12, 12), label="e2")
+    e3 = -e1 - e2
+    assume(abs(e3) <= 12 and len({e1, e2, e3}) == 3)
+    curve = RationalCurve(e1 * e2 + e2 * e3 + e3 * e1, -e1 * e2 * e3)
+    disc = curve.discriminant()
+    usable = [q for q in primes_up_to(100) if q >= 5 and disc % q]
+    qs = data.draw(st.lists(st.sampled_from(usable), min_size=3, max_size=8, unique=True))
+    ctxs = [make_context(curve, RationalPoint(e1, 0), RationalPoint(e2, 0), 2, q) for q in qs]
+    # R is put together by CRT from one drawn point per reduced curve, so
+    # the reductions need not come from a rational point. The answer
+    # depends on their orders, so half the draws take every point from
+    # those of order dividing t: otherwise the orders are large and
+    # nearly every search ends in the same relation.
+    t = data.draw(st.sampled_from([0, 2, 4, 6, 8, 12]), label="t")
+    pts = []
+    for ctx in ctxs:
+        choices = all_points(ctx.curve)[1:]
+        if t:
+            choices = [s for s in choices if t % order_by_walk(ctx.curve.add, s) == 0]
+        pts.append(data.draw(st.sampled_from(choices)))
+    R = RationalPoint(_crt([x for x, _ in pts], qs), _crt([y for _, y in pts], qs))
+    entry_bound = data.draw(st.integers(1, 6), label="entry_bound")
+    cert = find_weak_relation(2, ctxs, R, entry_bound)
+    got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
+    assert got == weak_relation_by_sweep(2, ctxs, R, entry_bound)
+    assert cert.searched_primes == tuple(qs)
 
 
 def test_relation_holds_rejects_bad_input():

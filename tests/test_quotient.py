@@ -125,17 +125,23 @@ def test_quotient_order_divides_p_lcm():
         assert bound % n == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_quotient_order_random_split_curves(data):
-    # y^2 = (x - e1)(x - e2)(x - e3) over F_q with kernel <((e1, 0), (e2, 0))>
-    q = data.draw(st.sampled_from([q for q in primes_up_to(499) if q >= 5]), label="q")
+def draw_split_context(data, q_bound):
+    """y^2 = (x - e1)(x - e2)(x - e3) over F_q, q < q_bound, with kernel
+    <((e1, 0), (e2, 0))>; distinct roots make the curve nonsingular."""
+    q = data.draw(st.sampled_from([q for q in primes_up_to(q_bound - 1) if q >= 5]), label="q")
     e1 = data.draw(st.integers(0, q - 1), label="e1")
     e2 = data.draw(st.integers(0, q - 1), label="e2")
     e3 = (-e1 - e2) % q
     assume(len({e1, e2, e3}) == 3)
     curve = FiniteCurve(q, e1 * e2 + e2 * e3 + e3 * e1, -e1 * e2 * e3)
-    ctx = QuotientContext(curve, (e1, 0), (e2, 0), 2)
+    return QuotientContext(curve, (e1, 0), (e2, 0), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_order_random_split_curves(data):
+    ctx = draw_split_context(data, 500)
+    curve = ctx.curve
     pts = all_points(curve)
     pairs = data.draw(
         st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), min_size=1, max_size=4),
@@ -146,6 +152,20 @@ def test_quotient_order_random_split_curves(data):
         assert n == coset_order_by_walk(curve.add, ctx.kernel(), (s, t))
         m = lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
         assert n == m or n * ctx.p == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_quotient_orders_of_p_and_q_equal_ord_r(data):
+    # The kernel meets E x 0 and the diagonal only in 0 (K2 != 0, K1 != K2),
+    # so P = (r, 0) and Q = (r, r) have the order of r in the quotient.
+    ctx = draw_split_context(data, 2000)
+    curve = ctx.curve
+    r = data.draw(st.sampled_from(all_points(curve)), label="r")
+    n = curve.point_order(r)
+    for pair in ((r, None), (r, r)):
+        assert quotient_order(ctx, QuotientPoint(*pair)) == n
+        assert coset_order_by_walk(curve.add, ctx.kernel(), pair) == n
 
 
 def test_scalar_mul_matches_repeated_add():

@@ -216,6 +216,41 @@ def test_run_scan_fails_loudly_on_order_mismatch(monkeypatch):
         run_scan(small_config(bound=50))
 
 
+def test_transposed_relation_alone_is_reverified(tmp_path, monkeypatch):
+    import suppscan.scan as scan_mod
+    from suppscan.endo import KIND_WEAK_NOT_FOUND, RelationCertificate
+    from suppscan.quotient import InvariantViolation
+
+    def search_finding(transposed_f):
+        def search(p, ctxs, R, entry_bound):
+            return RelationCertificate(
+                kind=KIND_WEAK_NOT_FOUND,
+                p=p,
+                transposed_k=2,
+                transposed_f=transposed_f,
+                searched_primes=tuple(c.curve.q for c in ctxs),
+            )
+
+        return search
+
+    cfg = small_config(bound=50)
+    stream = iter_good_primes(cfg)
+    fresh = list(islice(stream, 8, 18))
+    # The default config's transposed relation 2P = (0 2; 0 0) Q holds.
+    monkeypatch.setattr(scan_mod, "find_weak_relation", search_finding(EndoMatrix(0, 2, 0, 0)))
+    rep = run_scan(cfg)
+    assert rep.weak_relation.k is None and rep.weak_relation.transposed_k == 2
+    assert rep.weak_relation.verified_primes == tuple(fresh)
+    # A wrong one (it descends mod 2, but 2P != (2 0; 0 2) Q) must not be
+    # written to the report unchecked.
+    monkeypatch.setattr(scan_mod, "find_weak_relation", search_finding(EndoMatrix(2, 0, 0, 2)))
+    with pytest.raises(InvariantViolation, match="re-verification"):
+        run_scan(cfg)
+    path = write_config(tmp_path, cfg)
+    out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    assert cli_main(["scan", "--config", path, *out]) == 3
+
+
 def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
     import suppscan.cli as cli_mod
     from suppscan.quotient import InvariantViolation
