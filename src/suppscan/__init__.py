@@ -14,8 +14,6 @@ from .rational import (
     RationalPoint,
     is_torsion,
     rational_add,
-    rational_scalar_mul,
-    reduce_point,
     search_curve,
     validate_hypotheses,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "quotient_is_zero",
     "quotient_order",
     "rational_add",
-    "rational_scalar_mul",
-    "reduce_point",
     "run_scan",
     "search_curve",
     "validate_hypotheses",

@@ -9,9 +9,10 @@ against each other in the test suite.
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 from .arith import is_prime
-from .quotient import QuotientContext, QuotientPoint
+from .quotient import QuotientContext, QuotientPoint, quotient_equal, quotient_scalar_mul
 from .rational import RationalPoint, reduce_coordinates
 
 KIND_WEAK_FOUND = "weak_relation_found"
@@ -37,14 +38,6 @@ class EndoMatrix:
     @classmethod
     def identity(cls) -> "EndoMatrix":
         return cls.scalar(1)
-
-    def compose(self, other: "EndoMatrix") -> "EndoMatrix":
-        return EndoMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def entries(self) -> tuple:
         return self.a, self.b, self.c, self.d
@@ -145,132 +138,59 @@ def _signed_values(bound: int) -> list[int]:
     return out
 
 
-def _context_images(ctxs, R: RationalPoint, entry_bound: int):
-    """(kernel, curve, r, table) per context, r = R mod q and table[j] = j*r.
-
-    The table covers |j| <= 3*entry_bound, every multiple that a candidate
-    with entries and k bounded by entry_bound needs (see _differences).
-    """
-    images = []
-    for ctx in ctxs:
-        curve = ctx.curve
-        r = reduce_coordinates(R, curve.q)
-        if not curve.contains(r):
-            raise ValueError(f"R does not reduce onto the curve mod {curve.q}")
-        table = {0: None}
-        t = None
-        for j in range(1, 3 * entry_bound + 1):
-            t = curve.add(t, r)
-            table[j] = t
-            table[-j] = curve.neg(t)
-        images.append((ctx.kernel(), curve, r, table))
-    return images
+def _reduce_onto(R: RationalPoint, curve):
+    """r = R mod q, checked to lie on the reduced curve."""
+    r = reduce_coordinates(R, curve.q)
+    if not curve.contains(r):
+        raise ValueError(f"R does not reduce onto the curve mod {curve.q}")
+    return r
 
 
 def relation_holds(
     k: int, f: EndoMatrix, ctxs, R: RationalPoint, transposed: bool = False
 ) -> bool:
-    """Check k*Q = f(P) (or k*P = f(Q) when transposed) at every context."""
-    # One candidate reads two multiples per context, fewer than a table
-    # would cost to build: the empty table only reduces and checks R, and
-    # the two multiples are computed directly.
-    images = _context_images(ctxs, R, 0)
+    """Check k*Q = f(P) (or k*P = f(Q) when transposed) at every context.
+
+    Straight from the definition: f is applied to the cosets P = (r, 0) and
+    Q = (r, r), and the image is compared with the k-th multiple of the other.
+    """
     for ctx in ctxs:
-        _require_descent(f, ctx)
-    j1, j2 = _differences(k, *f.entries(), transposed)
-    return all(
-        (curve.scalar_mul(j1, r), curve.scalar_mul(j2, r)) in kernel
-        for kernel, curve, r, _ in images
-    )
+        r = _reduce_onto(R, ctx.curve)
+        P, Q = QuotientPoint(r, None), QuotientPoint(r, r)
+        src, dst = (Q, P) if transposed else (P, Q)
+        if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
+            return False
+    return True
 
 
-def _differences(k: int, a: int, b: int, c: int, d: int, transposed: bool):
-    """(j1, j2) with f(P) - k*Q = (j1*r, j2*r), or f(Q) - k*P if transposed.
+def _first_relation(p: int, bound: int, L: int):
+    """First (k, f) in search order with L | a-k and L | c-k.
 
-    P = (r, 0) and Q = (r, r), so f(P) = (a*r, c*r) and f(Q) = ((a+b)*r, (c+d)*r).
-    """
-    if transposed:
-        return a + b - k, c + d
-    return a - k, c - k
-
-
-def _good_pairs(images) -> dict:
-    """{j1: {j2}}: the pairs with |j1|, |j2| inside the tables and
-    (j1*r, j2*r) in the kernel at every context of images.
-
-    Each table is inverted (point -> every j with j*r = point), so a kernel
-    pair (A, B) contributes the product of the j's of A and of B; the sets
-    are then intersected across contexts.
-    """
-    good = None
-    for kernel, _, _, table in images:
-        where = {}
-        for j, s in table.items():
-            where.setdefault(s, []).append(j)
-        here = {}
-        for A, B in kernel:
-            if A in where and B in where:
-                for j1 in where[A]:
-                    here.setdefault(j1, set()).update(where[B])
-        if good is None:
-            good = here
-        else:
-            good = {
-                j1: both
-                for j1, js in good.items()
-                if (both := js & here.get(j1, set()))
-            }
-    return good
-
-
-def _rank(v: int) -> int:
-    """Position of v in the _signed_values order."""
-    return 2 * v - 1 if v > 0 else -2 * v
-
-
-def _first_relation(p: int, bound: int, good: dict):
-    """First (k, f) in search order with f(P) - k*Q = ((a-k)*r, (c-k)*r) good.
-
-    Neither b nor d enters the differences, so b is the first admissible
-    value, 0, and d the first value congruent to a mod p.
+    The two conditions are independent, so a and c are each the first value
+    that meets its own. Neither b nor d enters the differences, so b is the
+    first admissible value, 0, and d the first value congruent to a mod p.
     """
     values = _signed_values(bound)
     for k in range(1, bound + 1):
-        for a in values:
-            cs = [
-                j2 + k
-                for j2 in good.get(a - k, ())
-                if abs(j2 + k) <= bound and (j2 + k) % p == 0
-            ]
-            if cs:
-                d = next(v for v in values if (a - v) % p == 0)
-                return k, EndoMatrix(a, 0, min(cs, key=_rank), d)
+        a = next(v for v in values if (v - k) % L == 0)
+        c = next((v for v in values if v % p == 0 and (v - k) % L == 0), None)
+        if c is not None:
+            d = next(v for v in values if (a - v) % p == 0)
+            return k, EndoMatrix(a, 0, c, d)
     return None
 
 
-def _first_transposed(p: int, bound: int, good: dict):
-    """First (k, f) in search order with f(Q) - k*P = ((a+b-k)*r, (c+d)*r) good.
-
-    Each (k, a, b) whose j1 = a+b-k has no good partner is skipped; for the
-    others the first c with an admissible d = j2 - c, and the first such d.
-    """
+def _first_transposed(p: int, bound: int, L: int):
+    """First (k, f) in search order with L | a+b-k and L | c+d."""
     values = _signed_values(bound)
     for k in range(1, bound + 1):
-        for a in values:
-            for b in values:
-                if b % p or a + b - k not in good:
-                    continue
-                js = good[a + b - k]
-                for c in values:
-                    if c % p:
-                        continue
-                    ds = [
-                        j2 - c
-                        for j2 in js
-                        if abs(j2 - c) <= bound and (a - j2 + c) % p == 0
-                    ]
-                    if ds:
-                        return k, EndoMatrix(a, b, c, min(ds, key=_rank))
+        for a, b in product(values, repeat=2):
+            if b % p or (a + b - k) % L:
+                continue
+            for c in [v for v in values if v % p == 0]:
+                ds = [v for v in values if (a - v) % p == 0 and (c + v) % L == 0]
+                if ds:
+                    return k, EndoMatrix(a, b, c, ds[0])
     return None
 
 
@@ -285,18 +205,27 @@ def find_weak_relation(
     must hold at every supplied context. The transposed orientation
     k*P = f(Q) is searched the same way and reported alongside.
 
-    A candidate holds exactly when its difference pair (see _differences)
-    lies in the kernel at every context, so the good pairs are found once
-    from the tables of multiples of r, and the first candidate in that
-    order is read off them; no candidate is tested on its own.
+    With r = R mod q, P = (r, 0) and Q = (r, r) give f(P) - k*Q =
+    ((a-k)*r, (c-k)*r) and f(Q) - k*P = ((a+b-k)*r, (c+d)*r), so a
+    candidate holds at q exactly when its pair (j1*r, j2*r) lies in the
+    kernel. Lemma: that happens exactly when ord(r) divides j1 and j2.
+    If (j1*r, j2*r) = i*(K1, K2) with i != 0 mod p, then K1 and K2 would
+    both lie in the cyclic group <r>, whose p-torsion is one cyclic group
+    of order p; but QuotientContext has already proved K1 and K2
+    independent. And i = 0 means j1*r = j2*r = 0. So a candidate holds at
+    every context exactly when L = lcm ord(r mod q) divides both
+    differences, and the first one in search order is read off L; no
+    candidate is tested on its own.
     """
     if len(ctxs) < 3:
         raise ValueError("need at least 3 contexts to make the search meaningful")
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
-    good = _good_pairs(_context_images(ctxs, R, entry_bound))
-    hit = _first_relation(p, entry_bound, good)
-    hit_t = _first_transposed(p, entry_bound, good)
+    L = 1
+    for ctx in ctxs:
+        L = lcm(L, ctx.curve.point_order(_reduce_onto(R, ctx.curve)))
+    hit = _first_relation(p, entry_bound, L)
+    hit_t = _first_transposed(p, entry_bound, L)
     qs = tuple(ctx.curve.q for ctx in ctxs)
     if hit is None and hit_t is None:
         return RelationCertificate(

@@ -146,18 +146,6 @@ def rational_add(curve: RationalCurve, s: RationalPoint, t: RationalPoint) -> Ra
     return RationalPoint.from_affine(x3, y3)
 
 
-def rational_scalar_mul(curve: RationalCurve, n: int, s: RationalPoint) -> RationalPoint:
-    if n < 0:
-        n, s = -n, s.neg()
-    acc = RationalPoint.identity()
-    while n:
-        if n & 1:
-            acc = rational_add(curve, acc, s)
-        s = rational_add(curve, s, s)
-        n >>= 1
-    return acc
-
-
 def torsion_order(curve: RationalCurve, point: RationalPoint):
     """Exact order if the point is torsion, else None.
 
@@ -348,12 +336,3 @@ def reduce_coordinates(point: RationalPoint, q: int) -> FinitePoint:
         return None
     zi = pow(point.z % q, -1, q)
     return (point.x * zi) % q, (point.y * zi) % q
-
-
-def reduce_point(curve: RationalCurve, point: RationalPoint, q: int) -> FinitePoint:
-    """Reduce a rational point mod a good prime q."""
-    finite = curve.reduce(q)
-    reduced = reduce_coordinates(point, q)
-    if not finite.contains(reduced):
-        raise ValueError(f"point does not lie on the curve, or {q} is not usable")
-    return reduced

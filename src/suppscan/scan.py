@@ -7,6 +7,7 @@ the only nondeterministic output and are excluded from every digest.
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -224,8 +225,11 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
         raise HypothesisFailure(report)
     workers = config.workers if workers is None else workers
     good, skipped = classify_primes(config)
+    # The pool starts all its processes at the first submit, so a count past
+    # the primes or the usable cores would only fork idle processes.
+    workers = min(workers, len(good), _usable_cores())
 
-    if workers > 1 and len(good) > 1:
+    if workers > 1:
         # Imported here, not at module level: only this branch uses the pool,
         # and its modules add measurably to the start-up time and memory of
         # every other command.
@@ -259,6 +263,13 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
         weak_relation=weak,
         medium_impossibility=medium,
     )
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def write_report(report: ScanReport, csv_path, json_path) -> None:

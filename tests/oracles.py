@@ -10,7 +10,40 @@ from math import gcd, isqrt
 
 from suppscan.endo import KIND_WEAK_FOUND, KIND_WEAK_NOT_FOUND, EndoMatrix, apply
 from suppscan.quotient import QuotientPoint, quotient_equal, quotient_scalar_mul
-from suppscan.rational import reduce_coordinates
+from suppscan.rational import RationalPoint, rational_add, reduce_coordinates
+
+
+def rational_scalar_mul(curve, n, s):
+    """n * s on a RationalCurve by double-and-add over rational_add."""
+    if n < 0:
+        n, s = -n, s.neg()
+    acc = RationalPoint.identity()
+    while n:
+        if n & 1:
+            acc = rational_add(curve, acc, s)
+        s = rational_add(curve, s, s)
+        n >>= 1
+    return acc
+
+
+def reduce_point(curve, point, q):
+    """Reduce a rational point mod a good prime q, checking it lands on the
+    reduced curve (curve.reduce rejects a q that is not usable)."""
+    finite = curve.reduce(q)
+    reduced = reduce_coordinates(point, q)
+    if not finite.contains(reduced):
+        raise ValueError(f"point does not lie on the curve, or {q} is not usable")
+    return reduced
+
+
+def compose(m, other):
+    """The matrix product m * other: apply other first, then m."""
+    return EndoMatrix(
+        m.a * other.a + m.b * other.c,
+        m.a * other.b + m.b * other.d,
+        m.c * other.a + m.d * other.c,
+        m.c * other.b + m.d * other.d,
+    )
 
 
 def affine_points_brute(q, a, b):

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_points, order_by_walk, weak_relation_by_sweep
+from oracles import all_points, compose, order_by_walk, weak_relation_by_sweep
+from test_quotient import draw_split_context
 from suppscan.arith import primes_up_to
 from suppscan.endo import (
     KIND_MEDIUM_IMPOSSIBLE,
@@ -17,18 +18,9 @@ from suppscan.endo import (
     kernel_preserved,
     relation_holds,
     verify_no_medium_relation,
-    _context_images,
-    _differences,
-    _good_pairs,
 )
 from suppscan.finite import FiniteCurve
-from suppscan.quotient import (
-    QuotientContext,
-    QuotientPoint,
-    make_context,
-    quotient_equal,
-    quotient_scalar_mul,
-)
+from suppscan.quotient import QuotientContext, QuotientPoint, make_context, quotient_equal
 from suppscan.rational import RationalCurve, RationalPoint
 
 DEFAULT = RationalCurve(-21, -20)
@@ -106,7 +98,7 @@ def test_descent_closed_under_composition():
             m2 = EndoMatrix(*(rng.randrange(-20, 21) for _ in range(4)))
             w1, w2 = descends(m1, p), descends(m2, p)
             if w1.descends and w2.descends:
-                w = descends(m1.compose(m2), p)
+                w = descends(compose(m1, m2), p)
                 assert w.descends
                 assert w.k == (w1.k * w2.k) % p
 
@@ -174,7 +166,7 @@ def test_apply_additive_and_composes():
         lhs = apply(m1, quotient_add(ctx, s, t), ctx)
         rhs = quotient_add(ctx, apply(m1, s, ctx), apply(m1, t, ctx))
         assert quotient_equal(ctx, lhs, rhs)
-        lhs = apply(m1.compose(m2), s, ctx)
+        lhs = apply(compose(m1, m2), s, ctx)
         rhs = apply(m1, apply(m2, s, ctx), ctx)
         assert quotient_equal(ctx, lhs, rhs)
 
@@ -214,16 +206,13 @@ ENTRIES = st.integers(-40, 40)
     d=ENTRIES,
     transposed=st.booleans(),
     on_relation=st.booleans(),
-    entry_bound=st.integers(1, 14),
 )
-def test_relation_holds_matches_apply_oracle(
-    q, k, a, b, c, d, transposed, on_relation, entry_bound
-):
+def test_relation_holds_matches_order_lattice(q, k, a, b, c, d, transposed, on_relation):
     # Move b, c and d by at most one so that f descends mod 2.
     b, c = b - b % 2, c - c % 2
     if on_relation:
         # Random candidates almost never hold: half the draws make the two
-        # sides equal, so the oracle sees both outcomes.
+        # sides equal, so both outcomes are seen.
         k -= k % 2
         if transposed:
             a -= a % 2
@@ -235,22 +224,32 @@ def test_relation_holds_matches_apply_oracle(
     f = EndoMatrix(a, b, c, d)
     ctx = ctx_at(q)
     r = (R.x % q, R.y % q)
-    P, Q = QuotientPoint(r, None), QuotientPoint(r, r)
-    src, dst = (Q, P) if transposed else (P, Q)
-    expected = quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst))
+    # f(P) - k*Q = ((a-k)*r, (c-k)*r) and f(Q) - k*P = ((a+b-k)*r, (c+d)*r);
+    # the pair is in the kernel exactly when ord(r) divides both.
+    j1, j2 = (a + b - k, c + d) if transposed else (a - k, c - k)
+    n = order_by_walk(ctx.curve.add, r)
+    expected = j1 % n == 0 and j2 % n == 0
     assert relation_holds(k, f, [ctx], R, transposed=transposed) == expected
-    # The search's path: the good pairs of a table of multiples, which may
-    # or may not cover the pair the candidate needs.
-    images = _context_images([ctx], R, entry_bound)
-    [(_, _, _, table)] = images
-    assert len(table) == 6 * entry_bound + 1
-    assert all(table[j] == ctx.curve.scalar_mul(j, r) for j in table)
-    j1, j2 = _differences(k, a, b, c, d, transposed)
-    good = _good_pairs(images)
-    if j1 in table and j2 in table:
-        assert (j2 in good.get(j1, ())) == expected
-    else:
-        assert j1 not in good or j2 not in good[j1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_meets_multiples_of_r_only_at_zero(data):
+    # The lemma behind find_weak_relation: (j1*r, j2*r) is in the kernel
+    # exactly when ord(r) divides j1 and j2, since an i*(K1, K2), i != 0,
+    # in <r> x <r> would put the independent K1 and K2 in one cyclic group.
+    ctx = draw_split_context(data, 500)
+    curve = ctx.curve
+    r = data.draw(st.sampled_from(all_points(curve)), label="r")
+    n = order_by_walk(curve.add, r)
+    js = []
+    for label in ("j1", "j2"):
+        # Half the draws are multiples of n, so both outcomes are seen.
+        j = data.draw(st.integers(-3 * n, 3 * n), label=label)
+        js.append(j * n if data.draw(st.booleans(), label=f"{label} on lattice") else j)
+    j1, j2 = js
+    pair = (curve.scalar_mul(j1, r), curve.scalar_mul(j2, r))
+    assert (pair in ctx.kernel()) == (j1 % n == 0 and j2 % n == 0)
 
 
 def _crt(residues, moduli):
@@ -292,6 +291,38 @@ def test_find_weak_relation_matches_sweep_oracle(data):
     got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
     assert got == weak_relation_by_sweep(2, ctxs, R, entry_bound)
     assert cert.searched_primes == tuple(qs)
+
+
+@pytest.mark.parametrize(
+    "orders, entry_bound", [((3, 3, 3), 2), ((5, 5, 5), 3), ((3, 5, 3), 4)]
+)
+def test_find_weak_relation_with_odd_orders_matches_sweep_oracle(orders, entry_bound):
+    # Odd orders of r give relations with odd k and c != 0, which the
+    # all-even orders of the sweep test above almost never reach, and
+    # orders 3 and 5 tell lcm 15 from the largest order 5.
+    ctxs, pts = [], []
+    for n in orders:
+        for q in primes_up_to(500):
+            if q < 5 or q in [c.curve.q for c in ctxs]:
+                continue
+            ctx = ctx_at(q)
+            found = [s for s in all_points(ctx.curve)[1:] if order_by_walk(ctx.curve.add, s) == n]
+            if found:
+                ctxs.append(ctx)
+                pts.append(found[0])
+                break
+    qs = [ctx.curve.q for ctx in ctxs]
+    R_odd = RationalPoint(_crt([x for x, _ in pts], qs), _crt([y for _, y in pts], qs))
+    cert = find_weak_relation(2, ctxs, R_odd, entry_bound)
+    got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
+    assert got == weak_relation_by_sweep(2, ctxs, R_odd, entry_bound)
+    assert relation_holds(cert.k, cert.f, ctxs, R_odd)
+    assert relation_holds(cert.transposed_k, cert.transposed_f, ctxs, R_odd, transposed=True)
+    # n*Q = 0 = f(P) for f = 0 holds where r has order n, so at the first
+    # context, but not at a context where the order is another.
+    zero = EndoMatrix.scalar(0)
+    assert relation_holds(orders[0], zero, ctxs[:1], R_odd)
+    assert relation_holds(orders[0], zero, ctxs, R_odd) == (len(set(orders)) == 1)
 
 
 def test_relation_holds_rejects_bad_input():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import class_number, integer_points_in_range
+from oracles import class_number, integer_points_in_range, rational_scalar_mul, reduce_point
 from suppscan.rational import (
     CM_J_INVARIANTS,
     CurveSearchError,
@@ -12,9 +12,7 @@ from suppscan.rational import (
     is_torsion,
     on_curve,
     rational_add,
-    rational_scalar_mul,
     reduce_coordinates,
-    reduce_point,
     search_curve,
     torsion_order,
     validate_hypotheses,

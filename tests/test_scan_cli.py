@@ -164,6 +164,38 @@ def test_scan_deterministic_across_workers(tmp_path):
     assert d1["config_digest"] == d8["config_digest"]
 
 
+def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
+    # The pool forks all its processes at once, so a huge workers count must
+    # be cut down first. A fake pool records its size and maps serially, so
+    # no process is started.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = small_config(bound=60, workers=10_000)
+    assert run_scan(cfg).digest() == run_scan(replace(cfg, workers=1)).digest()
+    assert sizes == [3]
+    # Two good primes (5 and 7): two processes, not three.
+    run_scan(small_config(bound=7, workers=10_000))
+    assert sizes == [3, 2]
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # run_scan imports the pool only for workers > 1; every other command
     # and the serial scan start without it.
