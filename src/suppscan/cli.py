@@ -9,6 +9,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice, product
 
 from .arith import is_prime
 from .endo import EndoMatrix, descends, kernel_preserved, verify_no_medium_relation
@@ -148,18 +149,8 @@ def _cmd_endo_check(args) -> int:
     if not report.ok:
         raise HypothesisFailure(report)
     p = config.p
-    qs = []
-    for q in iter_good_primes(config):
-        qs.append(q)
-        if len(qs) >= args.primes:
-            break
-    residues = [
-        EndoMatrix(a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-    ]
+    qs = list(islice(iter_good_primes(config), args.primes))
+    residues = [EndoMatrix(*entries) for entries in product(range(p), repeat=4)]
     mismatches = 0
     for q in qs:
         ctx = make_context(config.curve, config.R1, config.R2, p, q)

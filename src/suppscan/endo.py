@@ -13,7 +13,7 @@ from math import lcm
 
 from .arith import is_prime
 from .quotient import QuotientContext, QuotientPoint, quotient_equal, quotient_scalar_mul
-from .rational import RationalPoint, reduce_coordinates
+from .rational import RationalPoint, reduce_onto
 
 KIND_WEAK_FOUND = "weak_relation_found"
 KIND_WEAK_NOT_FOUND = "weak_relation_not_found"
@@ -31,16 +31,8 @@ class EndoMatrix:
     c: int
     d: int
 
-    @classmethod
-    def scalar(cls, n: int) -> "EndoMatrix":
-        return cls(n, 0, 0, n)
-
-    @classmethod
-    def identity(cls) -> "EndoMatrix":
-        return cls.scalar(1)
-
-    def entries(self) -> tuple:
-        return self.a, self.b, self.c, self.d
+    def rows(self) -> list:
+        return [[self.a, self.b], [self.c, self.d]]
 
 
 @dataclass(frozen=True)
@@ -53,40 +45,31 @@ def descends(m: EndoMatrix, p: int) -> DescentWitness:
     """Congruence criterion: b, c = 0 and a = d (mod p); then k = a mod p."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
-    return _descent_witness(m, p)
-
-
-def _descent_witness(m: EndoMatrix, p: int) -> DescentWitness:
-    """The congruence test of descends, for a p already known to be prime."""
     if m.b % p == 0 and m.c % p == 0 and (m.a - m.d) % p == 0:
         return DescentWitness(True, m.a % p)
     return DescentWitness(False)
 
 
-def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
-    """Finite-level descent: the matrix maps (K1, K2) into its own cyclic span."""
-    curve = ctx.curve
-    image = (
-        curve.add(curve.scalar_mul(m.a, ctx.k1), curve.scalar_mul(m.b, ctx.k2)),
-        curve.add(curve.scalar_mul(m.c, ctx.k1), curve.scalar_mul(m.d, ctx.k2)),
-    )
-    return image in ctx.kernel()
-
-
-def _require_descent(m: EndoMatrix, ctx: QuotientContext) -> None:
-    # QuotientContext has already proven ctx.p prime.
-    if not _descent_witness(m, ctx.p).descends:
-        raise ValueError(f"matrix {m.entries()} does not descend mod {ctx.p}")
-
-
-def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
-    """Matrix action on a coset; requires descent so the action is well defined."""
-    _require_descent(m, ctx)
+def _act(m: EndoMatrix, ctx: QuotientContext, s: QuotientPoint) -> QuotientPoint:
+    """The pair (a*u + b*v, c*u + d*v) for s = (u, v)."""
     curve = ctx.curve
     return QuotientPoint(
         curve.add(curve.scalar_mul(m.a, s.rep1), curve.scalar_mul(m.b, s.rep2)),
         curve.add(curve.scalar_mul(m.c, s.rep1), curve.scalar_mul(m.d, s.rep2)),
     )
+
+
+def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
+    """Finite-level descent: the matrix maps (K1, K2) into its own cyclic span."""
+    image = _act(m, ctx, QuotientPoint(ctx.k1, ctx.k2))
+    return (image.rep1, image.rep2) in ctx.kernel()
+
+
+def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
+    """Matrix action on a coset; requires descent so the action is well defined."""
+    if not descends(m, ctx.p).descends:
+        raise ValueError(f"matrix {m.rows()} does not descend mod {ctx.p}")
+    return _act(m, ctx, s)
 
 
 @dataclass(frozen=True)
@@ -110,14 +93,11 @@ class RelationCertificate:
         if self.k is not None:
             out["k"] = self.k
         if self.f is not None:
-            out["f"] = [[self.f.a, self.f.b], [self.f.c, self.f.d]]
+            out["f"] = self.f.rows()
         if self.transposed_k is not None:
             out["transposed_k"] = self.transposed_k
         if self.transposed_f is not None:
-            out["transposed_f"] = [
-                [self.transposed_f.a, self.transposed_f.b],
-                [self.transposed_f.c, self.transposed_f.d],
-            ]
+            out["transposed_f"] = self.transposed_f.rows()
         if self.reason:
             out["reason"] = self.reason
         if self.residue_solutions is not None:
@@ -138,14 +118,6 @@ def _signed_values(bound: int) -> list[int]:
     return out
 
 
-def _reduce_onto(R: RationalPoint, curve):
-    """r = R mod q, checked to lie on the reduced curve."""
-    r = reduce_coordinates(R, curve.q)
-    if not curve.contains(r):
-        raise ValueError(f"R does not reduce onto the curve mod {curve.q}")
-    return r
-
-
 def relation_holds(
     k: int, f: EndoMatrix, ctxs, R: RationalPoint, transposed: bool = False
 ) -> bool:
@@ -155,7 +127,7 @@ def relation_holds(
     Q = (r, r), and the image is compared with the k-th multiple of the other.
     """
     for ctx in ctxs:
-        r = _reduce_onto(R, ctx.curve)
+        r = reduce_onto(R, ctx.curve)
         P, Q = QuotientPoint(r, None), QuotientPoint(r, r)
         src, dst = (Q, P) if transposed else (P, Q)
         if not quotient_equal(ctx, apply(f, src, ctx), quotient_scalar_mul(ctx, k, dst)):
@@ -223,7 +195,7 @@ def find_weak_relation(
         raise ValueError("entry_bound must be >= 1")
     L = 1
     for ctx in ctxs:
-        L = lcm(L, ctx.curve.point_order(_reduce_onto(R, ctx.curve)))
+        L = lcm(L, ctx.curve.point_order(reduce_onto(R, ctx.curve)))
     hit = _first_relation(p, entry_bound, L)
     hit_t = _first_transposed(p, entry_bound, L)
     qs = tuple(ctx.curve.q for ctx in ctxs)
@@ -277,8 +249,9 @@ def _count_residue_solutions(p: int) -> tuple[int, int]:
     """Solutions of {k + p(c+d) = 0, pa + pb + k = 1} over (Z/p)^5.
 
     Small p: literal product over all p^5 tuples. Large p: both congruences
-    collapse mod p to conditions on k alone (p * anything vanishes), so the
-    exact count is (number of admissible k) * p^4.
+    collapse mod p to conditions on k alone (p * anything vanishes). The
+    first forces k = 0, so the count is p^4 if k = 0 meets the second
+    (0 = 1 mod p) and 0 otherwise.
     """
     total = p**5
     if total <= _LITERAL_RESIDUE_CAP:
@@ -288,5 +261,4 @@ def _count_residue_solutions(p: int) -> tuple[int, int]:
             if (k + p * c + p * d) % p == 0 and (p * a + p * b + k) % p == 1:
                 count += 1
         return count, total
-    admissible = sum(1 for k in range(p) if k % p == 0 and k % p == 1 % p)
-    return admissible * p**4, total
+    return (p**4 if 1 % p == 0 else 0), total

@@ -7,11 +7,10 @@ the reduced kernel. That finite shadow is all the order bookkeeping needs.
 
 import time
 from dataclasses import dataclass
-from math import lcm
 
 from .arith import is_prime, sorted_divisors
 from .finite import FiniteCurve, FinitePoint
-from .rational import RationalCurve, RationalPoint, reduce_coordinates
+from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
 
 
 class InvariantViolation(RuntimeError):
@@ -48,10 +47,8 @@ class QuotientContext:
                 raise InvariantViolation(f"{name} is not on the reduced curve")
             if pt is None or self.curve.scalar_mul(self.p, pt) is not None:
                 raise InvariantViolation(f"{name} does not have exact order {self.p}")
-        if self.k1 == self.k2:
-            raise InvariantViolation("kernel generators coincide after reduction")
         # The walk over i * (K1, K2) also proves the reduced generators
-        # independent (automatic for p = 2): K2 is no multiple i * K1.
+        # independent: K2 is no multiple i * K1, so in particular K2 != K1.
         pairs = []
         s, t = None, None
         for _ in range(self.p):
@@ -105,17 +102,14 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
     return quotient_is_zero(ctx, quotient_add(ctx, s, quotient_neg(ctx, t)))
 
 
-def quotient_order(ctx: QuotientContext, s: QuotientPoint, component_lcm: int = 0) -> int:
-    """Smallest n >= 1 with n * s zero in the quotient.
+def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int) -> int:
+    """Smallest n >= 1 with n * s zero in the quotient, given the lcm m of
+    the orders of s.rep1 and s.rep2.
 
-    The order divides m, the lcm of the component orders, because m * s is
-    0 and so lies in the kernel. The divisors of m * p, which include those
-    of m, are tested ascending, so the result is deterministic. Callers that
-    already know m can pass it to skip the two order computations.
+    The order divides m, because m * s is 0 and so lies in the kernel. The
+    divisors of m * p, which include those of m, are tested ascending, so
+    the result is deterministic.
     """
-    m = component_lcm
-    if m <= 0:
-        m = lcm(ctx.curve.point_order(s.rep1), ctx.curve.point_order(s.rep2))
     for n in sorted_divisors(m * ctx.p):
         if quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)):
             return n
@@ -145,12 +139,10 @@ class PrimeRecord:
 def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     """Orders of R, P = image (R, 0) and Q = image (R, R) at one prime."""
     start = time.perf_counter_ns()
-    r = reduce_coordinates(R, ctx.curve.q)
-    if not ctx.curve.contains(r):
-        raise ValueError("R does not reduce onto the context curve")
+    r = reduce_onto(R, ctx.curve)
     ord_r = ctx.curve.point_order(r)
-    ord_p = quotient_order(ctx, QuotientPoint(r, None), component_lcm=ord_r)
-    ord_q = quotient_order(ctx, QuotientPoint(r, r), component_lcm=ord_r)
+    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r)
+    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     return PrimeRecord(
         q=ctx.curve.q,

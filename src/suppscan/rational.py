@@ -5,7 +5,7 @@ law runs on Fractions, torsion detection is Lutz-Nagell plus the Mazur
 order bound. No floating point anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -116,11 +116,6 @@ class RationalPoint:
             return None
         return Fraction(self.x, self.z), Fraction(self.y, self.z)
 
-    def neg(self) -> "RationalPoint":
-        if self.is_identity:
-            return self
-        return RationalPoint(self.x, -self.y, self.z)
-
 
 def on_curve(curve: RationalCurve, point: RationalPoint) -> bool:
     x, y, z = point.x, point.y, point.z
@@ -192,33 +187,7 @@ class HypothesisReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "curve_ok": self.curve_ok,
-            "non_cm": self.non_cm,
-            "full_p_torsion": self.full_p_torsion,
-            "r_infinite_order": self.r_infinite_order,
-            "r1_r2_independent": self.r1_r2_independent,
-            "failures": list(self.failures),
-        }
-
-
-def _split_cubic_roots(curve: RationalCurve):
-    """Distinct integer roots of x^3 + a*x + b, or None unless all three exist."""
-    a, b = curve.a, curve.b
-    roots = set()
-    if b == 0:
-        roots.add(0)
-        if a < 0 and is_perfect_square(-a):
-            r = isqrt(-a)
-            roots.update((r, -r))
-    else:
-        # Rational root theorem: integer roots divide b.
-        for d in range(1, isqrt(abs(b)) + 1):
-            if b % d == 0:
-                for r in (d, -d, abs(b) // d, -abs(b) // d):
-                    if r**3 + a * r + b == 0:
-                        roots.add(r)
-    return sorted(roots) if len(roots) == 3 else None
+        return asdict(self)
 
 
 def validate_hypotheses(
@@ -262,7 +231,11 @@ def validate_hypotheses(
             if torsion_order(curve, pt) != p:
                 full_p = False
                 failures.append(f"torsion: {name} does not have exact order {p}")
-        if full_p and _split_cubic_roots(curve) is None:
+        # R1 = (e1, 0) has order 2, so the cubic is (x - e1)(x^2 + e1*x + e1^2 + a).
+        # The cofactor's roots (-e1 +- sqrt(D))/2, D = -3*e1^2 - 4a, are rational
+        # exactly when D is a square, and then integers, as D = e1^2 (mod 4); the
+        # curve is nonsingular, so all three roots are distinct.
+        if full_p and not is_perfect_square(-3 * R1.x**2 - 4 * curve.a):
             full_p = False
             failures.append("torsion: the cubic does not split over Z")
 
@@ -336,3 +309,11 @@ def reduce_coordinates(point: RationalPoint, q: int) -> FinitePoint:
         return None
     zi = pow(point.z % q, -1, q)
     return (point.x * zi) % q, (point.y * zi) % q
+
+
+def reduce_onto(point: RationalPoint, curve: FiniteCurve) -> FinitePoint:
+    """point mod curve.q, checked to lie on the reduced curve."""
+    reduced = reduce_coordinates(point, curve.q)
+    if not curve.contains(reduced):
+        raise ValueError(f"point does not reduce onto the curve mod {curve.q}")
+    return reduced

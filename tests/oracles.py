@@ -10,13 +10,13 @@ from math import gcd, isqrt
 
 from suppscan.endo import KIND_WEAK_FOUND, KIND_WEAK_NOT_FOUND, EndoMatrix, apply
 from suppscan.quotient import QuotientPoint, quotient_equal, quotient_scalar_mul
-from suppscan.rational import RationalPoint, rational_add, reduce_coordinates
+from suppscan.rational import RationalPoint, rational_add, reduce_coordinates, reduce_onto
 
 
 def rational_scalar_mul(curve, n, s):
     """n * s on a RationalCurve by double-and-add over rational_add."""
     if n < 0:
-        n, s = -n, s.neg()
+        n, s = -n, RationalPoint(s.x, -s.y, s.z)
     acc = RationalPoint.identity()
     while n:
         if n & 1:
@@ -29,11 +29,26 @@ def rational_scalar_mul(curve, n, s):
 def reduce_point(curve, point, q):
     """Reduce a rational point mod a good prime q, checking it lands on the
     reduced curve (curve.reduce rejects a q that is not usable)."""
-    finite = curve.reduce(q)
-    reduced = reduce_coordinates(point, q)
-    if not finite.contains(reduced):
-        raise ValueError(f"point does not lie on the curve, or {q} is not usable")
-    return reduced
+    return reduce_onto(point, curve.reduce(q))
+
+
+def split_cubic_roots(curve):
+    """Distinct integer roots of x^3 + a*x + b, or None unless all three
+    exist, by trying every divisor of b (rational root theorem)."""
+    a, b = curve.a, curve.b
+    roots = set()
+    if b == 0:
+        roots.add(0)
+        r = isqrt(max(-a, 0))
+        if a < 0 and r * r == -a:
+            roots.update((r, -r))
+    else:
+        for d in range(1, isqrt(abs(b)) + 1):
+            if b % d == 0:
+                for r in (d, -d, abs(b) // d, -abs(b) // d):
+                    if r**3 + a * r + b == 0:
+                        roots.add(r)
+    return sorted(roots) if len(roots) == 3 else None
 
 
 def compose(m, other):

@@ -69,7 +69,7 @@ def full_p_torsion_context(p):
 
 def test_descends_examples():
     for p in (2, 3, 5, 97):
-        w = descends(EndoMatrix.identity(), p)
+        w = descends(EndoMatrix(1, 0, 0, 1), p)
         assert w.descends and w.k == 1
     assert not descends(EndoMatrix(0, 1, 1, 0), 2).descends  # swap matrix
     w = descends(EndoMatrix(2, 0, 2, 0), 2)
@@ -105,7 +105,7 @@ def test_descent_closed_under_composition():
 
 def test_kernel_preserved_examples():
     ctx = ctx_at(5)
-    assert kernel_preserved(EndoMatrix.identity(), ctx)
+    assert kernel_preserved(EndoMatrix(1, 0, 0, 1), ctx)
     assert not kernel_preserved(EndoMatrix(0, 1, 1, 0), ctx)
     assert kernel_preserved(EndoMatrix(2, 0, 2, 0), ctx)
 
@@ -136,12 +136,12 @@ def test_apply_examples():
     ctx = ctx_at(7)
     r = (R.x % 7, R.y % 7)
     P = QuotientPoint(r, None)
-    assert apply(EndoMatrix.identity(), P, ctx) == P
+    assert apply(EndoMatrix(1, 0, 0, 1), P, ctx) == P
     image = apply(EndoMatrix(2, 0, 2, 0), P, ctx)
     two_r = ctx.curve.scalar_mul(2, r)
     assert image == QuotientPoint(two_r, two_r)
     # p * identity acts as scalar multiplication by p
-    assert apply(EndoMatrix.scalar(2), P, ctx) == QuotientPoint(two_r, None)
+    assert apply(EndoMatrix(2, 0, 0, 2), P, ctx) == QuotientPoint(two_r, None)
     with pytest.raises(ValueError):
         apply(EndoMatrix(0, 1, 1, 0), P, ctx)
 
@@ -189,7 +189,7 @@ def test_weak_relation_reverifies_at_fresh_primes():
     assert relation_holds(cert.k, cert.f, fresh, R)
     assert relation_holds(cert.transposed_k, cert.transposed_f, fresh, R, transposed=True)
     # and a deliberately wrong relation fails
-    assert not relation_holds(1, EndoMatrix.identity(), fresh, R)
+    assert not relation_holds(1, EndoMatrix(1, 0, 0, 1), fresh, R)
 
 
 GOOD_PRIMES = [q for q in primes_up_to(2000) if q >= 5]
@@ -320,7 +320,7 @@ def test_find_weak_relation_with_odd_orders_matches_sweep_oracle(orders, entry_b
     assert relation_holds(cert.transposed_k, cert.transposed_f, ctxs, R_odd, transposed=True)
     # n*Q = 0 = f(P) for f = 0 holds where r has order n, so at the first
     # context, but not at a context where the order is another.
-    zero = EndoMatrix.scalar(0)
+    zero = EndoMatrix(0, 0, 0, 0)
     assert relation_holds(orders[0], zero, ctxs[:1], R_odd)
     assert relation_holds(orders[0], zero, ctxs, R_odd) == (len(set(orders)) == 1)
 
@@ -357,16 +357,19 @@ def test_no_medium_relation_small_p():
     assert verify_no_medium_relation(3).residue_tuples == 243
 
 
-def test_no_medium_relation_literal_count_matches_structured():
-    # the structured count must agree with the literal product wherever both run
-    from suppscan.endo import _count_residue_solutions
+def test_no_medium_relation_literal_count_matches_structured(monkeypatch):
+    # Every p <= 11 has p^5 under the cap, so the cap is lowered to 0 to make
+    # _count_residue_solutions take the structured branch, which is then
+    # checked against the literal product computed here.
+    from suppscan import endo
 
+    monkeypatch.setattr(endo, "_LITERAL_RESIDUE_CAP", 0)
     for p in (2, 3, 5, 7, 11):
         literal = 0
         for k, a, b, c, d in product(range(p), repeat=5):
             if (k + p * c + p * d) % p == 0 and (p * a + p * b + k) % p == 1:
                 literal += 1
-        solutions, tuples = _count_residue_solutions(p)
+        solutions, tuples = endo._count_residue_solutions(p)
         assert (solutions, tuples) == (literal, p**5)
 
 

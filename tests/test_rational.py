@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import class_number, integer_points_in_range, rational_scalar_mul, reduce_point
+from oracles import (
+    class_number,
+    integer_points_in_range,
+    rational_scalar_mul,
+    reduce_point,
+    split_cubic_roots,
+)
 from suppscan.rational import (
     CM_J_INVARIANTS,
     CurveSearchError,
@@ -87,7 +94,7 @@ def test_from_affine_roundtrip():
 def test_group_law_basics():
     ident = RationalPoint.identity()
     assert rational_add(DEFAULT, DEFAULT_R, ident) == DEFAULT_R
-    assert rational_add(DEFAULT, DEFAULT_R, DEFAULT_R.neg()) == ident
+    assert rational_add(DEFAULT, DEFAULT_R, RationalPoint(-3, -4)) == ident
     # double of (-3, 4) lands at x = 105/16
     twice = rational_add(DEFAULT, DEFAULT_R, DEFAULT_R)
     assert twice.to_affine()[0] == Fraction(105, 16)
@@ -101,9 +108,8 @@ def test_scalar_mul_consistency():
         assert rational_scalar_mul(DEFAULT, n, DEFAULT_R) == acc
         assert on_curve(DEFAULT, acc)
     assert rational_scalar_mul(DEFAULT, 0, DEFAULT_R).is_identity
-    assert rational_scalar_mul(DEFAULT, -3, DEFAULT_R) == rational_scalar_mul(
-        DEFAULT, 3, DEFAULT_R
-    ).neg()
+    three = rational_scalar_mul(DEFAULT, 3, DEFAULT_R)
+    assert rational_scalar_mul(DEFAULT, -3, DEFAULT_R) == RationalPoint(three.x, -three.y, three.z)
 
 
 def test_is_torsion():
@@ -210,6 +216,28 @@ def test_validate_rejects_odd_p():
 def test_validate_rejects_dependent_torsion():
     report = validate_hypotheses(DEFAULT, DEFAULT_R, DEFAULT_R1, DEFAULT_R1, 2)
     assert not report.r1_r2_independent
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    e1=st.integers(-300, 300),
+    e2=st.integers(-300, 300),
+    c=st.integers(-300, 300),
+    split=st.booleans(),
+)
+def test_validate_split_test_matches_root_search(e1, e2, c, split):
+    # y^2 = (x - e1)(x^2 + e1*x + c). Half the draws take c = e2*e3 with
+    # e3 = -e1 - e2, so that the cubic splits; the others mostly do not.
+    if split:
+        c = e2 * (-e1 - e2)
+    curve = RationalCurve(c - e1 * e1, -e1 * c)
+    assume(curve.discriminant() != 0)
+    R1 = RationalPoint(e1, 0)
+    # R1 = R2 = R passes the on-curve and order-2 checks, so the split test runs.
+    report = validate_hypotheses(curve, R1, R1, R1, 2)
+    no_split = "torsion: the cubic does not split over Z" in report.failures
+    assert no_split == (split_cubic_roots(curve) is None)
+    assert report.full_p_torsion == (not no_split)
 
 
 def test_validate_rejects_torsion_r():

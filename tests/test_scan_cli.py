@@ -367,6 +367,26 @@ def test_cli_validate(tmp_path, capsys):
     assert cli_main(["validate", "--config", path]) == 1
 
 
+def test_cli_validate_cubic_that_does_not_split(tmp_path, capsys):
+    # y^2 = x^3 + x - 2 = (x - 1)(x^2 + x + 2): (1, 0) has order 2, but the
+    # other two roots are not rational, so the 2-torsion is not full. The
+    # curve has no CM (j = 432/7), so only the torsion and rank checks fail.
+    path = tmp_path / "nonsplit.json"
+    one = [1, 0, 1]
+    path.write_text(json.dumps({"curve": [1, -2], "R": one, "R1": one, "R2": one, "p": 2}))
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "curve_ok: True",
+        "non_cm: True",
+        "full_p_torsion: False",
+        "r_infinite_order: False",
+        "r1_r2_independent: False",
+        "failure: torsion: the cubic does not split over Z",
+        "failure: rank: R is a torsion point",
+        "failure: torsion: R2 lies in the cyclic group generated by R1",
+    ]
+
+
 def test_cli_scan(tmp_path, capsys):
     path = write_config(tmp_path, small_config(bound=100))
     csv_path = tmp_path / "out.csv"
@@ -463,6 +483,15 @@ def test_cli_no_relation(capsys):
     assert "medium_relation_impossible" in out
     assert "impossible" in out
     assert cli_main(["no-relation", "--p", "97"]) == 0
+
+
+def test_cli_no_relation_large_prime():
+    # p = 2^61 - 1: the residue count must not loop over k mod p. A fresh
+    # process with a timeout fails, not hangs.
+    p = 2**61 - 1
+    proc = run_cli_process(["no-relation", "--p", str(p)], timeout=20)
+    assert proc.returncode == 0
+    assert f"Residue check: 0 of {p**5} tuples" in proc.stdout
 
 
 def test_cli_endo_check(tmp_path, capsys):
