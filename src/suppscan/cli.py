@@ -11,7 +11,6 @@ import os
 import sys
 from itertools import islice, product
 
-from .arith import is_prime
 from .endo import EndoMatrix, descends, kernel_preserved, verify_no_medium_relation
 from .quotient import InvariantViolation, make_context
 from .rational import CurveSearchError, search_curve
@@ -126,7 +125,7 @@ def _cmd_scan(args) -> int:
     config = _load_config(args.config)
     report = run_scan(config, workers=args.workers)
     try:
-        write_report(report, args.out_csv, args.out_json)
+        digest = write_report(report, args.out_csv, args.out_json)
     except OSError as exc:
         raise UsageError(f"cannot write report: {exc}") from exc
     print(
@@ -135,7 +134,7 @@ def _cmd_scan(args) -> int:
         f"forward rate {report.condition1_forward_rate}, "
         f"backward rate {report.condition1_backward_rate}"
     )
-    print(f"report digest {report.digest()}")
+    print(f"report digest {digest}")
     return EXIT_OK
 
 
@@ -167,9 +166,10 @@ def _cmd_endo_check(args) -> int:
 
 
 def _cmd_no_relation(args) -> int:
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
-    cert = verify_no_medium_relation(args.p)
+    try:
+        cert = verify_no_medium_relation(args.p)
+    except ValueError as exc:  # p is not prime
+        raise UsageError(f"--p must be prime, got {args.p}") from exc
     print(f"p = {args.p}: {cert.kind}")
     print(cert.reason)
     return EXIT_OK

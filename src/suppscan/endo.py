@@ -7,9 +7,9 @@ criterion is kernel preservation at any good prime, and the two are checked
 against each other in the test suite.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .arith import is_prime
 from .quotient import QuotientContext, QuotientPoint, quotient_equal, quotient_scalar_mul
@@ -24,8 +24,7 @@ KIND_MEDIUM_IMPOSSIBLE = "medium_relation_impossible"
 _LITERAL_RESIDUE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class EndoMatrix:
+class EndoMatrix(NamedTuple):
     a: int
     b: int
     c: int
@@ -35,8 +34,7 @@ class EndoMatrix:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True)
-class DescentWitness:
+class DescentWitness(NamedTuple):
     descends: bool
     k: int | None = None
 
@@ -61,8 +59,7 @@ def _act(m: EndoMatrix, ctx: QuotientContext, s: QuotientPoint) -> QuotientPoint
 
 def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
     """Finite-level descent: the matrix maps (K1, K2) into its own cyclic span."""
-    image = _act(m, ctx, QuotientPoint(ctx.k1, ctx.k2))
-    return (image.rep1, image.rep2) in ctx.kernel()
+    return _act(m, ctx, QuotientPoint(ctx.k1, ctx.k2)) in ctx.kernel()
 
 
 def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
@@ -72,8 +69,7 @@ def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoin
     return _act(m, ctx, s)
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
     """Outcome of a relation search or an impossibility derivation."""
 
     kind: str

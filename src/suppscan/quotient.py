@@ -6,7 +6,7 @@ the reduced kernel. That finite shadow is all the order bookkeeping needs.
 """
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
 from .finite import FiniteCurve, FinitePoint
@@ -17,48 +17,58 @@ class InvariantViolation(RuntimeError):
     """A structural guarantee failed; signals a bug or a mis-excluded prime."""
 
 
-@dataclass(frozen=True)
-class QuotientPoint:
-    """A coset representative (rep1, rep2) in E(F_q)^2.
+class QuotientPoint(NamedTuple):
+    """A coset representative: the pair (rep1, rep2) in E(F_q)^2 itself.
 
-    Dataclass equality is representative equality; coset equality is
-    quotient_equal(ctx, s, t).
+    Tuple equality is representative equality, so a pair can be looked up
+    in the kernel directly; coset equality is quotient_equal(ctx, s, t).
     """
 
     rep1: FinitePoint
     rep2: FinitePoint
 
 
-@dataclass(frozen=True)
-class QuotientContext:
-    """Reduction data at one good prime: the curve, the reduced kernel
-    generators K1 = R1 mod q, K2 = R2 mod q, and the torsion prime p."""
-
+class _QuotientContextFields(NamedTuple):
     curve: FiniteCurve
     k1: FinitePoint
     k2: FinitePoint
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"kernel order p = {self.p} must be prime")
-        for name, pt in (("K1", self.k1), ("K2", self.k2)):
-            if not self.curve.contains(pt):
+
+class QuotientContext(_QuotientContextFields):
+    """Reduction data at one good prime: the curve, the reduced kernel
+    generators K1 = R1 mod q, K2 = R2 mod q, and the torsion prime p.
+
+    Every construction path runs __new__: _make (and so _replace) and
+    unpickling call the class, so each context has checked its kernel.
+    """
+
+    def __new__(cls, curve: FiniteCurve, k1: FinitePoint, k2: FinitePoint, p: int):
+        if not is_prime(p):
+            raise ValueError(f"kernel order p = {p} must be prime")
+        for name, pt in (("K1", k1), ("K2", k2)):
+            if not curve.contains(pt):
                 raise InvariantViolation(f"{name} is not on the reduced curve")
-            if pt is None or self.curve.scalar_mul(self.p, pt) is not None:
-                raise InvariantViolation(f"{name} does not have exact order {self.p}")
+            if pt is None or curve.scalar_mul(p, pt) is not None:
+                raise InvariantViolation(f"{name} does not have exact order {p}")
         # The walk over i * (K1, K2) also proves the reduced generators
         # independent: K2 is no multiple i * K1, so in particular K2 != K1.
         pairs = []
         s, t = None, None
-        for _ in range(self.p):
-            if s == self.k2:
+        for _ in range(p):
+            if s == k2:
                 raise InvariantViolation("K2 lies in the cyclic group generated by K1")
             pairs.append((s, t))
-            s = self.curve.add(s, self.k1)
-            t = self.curve.add(t, self.k2)
-        object.__setattr__(self, "_kernel", tuple(pairs))
-        object.__setattr__(self, "_kernel_set", frozenset(pairs))
+            s = curve.add(s, k1)
+            t = curve.add(t, k2)
+        self = super().__new__(cls, curve, k1, k2, p)
+        self._kernel = tuple(pairs)
+        self._kernel_set = frozenset(pairs)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def kernel(self) -> tuple:
         """The p pairs i * (K1, K2), i = 0 .. p-1."""
@@ -95,7 +105,7 @@ def quotient_scalar_mul(ctx: QuotientContext, n: int, s: QuotientPoint) -> Quoti
 
 def quotient_is_zero(ctx: QuotientContext, s: QuotientPoint) -> bool:
     """True iff the representative pair lies in the reduced kernel."""
-    return (s.rep1, s.rep2) in ctx._kernel_set
+    return s in ctx._kernel_set
 
 
 def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> bool:
@@ -116,8 +126,7 @@ def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int) -> int:
     raise InvariantViolation("no annihilator among the divisors of m * p")
 
 
-@dataclass(frozen=True)
-class PrimeRecord:
+class PrimeRecord(NamedTuple):
     """Per-prime verdict: the three orders and both divisibility directions."""
 
     q: int

@@ -5,9 +5,9 @@ law runs on Fractions, torsion detection is Lutz-Nagell plus the Mazur
 order bound. No floating point anywhere.
 """
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import is_perfect_square, is_prime
 from .finite import FiniteCurve, FinitePoint
@@ -40,8 +40,7 @@ class CurveSearchError(LookupError):
     """No suitable curve exists within the requested height bound."""
 
 
-@dataclass(frozen=True)
-class RationalCurve:
+class RationalCurve(NamedTuple):
     a: int
     b: int
 
@@ -69,32 +68,37 @@ class RationalCurve:
         return FiniteCurve(q, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """Projective point (x : y : z) with coprime integer coordinates.
-
-    z = 0 only for the identity (0 : 1 : 0); normalization keeps z > 0
-    otherwise, so equality is plain field equality.
-    """
-
+class _RationalPointFields(NamedTuple):
     x: int
     y: int
     z: int = 1
 
-    def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
+
+class RationalPoint(_RationalPointFields):
+    """Projective point (x : y : z) with coprime integer coordinates.
+
+    z = 0 only for the identity (0 : 1 : 0); normalization keeps z > 0
+    otherwise, so equality is plain field equality. Every construction
+    path runs __new__: _make (and so _replace) and unpickling call the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int = 1):
         if z == 0:
             if x != 0 or y == 0:
                 raise ValueError("z = 0 is reserved for the identity (0:1:0)")
-            x, y, z = 0, 1, 0
+            y = 1
         else:
             g = gcd(gcd(abs(x), abs(y)), abs(z))
             x, y, z = x // g, y // g, z // g
             if z < 0:
                 x, y, z = -x, -y, -z
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        return super().__new__(cls, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def identity(cls) -> "RationalPoint":
@@ -171,8 +175,7 @@ def is_torsion(curve: RationalCurve, point: RationalPoint) -> bool:
     return torsion_order(curve, point) is not None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of checking every hypothesis the construction rests on."""
 
     curve_ok: bool
@@ -187,7 +190,7 @@ class HypothesisReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def validate_hypotheses(

@@ -5,14 +5,12 @@ order so the output is identical for any worker count. Timing fields are
 the only nondeterministic output and are excluded from every digest.
 """
 
-import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from itertools import count
+from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to
 from .endo import (
@@ -43,8 +41,7 @@ class HypothesisFailure(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class LabConfig:
+class LabConfig(NamedTuple):
     curve: RationalCurve
     R: RationalPoint
     R1: RationalPoint
@@ -106,12 +103,13 @@ def _json_int(value) -> int:
 
 
 def _sha256_of(obj) -> str:
+    import hashlib  # here, not at module level: a measurable part of import time
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     config_digest: str
     records: tuple
     primes_scanned: int
@@ -210,7 +208,7 @@ def _relation_certificates(config: LabConfig):
             raise InvariantViolation(
                 "weak relation failed re-verification at fresh primes"
             )
-        weak = replace(weak, verified_primes=tuple(fresh_qs))
+        weak = weak._replace(verified_primes=tuple(fresh_qs))
     medium = verify_no_medium_relation(config.p)
     return weak, medium
 
@@ -272,20 +270,24 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def write_report(report: ScanReport, csv_path, json_path) -> None:
-    """CSV of per-prime records plus the full JSON report."""
+def write_report(report: ScanReport, csv_path, json_path) -> str:
+    """CSV of per-prime records plus the full JSON report; returns the
+    report digest written into the JSON."""
     lines = [CSV_HEADER]
     lines.extend(r.csv_row() for r in report.records)
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     payload = report.to_dict()
-    payload["report_digest"] = report.digest()
+    payload["report_digest"] = digest = report.digest()
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return digest
 
 
 def default_config() -> LabConfig:
     """The frozen configuration produced by search_curve(5)."""
+    from importlib import resources  # here: it imports pathlib and zipfile
+
     text = resources.files("suppscan").joinpath("data/default.json").read_text()
     return LabConfig.from_dict(json.loads(text))

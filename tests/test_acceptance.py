@@ -6,7 +6,6 @@ print. Criteria with stated budgets are timed single-threaded.
 
 import json
 import time
-from dataclasses import replace
 from itertools import product
 
 import pytest

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,23 @@ def test_curve_validation():
         FiniteCurve(5, 0, 0)  # singular
     with pytest.raises(ValueError):
         FiniteCurve(7, -3, 2)  # x^3 - 3x + 2 has a double root
+
+
+def test_curve_invariants_on_every_construction_path():
+    with pytest.raises(ValueError, match="prime >= 5, got 25"):
+        FiniteCurve(25, 1, 1)
+    with pytest.raises(ValueError, match="singular"):
+        FiniteCurve(7, 4, 9)  # a = -3, b = 2 mod 7
+    curve = FiniteCurve(7, -10, 17)
+    assert (curve.q, curve.a, curve.b) == (7, 4, 3)
+    assert curve == FiniteCurve(7, 4, 3) and hash(curve) == hash(FiniteCurve(7, 4, 3))
+    assert curve != FiniteCurve(7, 4, 1)
+    with pytest.raises(AttributeError):
+        curve.b = 2  # would make the curve singular
+    # Copies and unpickling rebuild the curve through the class and its checks.
+    assert curve.__reduce__() == (FiniteCurve, (7, 4, 3))
+    assert pickle.loads(pickle.dumps(curve)) == curve
+    assert copy.copy(curve) == curve
 
 
 def test_f5_point_set():
@@ -171,6 +190,23 @@ def test_point_order_random_curves(data):
     pts = all_points(curve)
     for s in data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3), label="points"):
         assert curve.point_order(s) == order_by_walk(curve.add, s), (q, a, b, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_group_axioms_random_curves(data):
+    q = data.draw(st.sampled_from([q for q in primes_up_to(1999) if q >= 5]), label="q")
+    a = data.draw(st.integers(0, q - 1), label="a")
+    b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    pts = all_points(curve)
+    s, t, u = (data.draw(st.sampled_from(pts), label=name) for name in "stu")
+    assert curve.contains(curve.add(s, t))
+    assert curve.add(s, None) == curve.add(None, s) == s
+    assert curve.add(s, curve.neg(s)) is None
+    assert curve.add(s, t) == curve.add(t, s)
+    assert curve.add(curve.add(s, t), u) == curve.add(s, curve.add(t, u))
 
 
 def test_point_order_group_order_not_divisible_by_4():

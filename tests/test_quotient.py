@@ -55,6 +55,14 @@ def test_context_invariants():
     assert ctx.kernel() == ((None, None), ((0, 3), (3, 1)), ((0, 4), (3, 6)))
 
 
+def test_context_rechecks_on_make_and_replace():
+    assert QuotientContext._make(F5_CTX)._kernel_set == F5_CTX._kernel_set
+    with pytest.raises(InvariantViolation):
+        F5_CTX._replace(k2=(0, 0))
+    with pytest.raises(ValueError):
+        QuotientContext._make((FiniteCurve(5, -1, 0), (0, 0), (1, 0), 4))
+
+
 def test_make_context_good_and_bad_primes():
     ctx = make_context(DEFAULT, R1, R2, 2, 5)
     assert ctx.k1 == (1, 0) and ctx.k2 == (4, 0)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -83,6 +84,18 @@ def test_point_normalization():
     assert RationalPoint.identity() == RationalPoint(0, -5, 0)
     with pytest.raises(ValueError):
         RationalPoint(1, 0, 0)
+
+
+def test_point_invariants_on_every_construction_path():
+    pt = RationalPoint(2, 4, -2)
+    assert pt == RationalPoint(-1, -2, 1) == (-1, -2, 1)
+    # _make and _replace normalize like the class and reject a bad identity.
+    assert RationalPoint._make((2, 4, -2)) == pt
+    assert pt._replace(z=-3) == RationalPoint(1, 2, 3)
+    with pytest.raises(ValueError):
+        pt._replace(z=0)
+    assert RationalPoint._make((0, -5, 0)) == RationalPoint.identity()
+    assert pickle.loads(pickle.dumps(pt)) == pt
 
 
 def test_from_affine_roundtrip():

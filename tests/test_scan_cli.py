@@ -1,8 +1,8 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -27,7 +27,7 @@ from suppscan.scan import (
 
 
 def small_config(bound=300, workers=1):
-    return replace(default_config(), prime_bound=bound, workers=workers)
+    return default_config()._replace(prime_bound=bound, workers=workers)
 
 
 def strip_elapsed(csv_text):
@@ -52,8 +52,8 @@ def test_config_roundtrip_and_digest():
     assert again == cfg
     assert again.digest() == cfg.digest()
     # workers is a runtime knob: it must not affect the digest
-    assert replace(cfg, workers=8).digest() == cfg.digest()
-    assert replace(cfg, prime_bound=7).digest() != cfg.digest()
+    assert cfg._replace(workers=8).digest() == cfg.digest()
+    assert cfg._replace(prime_bound=7).digest() != cfg.digest()
 
 
 def test_config_malformed():
@@ -85,13 +85,13 @@ def test_config_defaults():
 
 def test_iter_good_primes_extends_classify_primes():
     base = small_config(bound=100)
-    for cfg in (base, replace(base, curve=RationalCurve(-7, -6)), replace(base, p=7)):
+    for cfg in (base, base._replace(curve=RationalCurve(-7, -6)), base._replace(p=7)):
         good, _ = classify_primes(cfg)
         stream = iter_good_primes(cfg)
         assert list(islice(stream, len(good))) == good
         assert list(islice(stream, 2)) == [101, 103]
-    assert 5 not in classify_primes(replace(base, curve=RationalCurve(-7, -6)))[0]
-    assert 7 not in classify_primes(replace(base, p=7))[0]
+    assert 5 not in classify_primes(base._replace(curve=RationalCurve(-7, -6)))[0]
+    assert 7 not in classify_primes(base._replace(p=7))[0]
 
 
 def test_classify_primes_complete():
@@ -102,7 +102,7 @@ def test_classify_primes_complete():
 
 
 def test_classify_primes_skips_discriminant_divisors():
-    cfg = replace(small_config(bound=30), curve=RationalCurve(-7, -6))  # disc 6400
+    cfg = small_config(bound=30)._replace(curve=RationalCurve(-7, -6))  # disc 6400
     _, skipped = classify_primes(cfg)
     assert (5, "divides the discriminant") in skipped
 
@@ -126,8 +126,7 @@ def test_run_scan_empty_range():
 
 
 def test_run_scan_rejects_cm_curve():
-    cfg = replace(
-        small_config(),
+    cfg = small_config()._replace(
         curve=RationalCurve(-1, 0),
         R=RationalPoint(2, 2, 1),
         R1=RationalPoint(0, 0),
@@ -189,7 +188,7 @@ def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = small_config(bound=60, workers=10_000)
-    assert run_scan(cfg).digest() == run_scan(replace(cfg, workers=1)).digest()
+    assert run_scan(cfg).digest() == run_scan(cfg._replace(workers=1)).digest()
     assert sizes == [3]
     # Two good primes (5 and 7): two processes, not three.
     run_scan(small_config(bound=7, workers=10_000))
@@ -197,19 +196,34 @@ def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # run_scan imports the pool only for workers > 1; every other command
-    # and the serial scan start without it.
+    # run_scan imports the pool only for workers > 1, and the digests and
+    # default_config import hashlib and importlib.resources when called; no
+    # value type is a dataclass, so no dataclass machinery loads either.
+    # Only modules the import itself adds count: site may preload some.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
-        "import sys, suppscan, suppscan.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        "import sys; before = set(sys.modules); import suppscan, suppscan.cli; "
+        "print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = set(proc.stdout.split())
+    assert "suppscan.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "hashlib", "importlib.resources"}
+    assert not loaded & unwanted
+    assert not {m for m in loaded if m.startswith("concurrent")}
+
+
+def test_value_types_survive_pickling():
+    # The process pool pickles the config to every worker and each record back.
+    cfg = small_config(bound=30)
+    record = run_scan(cfg).records[0]
+    for value in (cfg, record):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and type(again) is type(value)
 
 
 def test_write_report_shapes(tmp_path):
@@ -231,6 +245,19 @@ def test_write_report_shapes(tmp_path):
     assert payload["condition1_forward_rate"] == "1"
 
 
+def test_cli_scan_computes_the_report_digest_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    digest = ScanReport.digest
+    monkeypatch.setattr(ScanReport, "digest", lambda self: calls.append(1) or digest(self))
+    path = write_config(tmp_path, small_config(bound=50))
+    csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
+    argv = ["scan", "--config", path, "--out-csv", str(csv_path), "--out-json", str(json_path)]
+    assert cli_main(argv) == 0
+    assert len(calls) == 1
+    written = json.loads(json_path.read_text())["report_digest"]
+    assert capsys.readouterr().out.splitlines()[-1] == f"report digest {written}"
+
+
 def test_run_scan_fails_loudly_on_order_mismatch(monkeypatch):
     import suppscan.scan as scan_mod
     from suppscan.quotient import InvariantViolation, PrimeRecord
@@ -240,7 +267,7 @@ def test_run_scan_fails_loudly_on_order_mismatch(monkeypatch):
     def corrupted(config, q):
         rec = real(config, q)
         if q == 11:
-            rec = replace(rec, ord_q=rec.ord_q * 2)
+            rec = rec._replace(ord_q=rec.ord_q * 2)
         return rec
 
     monkeypatch.setattr(scan_mod, "_scan_one", corrupted)
@@ -310,7 +337,7 @@ def test_report_digest_ignores_elapsed():
     rep = run_scan(small_config(bound=50))
     bumped = ScanReport(
         config_digest=rep.config_digest,
-        records=tuple(replace(r, elapsed_us=r.elapsed_us + 999) for r in rep.records),
+        records=tuple(r._replace(elapsed_us=r.elapsed_us + 999) for r in rep.records),
         primes_scanned=rep.primes_scanned,
         primes_skipped=rep.primes_skipped,
         condition1_forward_rate=rep.condition1_forward_rate,
@@ -361,8 +388,8 @@ def test_cli_validate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "curve_ok: True" in out
 
-    cm = replace(small_config(), curve=RationalCurve(-1, 0), R=RationalPoint(2, 2, 1),
-                 R1=RationalPoint(0, 0), R2=RationalPoint(1, 0))
+    cm = small_config()._replace(curve=RationalCurve(-1, 0), R=RationalPoint(2, 2, 1),
+                                 R1=RationalPoint(0, 0), R2=RationalPoint(1, 0))
     path = write_config(tmp_path, cm)
     assert cli_main(["validate", "--config", path]) == 1
 
@@ -492,6 +519,28 @@ def test_cli_no_relation_large_prime():
     proc = run_cli_process(["no-relation", "--p", str(p)], timeout=20)
     assert proc.returncode == 0
     assert f"Residue check: 0 of {p**5} tuples" in proc.stdout
+
+
+def test_cli_no_relation_tests_primality_once(monkeypatch, capsys):
+    # Count every call, through whichever module bound the name.
+    import suppscan
+    from suppscan import arith
+
+    calls = []
+    original = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for module in [suppscan, *vars(suppscan).values()]:
+        if getattr(module, "is_prime", None) is original:
+            monkeypatch.setattr(module, "is_prime", counted)
+    p = 2**61 - 1
+    assert cli_main(["no-relation", "--p", str(p)]) == 0
+    assert calls == [p]
+    assert cli_main(["no-relation", "--p", "4"]) == 2
+    assert capsys.readouterr().err == "usage error: --p must be prime, got 4\n"
 
 
 def test_cli_endo_check(tmp_path, capsys):
