@@ -123,7 +123,9 @@ def _cmd_scan(args) -> int:
     _check_out_dir("--out-csv", args.out_csv)
     _check_out_dir("--out-json", args.out_json)
     config = _load_config(args.config)
-    report = run_scan(config, workers=args.workers)
+    if args.workers is not None:
+        config = config._replace(workers=args.workers)
+    report = run_scan(config)
     try:
         digest = write_report(report, args.out_csv, args.out_json)
     except OSError as exc:

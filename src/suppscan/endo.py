@@ -162,39 +162,36 @@ def _first_transposed(p: int, bound: int, L: int):
     return None
 
 
-def find_weak_relation(
-    p: int, ctxs, R: RationalPoint, entry_bound: int
-) -> RelationCertificate:
+def find_weak_relation(p: int, records, entry_bound: int) -> RelationCertificate:
     """Search the entry box for the smallest relation k*Q = f(P).
 
     Candidates run over k = 1 .. entry_bound and matrix entries ordered by
     absolute value (0, 1, -1, 2, -2, ...), nested (k, a, b, c, d); only
     matrices satisfying the descent congruences count, and a candidate
-    must hold at every supplied context. The transposed orientation
-    k*P = f(Q) is searched the same way and reported alongside.
+    must hold at the prime of every supplied PrimeRecord. The transposed
+    orientation k*P = f(Q) is searched the same way and reported alongside.
 
     With r = R mod q, P = (r, 0) and Q = (r, r) give f(P) - k*Q =
     ((a-k)*r, (c-k)*r) and f(Q) - k*P = ((a+b-k)*r, (c+d)*r), so a
     candidate holds at q exactly when its pair (j1*r, j2*r) lies in the
-    kernel. Lemma: that happens exactly when ord(r) divides j1 and j2.
+    kernel. Every record comes from a QuotientContext (evaluate_prime),
+    which has proved K1 and K2 independent. Lemma: under that premise the
+    pair lies in the kernel exactly when ord(r) divides j1 and j2.
     If (j1*r, j2*r) = i*(K1, K2) with i != 0 mod p, then K1 and K2 would
     both lie in the cyclic group <r>, whose p-torsion is one cyclic group
-    of order p; but QuotientContext has already proved K1 and K2
-    independent. And i = 0 means j1*r = j2*r = 0. So a candidate holds at
-    every context exactly when L = lcm ord(r mod q) divides both
-    differences, and the first one in search order is read off L; no
-    candidate is tested on its own.
+    of order p, against their independence. And i = 0 means
+    j1*r = j2*r = 0. So a candidate holds at every record's prime exactly
+    when L = lcm of the records' ord_r divides both differences, and the
+    first one in search order is read off L; no curve is touched.
     """
-    if len(ctxs) < 3:
-        raise ValueError("need at least 3 contexts to make the search meaningful")
+    if len(records) < 3:
+        raise ValueError("need at least 3 records to make the search meaningful")
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
-    L = 1
-    for ctx in ctxs:
-        L = lcm(L, ctx.curve.point_order(reduce_onto(R, ctx.curve)))
+    L = lcm(*(r.ord_r for r in records))
     hit = _first_relation(p, entry_bound, L)
     hit_t = _first_transposed(p, entry_bound, L)
-    qs = tuple(ctx.curve.q for ctx in ctxs)
+    qs = tuple(r.q for r in records)
     if hit is None and hit_t is None:
         return RelationCertificate(
             kind=KIND_WEAK_NOT_FOUND,

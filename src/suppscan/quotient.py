@@ -63,7 +63,6 @@ class QuotientContext(_QuotientContextFields):
             t = curve.add(t, k2)
         self = super().__new__(cls, curve, k1, k2, p)
         self._kernel = tuple(pairs)
-        self._kernel_set = frozenset(pairs)
         return self
 
     @classmethod
@@ -105,7 +104,7 @@ def quotient_scalar_mul(ctx: QuotientContext, n: int, s: QuotientPoint) -> Quoti
 
 def quotient_is_zero(ctx: QuotientContext, s: QuotientPoint) -> bool:
     """True iff the representative pair lies in the reduced kernel."""
-    return s in ctx._kernel_set
+    return s in ctx._kernel
 
 
 def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> bool:

@@ -20,7 +20,13 @@ from .endo import (
     verify_no_medium_relation,
 )
 from .quotient import InvariantViolation, PrimeRecord, evaluate_prime, make_context
-from .rational import HypothesisReport, RationalCurve, RationalPoint, validate_hypotheses
+from .rational import (
+    HypothesisReport,
+    RationalCurve,
+    RationalPoint,
+    search_curve,
+    validate_hypotheses,
+)
 
 CSV_HEADER = "q,ord_R,ord_P,ord_Q,forward_holds,backward_holds,elapsed_us"
 
@@ -184,23 +190,23 @@ def _scan_one(config: LabConfig, q: int) -> PrimeRecord:
     return evaluate_prime(ctx, config.R)
 
 
-def _relation_certificates(config: LabConfig):
-    """Weak-relation search over the first good primes plus fresh re-checks."""
+def _relation_certificates(config: LabConfig, records):
+    """Weak-relation search over the sweep's first records plus fresh re-checks."""
     stream = iter_good_primes(config)
-    search_qs = [next(stream) for _ in range(SEARCH_CONTEXTS)]
-    fresh_qs = [next(stream) for _ in range(FRESH_CONTEXTS)]
-
-    def make(q):
-        return make_context(config.curve, config.R1, config.R2, config.p, q)
-
-    weak = find_weak_relation(
-        config.p, [make(q) for q in search_qs], config.R, config.entry_bound
-    )
+    qs = [next(stream) for _ in range(SEARCH_CONTEXTS + FRESH_CONTEXTS)]
+    # records are in ascending q; a search prime above prime_bound has none.
+    search = records[:SEARCH_CONTEXTS]
+    search += [_scan_one(config, q) for q in qs[len(search) : SEARCH_CONTEXTS]]
+    fresh_qs = qs[SEARCH_CONTEXTS:]
+    weak = find_weak_relation(config.p, search, config.entry_bound)
     # Every orientation found is re-checked, also a transposed one alone.
     found = [(weak.k, weak.f, False), (weak.transposed_k, weak.transposed_f, True)]
     found = [(k, f, transposed) for k, f, transposed in found if f is not None]
     if found:
-        fresh_ctxs = [make(q) for q in fresh_qs]
+        # relation_holds needs contexts, and the sweep keeps only records.
+        fresh_ctxs = [
+            make_context(config.curve, config.R1, config.R2, config.p, q) for q in fresh_qs
+        ]
         if not all(
             relation_holds(k, f, fresh_ctxs, config.R, transposed=transposed)
             for k, f, transposed in found
@@ -213,7 +219,7 @@ def _relation_certificates(config: LabConfig):
     return weak, medium
 
 
-def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
+def run_scan(config: LabConfig) -> ScanReport:
     """Full pipeline: validate, sweep primes, attach relation certificates.
 
     Output is deterministic for a fixed config regardless of worker count.
@@ -221,11 +227,10 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
     report = config.validate()
     if not report.ok:
         raise HypothesisFailure(report)
-    workers = config.workers if workers is None else workers
     good, skipped = classify_primes(config)
     # The pool starts all its processes at the first submit, so a count past
     # the primes or the usable cores would only fork idle processes.
-    workers = min(workers, len(good), _usable_cores())
+    workers = min(config.workers, len(good), _usable_cores())
 
     if workers > 1:
         # Imported here, not at module level: only this branch uses the pool,
@@ -250,7 +255,7 @@ def run_scan(config: LabConfig, workers: int | None = None) -> ScanReport:
     # Empty sweeps count as vacuously clean.
     forward = Fraction(sum(r.forward_holds for r in records), n) if n else Fraction(1)
     backward = Fraction(sum(r.backward_holds for r in records), n) if n else Fraction(1)
-    weak, medium = _relation_certificates(config)
+    weak, medium = _relation_certificates(config, records)
     return ScanReport(
         config_digest=config.digest(),
         records=tuple(records),
@@ -287,7 +292,4 @@ def write_report(report: ScanReport, csv_path, json_path) -> str:
 
 def default_config() -> LabConfig:
     """The frozen configuration produced by search_curve(5)."""
-    from importlib import resources  # here: it imports pathlib and zipfile
-
-    text = resources.files("suppscan").joinpath("data/default.json").read_text()
-    return LabConfig.from_dict(json.loads(text))
+    return LabConfig(*search_curve(5), p=2)

@@ -22,7 +22,7 @@ from suppscan.endo import (
     verify_no_medium_relation,
 )
 from suppscan.finite import FiniteCurve, hasse_interval
-from suppscan.quotient import InvariantViolation, make_context
+from suppscan.quotient import InvariantViolation, evaluate_prime, make_context
 from suppscan.rational import (
     CurveSearchError,
     RationalCurve,
@@ -48,7 +48,7 @@ def full_scan():
     """The default scan to 10^4, single-threaded, with wall time."""
     cfg = default_config()
     start = time.perf_counter()
-    report = run_scan(cfg, workers=1)
+    report = run_scan(cfg._replace(workers=1))
     elapsed = time.perf_counter() - start
     return cfg, report, elapsed
 
@@ -192,7 +192,7 @@ def test_criterion_5_weak_relation(full_scan):
     )
     # independent re-run of the search at entry_bound 4, then fresh checks
     search_ctxs = [make_context(cfg.curve, cfg.R1, cfg.R2, 2, q) for q in weak.searched_primes]
-    cert = find_weak_relation(2, search_ctxs, cfg.R, 4)
+    cert = find_weak_relation(2, [evaluate_prime(c, cfg.R) for c in search_ctxs], 4)
     fresh_qs = [
         q
         for q in primes_up_to(500)
@@ -234,7 +234,7 @@ def test_criterion_6_no_medium_relation():
 
 def test_criterion_7_determinism(tmp_path, full_scan):
     cfg, report1, _ = full_scan
-    report8 = run_scan(cfg, workers=8)
+    report8 = run_scan(cfg._replace(workers=8))
     paths = {}
     for name, rep in (("w1", report1), ("w8", report8)):
         csv_path = tmp_path / f"{name}.csv"

@@ -20,7 +20,13 @@ from suppscan.endo import (
     verify_no_medium_relation,
 )
 from suppscan.finite import FiniteCurve
-from suppscan.quotient import QuotientContext, QuotientPoint, make_context, quotient_equal
+from suppscan.quotient import (
+    QuotientContext,
+    QuotientPoint,
+    evaluate_prime,
+    make_context,
+    quotient_equal,
+)
 from suppscan.rational import RationalCurve, RationalPoint
 
 DEFAULT = RationalCurve(-21, -20)
@@ -172,7 +178,7 @@ def test_apply_additive_and_composes():
 
 
 def test_find_weak_relation_default_curve():
-    cert = find_weak_relation(2, contexts(8), R, 4)
+    cert = find_weak_relation(2, [evaluate_prime(c, R) for c in contexts(8)], 4)
     assert cert.kind == KIND_WEAK_FOUND
     assert cert.k == 2
     assert cert.f == EndoMatrix(2, 0, 2, 0)
@@ -182,7 +188,7 @@ def test_find_weak_relation_default_curve():
 
 def test_weak_relation_reverifies_at_fresh_primes():
     search = contexts(8)
-    cert = find_weak_relation(2, search, R, 4)
+    cert = find_weak_relation(2, [evaluate_prime(c, R) for c in search], 4)
     used = {c.curve.q for c in search}
     fresh = [ctx_at(q) for q in primes_up_to(200) if q >= 31 and q not in used][:10]
     assert len(fresh) == 10
@@ -287,7 +293,7 @@ def test_find_weak_relation_matches_sweep_oracle(data):
         pts.append(data.draw(st.sampled_from(choices)))
     R = RationalPoint(_crt([x for x, _ in pts], qs), _crt([y for _, y in pts], qs))
     entry_bound = data.draw(st.integers(1, 6), label="entry_bound")
-    cert = find_weak_relation(2, ctxs, R, entry_bound)
+    cert = find_weak_relation(2, [evaluate_prime(c, R) for c in ctxs], entry_bound)
     got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
     assert got == weak_relation_by_sweep(2, ctxs, R, entry_bound)
     assert cert.searched_primes == tuple(qs)
@@ -313,7 +319,7 @@ def test_find_weak_relation_with_odd_orders_matches_sweep_oracle(orders, entry_b
                 break
     qs = [ctx.curve.q for ctx in ctxs]
     R_odd = RationalPoint(_crt([x for x, _ in pts], qs), _crt([y for _, y in pts], qs))
-    cert = find_weak_relation(2, ctxs, R_odd, entry_bound)
+    cert = find_weak_relation(2, [evaluate_prime(c, R_odd) for c in ctxs], entry_bound)
     got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
     assert got == weak_relation_by_sweep(2, ctxs, R_odd, entry_bound)
     assert relation_holds(cert.k, cert.f, ctxs, R_odd)
@@ -336,16 +342,16 @@ def test_relation_holds_rejects_bad_input():
 
 
 def test_find_weak_relation_small_bound_fails():
-    cert = find_weak_relation(2, contexts(6), R, 1)
+    cert = find_weak_relation(2, [evaluate_prime(c, R) for c in contexts(6)], 1)
     assert cert.kind == KIND_WEAK_NOT_FOUND
     assert cert.k is None and cert.f is None
 
 
 def test_find_weak_relation_preconditions():
     with pytest.raises(ValueError):
-        find_weak_relation(2, contexts(2), R, 4)
+        find_weak_relation(2, [evaluate_prime(c, R) for c in contexts(2)], 4)
     with pytest.raises(ValueError):
-        find_weak_relation(2, contexts(3), R, 0)
+        find_weak_relation(2, [evaluate_prime(c, R) for c in contexts(3)], 0)
 
 
 def test_no_medium_relation_small_p():

@@ -56,7 +56,7 @@ def test_context_invariants():
 
 
 def test_context_rechecks_on_make_and_replace():
-    assert QuotientContext._make(F5_CTX)._kernel_set == F5_CTX._kernel_set
+    assert QuotientContext._make(F5_CTX).kernel() == F5_CTX.kernel()
     with pytest.raises(InvariantViolation):
         F5_CTX._replace(k2=(0, 0))
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from oracles import (
     reduce_point,
     split_cubic_roots,
 )
+from suppscan.arith import primes_up_to
 from suppscan.rational import (
     CM_J_INVARIANTS,
     CurveSearchError,
@@ -298,6 +299,34 @@ def test_reduction_is_homomorphism():
             lhs = reduce_coordinates(total, q)
             rhs = fin.add(reduce_coordinates(s, q), reduce_coordinates(t, q))
             assert lhs == rhs, (q, s, t)
+
+
+PRIMES_5_TO_2000 = [q for q in primes_up_to(2000) if q >= 5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(-50, 50),
+    x0=st.integers(-20, 20),
+    y0=st.integers(-20, 20),
+    n=st.integers(0, 4),
+    m=st.integers(0, 4),
+    data=st.data(),
+)
+def test_reduction_is_homomorphism_random_curves(a, x0, y0, n, m, data):
+    # Random curves through an integral point R = (x0, y0): reduction at a
+    # good prime maps n*R + m*R to the sum of the reduced multiples.
+    b = y0 * y0 - x0**3 - a * x0
+    curve = RationalCurve(a, b)
+    disc = curve.discriminant()
+    assume(disc != 0)
+    q = data.draw(st.sampled_from([q for q in PRIMES_5_TO_2000 if disc % q]), label="q")
+    finite = curve.reduce(q)
+    R = RationalPoint(x0, y0)
+    nR, mR = rational_scalar_mul(curve, n, R), rational_scalar_mul(curve, m, R)
+    lhs = reduce_coordinates(rational_add(curve, nR, mR), q)
+    assert lhs == finite.add(reduce_coordinates(nR, q), reduce_coordinates(mR, q))
+    assert finite.contains(lhs)
 
 
 def test_reduction_injective_on_two_torsion():

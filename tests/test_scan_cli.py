@@ -8,6 +8,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
@@ -15,6 +16,7 @@ from suppscan.endo import EndoMatrix
 from suppscan.rational import RationalCurve, RationalPoint
 from suppscan.scan import (
     CSV_HEADER,
+    FRESH_CONTEXTS,
     HypothesisFailure,
     LabConfig,
     ScanReport,
@@ -163,6 +165,42 @@ def test_scan_deterministic_across_workers(tmp_path):
     assert d1["config_digest"] == d8["config_digest"]
 
 
+@settings(max_examples=10, deadline=None)
+@given(prime_bound=st.integers(5, 400), entry_bound=st.integers(1, 4))
+def test_report_digest_is_the_same_for_any_worker_count(prime_bound, entry_bound):
+    cfg = small_config(bound=prime_bound)._replace(entry_bound=entry_bound)
+    serial = run_scan(cfg._replace(workers=1))
+    assert serial.digest() == run_scan(cfg._replace(workers=2)).digest()
+
+
+def test_scan_computes_each_order_of_r_once(monkeypatch):
+    # The relation search reads ord_R off the sweep's records, so R is
+    # ordered once per good prime; only the fresh re-check contexts are
+    # built a second time.
+    import suppscan.scan as scan_mod
+    from suppscan.finite import FiniteCurve
+
+    calls = {"point_order": 0, "make_context": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for owner, name in ((FiniteCurve, "point_order"), (scan_mod, "make_context")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    report = run_scan(small_config(bound=300))
+    n = report.primes_scanned
+    assert calls == {"point_order": n, "make_context": n + FRESH_CONTEXTS}
+    # Below 8 good primes the search evaluates the missing search primes
+    # itself, and finds the same certificate.
+    for bound in (7, 20):
+        weak = run_scan(small_config(bound=bound)).weak_relation
+        assert weak.to_dict() == report.weak_relation.to_dict()
+
+
 def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
     # The pool forks all its processes at once, so a huge workers count must
     # be cut down first. A fake pool records its size and maps serially, so
@@ -196,8 +234,8 @@ def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # run_scan imports the pool only for workers > 1, and the digests and
-    # default_config import hashlib and importlib.resources when called; no
+    # run_scan imports the pool only for workers > 1, the digests import
+    # hashlib when called, and nothing imports importlib.resources; no
     # value type is a dataclass, so no dataclass machinery loads either.
     # Only modules the import itself adds count: site may preload some.
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -281,13 +319,13 @@ def test_transposed_relation_alone_is_reverified(tmp_path, monkeypatch):
     from suppscan.quotient import InvariantViolation
 
     def search_finding(transposed_f):
-        def search(p, ctxs, R, entry_bound):
+        def search(p, records, entry_bound):
             return RelationCertificate(
                 kind=KIND_WEAK_NOT_FOUND,
                 p=p,
                 transposed_k=2,
                 transposed_f=transposed_f,
-                searched_primes=tuple(c.curve.q for c in ctxs),
+                searched_primes=tuple(r.q for r in records),
             )
 
         return search
@@ -314,7 +352,7 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
     import suppscan.cli as cli_mod
     from suppscan.quotient import InvariantViolation
 
-    def boom(config, workers=None):
+    def boom(config):
         raise InvariantViolation("kernel generators coincide after reduction")
 
     monkeypatch.setattr(cli_mod, "run_scan", boom)
