@@ -109,7 +109,7 @@ def _cmd_search_curve(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args.config)
     report = config.validate()
-    for flag, value in report.to_dict().items():
+    for flag, value in report._asdict().items():
         if flag != "failures":
             print(f"{flag}: {value}")
     for reason in report.failures:

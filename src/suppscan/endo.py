@@ -19,10 +19,6 @@ KIND_WEAK_FOUND = "weak_relation_found"
 KIND_WEAK_NOT_FOUND = "weak_relation_not_found"
 KIND_MEDIUM_IMPOSSIBLE = "medium_relation_impossible"
 
-# Literal five-fold residue products are capped here; beyond it the count
-# is taken exactly over k alone (the congruences are constant in a, b, c, d).
-_LITERAL_RESIDUE_CAP = 200_000
-
 
 class EndoMatrix(NamedTuple):
     a: int
@@ -39,11 +35,16 @@ class DescentWitness(NamedTuple):
     k: int | None = None
 
 
+def _congruent(m: EndoMatrix, p: int) -> bool:
+    """The descent congruences b, c = 0 and a = d (mod p), for a prime p."""
+    return m.b % p == 0 and m.c % p == 0 and (m.a - m.d) % p == 0
+
+
 def descends(m: EndoMatrix, p: int) -> DescentWitness:
     """Congruence criterion: b, c = 0 and a = d (mod p); then k = a mod p."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
-    if m.b % p == 0 and m.c % p == 0 and (m.a - m.d) % p == 0:
+    if _congruent(m, p):
         return DescentWitness(True, m.a % p)
     return DescentWitness(False)
 
@@ -63,8 +64,11 @@ def kernel_preserved(m: EndoMatrix, ctx: QuotientContext) -> bool:
 
 
 def apply(m: EndoMatrix, s: QuotientPoint, ctx: QuotientContext) -> QuotientPoint:
-    """Matrix action on a coset; requires descent so the action is well defined."""
-    if not descends(m, ctx.p).descends:
+    """Matrix action on a coset; requires descent so the action is well defined.
+
+    ctx.p needs no primality test here: every QuotientContext has proved it.
+    """
+    if not _congruent(m, ctx.p):
         raise ValueError(f"matrix {m.rows()} does not descend mod {ctx.p}")
     return _act(m, ctx, s)
 
@@ -85,24 +89,16 @@ class RelationCertificate(NamedTuple):
     verified_primes: tuple = ()
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "p": self.p}
-        if self.k is not None:
-            out["k"] = self.k
-        if self.f is not None:
-            out["f"] = self.f.rows()
-        if self.transposed_k is not None:
-            out["transposed_k"] = self.transposed_k
-        if self.transposed_f is not None:
-            out["transposed_f"] = self.transposed_f.rows()
-        if self.reason:
-            out["reason"] = self.reason
-        if self.residue_solutions is not None:
-            out["residue_solutions"] = self.residue_solutions
-            out["residue_tuples"] = self.residue_tuples
-        if self.searched_primes:
-            out["searched_primes"] = list(self.searched_primes)
-        if self.verified_primes:
-            out["verified_primes"] = list(self.verified_primes)
+        """The fields that are set: matrices as rows, prime tuples as lists."""
+        out = {}
+        for name, value in self._asdict().items():
+            if value in (None, "", ()):
+                continue
+            if isinstance(value, EndoMatrix):
+                value = value.rows()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[name] = value
         return out
 
 
@@ -215,8 +211,8 @@ def verify_no_medium_relation(p: int) -> RelationCertificate:
 
     Such a relation forces the integer system k + p*c + p*d = 0 and
     p*a + p*b + k = 1; subtracting, 1 = p*(a + b - c - d), impossible for a
-    prime p >= 2. A residue brute force over all (k, a, b, c, d) mod p
-    independently confirms there is no solution even mod p.
+    prime p >= 2. A count of the residue tuples (k, a, b, c, d) mod p
+    confirms there is no solution even mod p.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
@@ -241,17 +237,8 @@ def verify_no_medium_relation(p: int) -> RelationCertificate:
 def _count_residue_solutions(p: int) -> tuple[int, int]:
     """Solutions of {k + p(c+d) = 0, pa + pb + k = 1} over (Z/p)^5.
 
-    Small p: literal product over all p^5 tuples. Large p: both congruences
-    collapse mod p to conditions on k alone (p * anything vanishes). The
-    first forces k = 0, so the count is p^4 if k = 0 meets the second
-    (0 = 1 mod p) and 0 otherwise.
+    Both congruences collapse mod p to conditions on k alone (p * anything
+    vanishes). The first forces k = 0, so the count is p^4 if k = 0 meets
+    the second (0 = 1 mod p) and 0 otherwise.
     """
-    total = p**5
-    if total <= _LITERAL_RESIDUE_CAP:
-        count = 0
-        rng = range(p)
-        for k, a, b, c, d in product(rng, rng, rng, rng, rng):
-            if (k + p * c + p * d) % p == 0 and (p * a + p * b + k) % p == 1:
-                count += 1
-        return count, total
-    return (p**4 if 1 % p == 0 else 0), total
+    return (p**4 if 1 % p == 0 else 0), p**5

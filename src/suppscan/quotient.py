@@ -137,11 +137,8 @@ class PrimeRecord(NamedTuple):
     elapsed_us: int
 
     def csv_row(self) -> str:
-        return (
-            f"{self.q},{self.ord_r},{self.ord_p},{self.ord_q},"
-            f"{str(self.forward_holds).lower()},{str(self.backward_holds).lower()},"
-            f"{self.elapsed_us}"
-        )
+        """The fields in order; booleans as true/false."""
+        return ",".join(str(v).lower() for v in self)
 
 
 def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:

@@ -189,9 +189,6 @@ class HypothesisReport(NamedTuple):
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def validate_hypotheses(
     curve: RationalCurve,

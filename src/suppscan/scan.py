@@ -28,7 +28,9 @@ from .rational import (
     validate_hypotheses,
 )
 
-CSV_HEADER = "q,ord_R,ord_P,ord_Q,forward_holds,backward_holds,elapsed_us"
+# The report's name for each PrimeRecord field, in field order.
+CSV_COLUMNS = ("q", "ord_R", "ord_P", "ord_Q", "forward_holds", "backward_holds", "elapsed_us")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 SKIP_WEIERSTRASS = "short-Weierstrass exclusion"
 SKIP_DISCRIMINANT = "divides the discriminant"
@@ -59,31 +61,25 @@ class LabConfig(NamedTuple):
     workers: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "curve": [self.curve.a, self.curve.b],
-            "R": [self.R.x, self.R.y, self.R.z],
-            "R1": [self.R1.x, self.R1.y, self.R1.z],
-            "R2": [self.R2.x, self.R2.y, self.R2.z],
-            "p": self.p,
-            "prime_bound": self.prime_bound,
-            "naive_threshold": self.naive_threshold,
-            "entry_bound": self.entry_bound,
-            "workers": self.workers,
-        }
+        """The fields in declaration order, the curve and points as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LabConfig":
         try:
             a, b = data["curve"]
-            optional = ("prime_bound", "naive_threshold", "entry_bound", "workers")
             config = cls(
                 curve=RationalCurve(_json_int(a), _json_int(b)),
                 R=RationalPoint(*map(_json_int, data["R"])),
                 R1=RationalPoint(*map(_json_int, data["R1"])),
                 R2=RationalPoint(*map(_json_int, data["R2"])),
                 p=_json_int(data["p"]),
-                **{k: _json_int(data[k]) for k in optional if k in data},
+                **{k: _json_int(data[k]) for k in cls._field_defaults if k in data},
             )
+            # A misspelt key would otherwise leave its default in force.
+            unknown = sorted(set(data) - set(cls._fields))
+            if unknown:
+                raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
             if config.entry_bound < 1:
                 raise ValueError(f"entry_bound must be >= 1, got {config.entry_bound}")
             if config.workers < 1:
@@ -118,34 +114,35 @@ def _sha256_of(obj) -> str:
 class ScanReport(NamedTuple):
     config_digest: str
     records: tuple
-    primes_scanned: int
     primes_skipped: tuple
-    condition1_forward_rate: Fraction
-    condition1_backward_rate: Fraction
     weak_relation: RelationCertificate
     medium_impossibility: RelationCertificate
 
+    @property
+    def primes_scanned(self) -> int:
+        return len(self.records)
+
+    @property
+    def condition1_forward_rate(self) -> Fraction:
+        return self._rate(sum(r.forward_holds for r in self.records))
+
+    @property
+    def condition1_backward_rate(self) -> Fraction:
+        return self._rate(sum(r.backward_holds for r in self.records))
+
+    def _rate(self, holds: int) -> Fraction:
+        # An empty sweep counts as vacuously clean.
+        return Fraction(holds, len(self.records)) if self.records else Fraction(1)
+
     def to_dict(self, include_elapsed: bool = True) -> dict:
-        records = []
-        for r in self.records:
-            row = {
-                "q": r.q,
-                "ord_R": r.ord_r,
-                "ord_P": r.ord_p,
-                "ord_Q": r.ord_q,
-                "forward_holds": r.forward_holds,
-                "backward_holds": r.backward_holds,
-            }
-            if include_elapsed:
-                row["elapsed_us"] = r.elapsed_us
-            records.append(row)
+        columns = CSV_COLUMNS if include_elapsed else CSV_COLUMNS[:-1]
         return {
             "config_digest": self.config_digest,
             "primes_scanned": self.primes_scanned,
             "primes_skipped": [[q, reason] for q, reason in self.primes_skipped],
             "condition1_forward_rate": str(self.condition1_forward_rate),
             "condition1_backward_rate": str(self.condition1_backward_rate),
-            "records": records,
+            "records": [dict(zip(columns, r)) for r in self.records],
             "weak_relation": self.weak_relation.to_dict(),
             "medium_impossibility": self.medium_impossibility.to_dict(),
         }
@@ -251,18 +248,11 @@ def run_scan(config: LabConfig) -> ScanReport:
     if unequal:
         raise InvariantViolation(f"order equality broke at q in {unequal[:5]}")
 
-    n = len(records)
-    # Empty sweeps count as vacuously clean.
-    forward = Fraction(sum(r.forward_holds for r in records), n) if n else Fraction(1)
-    backward = Fraction(sum(r.backward_holds for r in records), n) if n else Fraction(1)
     weak, medium = _relation_certificates(config, records)
     return ScanReport(
         config_digest=config.digest(),
         records=tuple(records),
-        primes_scanned=n,
         primes_skipped=tuple(skipped),
-        condition1_forward_rate=forward,
-        condition1_backward_rate=backward,
         weak_relation=weak,
         medium_impossibility=medium,
     )

@@ -12,6 +12,7 @@ from suppscan.endo import (
     KIND_WEAK_FOUND,
     KIND_WEAK_NOT_FOUND,
     EndoMatrix,
+    RelationCertificate,
     apply,
     descends,
     find_weak_relation,
@@ -331,6 +332,22 @@ def test_find_weak_relation_with_odd_orders_matches_sweep_oracle(orders, entry_b
     assert relation_holds(orders[0], zero, ctxs, R_odd) == (len(set(orders)) == 1)
 
 
+def test_relation_holds_tests_no_primality(monkeypatch):
+    # Every QuotientContext has proved its p prime, so apply does not ask again.
+    import suppscan
+    from suppscan import arith
+
+    ctxs = contexts(10)
+    calls = []
+    original = arith.is_prime
+    for module in [suppscan, *vars(suppscan).values()]:
+        if getattr(module, "is_prime", None) is original:
+            monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or original(n))
+    assert relation_holds(2, EndoMatrix(2, 0, 2, 0), ctxs, R)
+    assert relation_holds(2, EndoMatrix(0, 2, 0, 0), ctxs, R, transposed=True)
+    assert calls == []
+
+
 def test_relation_holds_rejects_bad_input():
     ctxs = contexts(3)
     with pytest.raises(ValueError):
@@ -363,13 +380,10 @@ def test_no_medium_relation_small_p():
     assert verify_no_medium_relation(3).residue_tuples == 243
 
 
-def test_no_medium_relation_literal_count_matches_structured(monkeypatch):
-    # Every p <= 11 has p^5 under the cap, so the cap is lowered to 0 to make
-    # _count_residue_solutions take the structured branch, which is then
-    # checked against the literal product computed here.
+def test_no_medium_relation_literal_count_matches_structured():
+    # The literal product over all p^5 tuples is the oracle for the count.
     from suppscan import endo
 
-    monkeypatch.setattr(endo, "_LITERAL_RESIDUE_CAP", 0)
     for p in (2, 3, 5, 7, 11):
         literal = 0
         for k, a, b, c, d in product(range(p), repeat=5):
@@ -377,6 +391,46 @@ def test_no_medium_relation_literal_count_matches_structured(monkeypatch):
                 literal += 1
         solutions, tuples = endo._count_residue_solutions(p)
         assert (solutions, tuples) == (literal, p**5)
+
+
+def test_certificate_to_dict_forms():
+    # Only the fields that are set, matrices as rows and primes as lists.
+    records = [evaluate_prime(c, R) for c in contexts(6)]
+    qs = [5, 7, 11, 13, 17, 19]
+    assert find_weak_relation(2, records, 1).to_dict() == {
+        "kind": "weak_relation_not_found",
+        "p": 2,
+        "reason": "no relation with |entries| <= 1 holds at all contexts",
+        "searched_primes": qs,
+    }
+    transposed_only = RelationCertificate(
+        kind=KIND_WEAK_NOT_FOUND,
+        p=2,
+        transposed_k=2,
+        transposed_f=EndoMatrix(0, 2, 0, 0),
+        searched_primes=(5, 7, 11),
+        verified_primes=(13, 17),
+    )
+    assert transposed_only.to_dict() == {
+        "kind": "weak_relation_not_found",
+        "p": 2,
+        "transposed_k": 2,
+        "transposed_f": [[0, 2], [0, 0]],
+        "searched_primes": [5, 7, 11],
+        "verified_primes": [13, 17],
+    }
+    assert verify_no_medium_relation(2).to_dict() == {
+        "kind": "medium_relation_impossible",
+        "p": 2,
+        "reason": (
+            "second coordinate forces k + p*c + p*d = 0, hence k = 0 (mod p); "
+            "first coordinate forces p*a + p*b + k = 1, hence k = 1 (mod p); "
+            "subtracting, 1 = p*(a + b - c - d), so p | 1: impossible for p = 2. "
+            "Residue check: 0 of 32 tuples satisfy both congruences."
+        ),
+        "residue_solutions": 0,
+        "residue_tuples": 32,
+    }
 
 
 def test_no_medium_relation_all_primes_to_97():

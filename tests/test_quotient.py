@@ -228,3 +228,5 @@ def test_csv_row_format():
     assert fields[:4] == ["5", "4", "4", "4"]
     assert fields[4:6] == ["true", "true"]
     assert fields[6].isdigit()
+    row = rec._replace(ord_p=8, forward_holds=False, elapsed_us=12).csv_row()
+    assert row == "5,4,8,4,false,true,12"

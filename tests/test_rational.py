@@ -262,7 +262,7 @@ def test_validate_rejects_torsion_r():
 def test_validate_flags_iff_failures():
     good = validate_hypotheses(DEFAULT, DEFAULT_R, DEFAULT_R1, DEFAULT_R2, 2)
     assert good.ok
-    assert all(good.to_dict()[k] for k in good.to_dict() if k != "failures")
+    assert all(v for k, v in good._asdict().items() if k != "failures")
 
 
 def test_reduce_point_basics():

@@ -1,9 +1,11 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from hashlib import sha256
 from itertools import islice
 from pathlib import Path
 
@@ -72,6 +74,7 @@ def test_config_malformed():
         {**good, "prime_bound": 1e4},
         {**good, "naive_threshold": 100_000.0},
         {**good, "workers": False},
+        {**good, "prime_bund": 50},
     ):
         with pytest.raises(ValueError, match="malformed config"):
             LabConfig.from_dict(data)
@@ -283,6 +286,22 @@ def test_write_report_shapes(tmp_path):
     assert payload["condition1_forward_rate"] == "1"
 
 
+def test_report_bytes_of_a_small_default_scan(tmp_path):
+    # Both files byte for byte, elapsed_us stripped: every key, its order,
+    # the number formats and the indentation of the JSON.
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    write_report(run_scan(small_config(bound=300)), csv_path, json_path)
+    csv_text = re.sub(r",\d+\n", "\n", csv_path.read_text())
+    json_text = re.sub(r'\n *"elapsed_us": \d+,', "", json_path.read_text())
+    assert "elapsed_us\": " not in json_text
+    assert sha256(csv_text.encode()).hexdigest() == (
+        "1b9acbb49e4fe040c26bd393c74bc4bd6cd075cdb25b71c05dddf1b479041f0c"
+    )
+    assert sha256(json_text.encode()).hexdigest() == (
+        "cb7f6834484fe2a6a2fe9437c59a219b8071c4cbaaaa0989b332d707390de78b"
+    )
+
+
 def test_cli_scan_computes_the_report_digest_once(tmp_path, capsys, monkeypatch):
     calls = []
     digest = ScanReport.digest
@@ -373,15 +392,8 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
 
 def test_report_digest_ignores_elapsed():
     rep = run_scan(small_config(bound=50))
-    bumped = ScanReport(
-        config_digest=rep.config_digest,
-        records=tuple(r._replace(elapsed_us=r.elapsed_us + 999) for r in rep.records),
-        primes_scanned=rep.primes_scanned,
-        primes_skipped=rep.primes_skipped,
-        condition1_forward_rate=rep.condition1_forward_rate,
-        condition1_backward_rate=rep.condition1_backward_rate,
-        weak_relation=rep.weak_relation,
-        medium_impossibility=rep.medium_impossibility,
+    bumped = rep._replace(
+        records=tuple(r._replace(elapsed_us=r.elapsed_us + 999) for r in rep.records)
     )
     assert bumped.digest() == rep.digest()
 
@@ -410,10 +422,38 @@ def test_cli_search_curve(tmp_path, capsys):
     assert cli_main(["search-curve", "--height-bound", "5", "--out", str(out)]) == 0
     cfg = LabConfig.from_dict(json.loads(out.read_text()))
     assert cfg == default_config()
-    # stdout variant
+    # stdout variant: the field order of LabConfig, unsorted
     assert cli_main(["search-curve", "--height-bound", "5"]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["curve"] == [-21, -20]
+    assert capsys.readouterr().out == SEARCH_CURVE_5
+
+
+SEARCH_CURVE_5 = """{
+  "curve": [
+    -21,
+    -20
+  ],
+  "R": [
+    -3,
+    4,
+    1
+  ],
+  "R1": [
+    -4,
+    0,
+    1
+  ],
+  "R2": [
+    -1,
+    0,
+    1
+  ],
+  "p": 2,
+  "prime_bound": 10000,
+  "naive_threshold": 100000,
+  "entry_bound": 4,
+  "workers": 1
+}
+"""
 
 
 def test_cli_search_curve_not_found(capsys):
@@ -511,6 +551,19 @@ def test_cli_out_of_range_values_exit_2(tmp_path, capsys):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "entry_bound must be >= 1" in proc.stderr
+
+
+def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
+    # A misspelt key must not leave the default in force unnoticed.
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**small_config(bound=50).to_dict(), "prime_bund": 50}))
+    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    assert cli_main(["scan", "--config", str(path), *outs]) == 2
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("usage error: ") and "'prime_bund'" in line for line in err)
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
