@@ -127,35 +127,32 @@ def relation_holds(
     return True
 
 
-def _first_relation(p: int, bound: int, L: int):
-    """First (k, f) in search order with L | a-k and L | c-k.
+def _first_relation(p: int, bound: int, L: int, transposed: bool):
+    """First (k, f) in search order with f descending and L | both differences.
 
-    The two conditions are independent, so a and c are each the first value
-    that meets its own. Neither b nor d enters the differences, so b is the
-    first admissible value, 0, and d the first value congruent to a mod p.
+    The differences are (a-k, c-k), or (a+b-k, c+d) when transposed: each
+    is s - t, with s = x (x + y when transposed) for the row (x, y) and t = k
+    (t = 0 for the second row when transposed), so the rows are sorted once
+    into classes of s mod L. A matrix
+    (a b; c d) descends only if (a b; 0 a) does, and then whether some
+    (c, d) completes it depends on a mod p alone, so for a fixed k each
+    residue of a is tried once.
     """
-    values = _signed_values(bound)
+    classes = {}
+    for x, y in product(_signed_values(bound), repeat=2):
+        classes.setdefault((x + y if transposed else x) % L, []).append((x, y))
     for k in range(1, bound + 1):
-        a = next(v for v in values if (v - k) % L == 0)
-        c = next((v for v in values if v % p == 0 and (v - k) % L == 0), None)
-        if c is not None:
-            d = next(v for v in values if (a - v) % p == 0)
-            return k, EndoMatrix(a, 0, c, d)
-    return None
-
-
-def _first_transposed(p: int, bound: int, L: int):
-    """First (k, f) in search order with L | a+b-k and L | c+d."""
-    values = _signed_values(bound)
-    for k in range(1, bound + 1):
-        for a, b in product(values, repeat=2):
-            if b % p or (a + b - k) % L:
+        tails = classes.get(0 if transposed else k % L, [])
+        barren = set()
+        for a, b in classes.get(k % L, []):
+            if a % p in barren or not _congruent(EndoMatrix(a, b, 0, a), p):
                 continue
-            for c in [v for v in values if v % p == 0]:
-                ds = [v for v in values if (a - v) % p == 0 and (c + v) % L == 0]
-                if ds:
-                    return k, EndoMatrix(a, b, c, ds[0])
-    return None
+            for c, d in tails:
+                f = EndoMatrix(a, b, c, d)
+                if _congruent(f, p):
+                    return k, f
+            barren.add(a % p)
+    return None, None
 
 
 def find_weak_relation(p: int, records, entry_bound: int) -> RelationCertificate:
@@ -185,24 +182,21 @@ def find_weak_relation(p: int, records, entry_bound: int) -> RelationCertificate
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
     L = lcm(*(r.ord_r for r in records))
-    hit = _first_relation(p, entry_bound, L)
-    hit_t = _first_transposed(p, entry_bound, L)
-    qs = tuple(r.q for r in records)
-    if hit is None and hit_t is None:
-        return RelationCertificate(
-            kind=KIND_WEAK_NOT_FOUND,
-            p=p,
-            reason=f"no relation with |entries| <= {entry_bound} holds at all contexts",
-            searched_primes=qs,
-        )
+    k, f = _first_relation(p, entry_bound, L, False)
+    transposed_k, transposed_f = _first_relation(p, entry_bound, L, True)
     return RelationCertificate(
-        kind=KIND_WEAK_FOUND if hit else KIND_WEAK_NOT_FOUND,
+        kind=KIND_WEAK_NOT_FOUND if f is None else KIND_WEAK_FOUND,
         p=p,
-        k=hit[0] if hit else None,
-        f=hit[1] if hit else None,
-        transposed_k=hit_t[0] if hit_t else None,
-        transposed_f=hit_t[1] if hit_t else None,
-        searched_primes=qs,
+        k=k,
+        f=f,
+        transposed_k=transposed_k,
+        transposed_f=transposed_f,
+        reason=(
+            f"no relation with |entries| <= {entry_bound} holds at all contexts"
+            if f is None and transposed_f is None
+            else ""
+        ),
+        searched_primes=tuple(r.q for r in records),
     )
 
 
@@ -216,7 +210,10 @@ def verify_no_medium_relation(p: int) -> RelationCertificate:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
-    solutions, tuples = _count_residue_solutions(p)
+    # Mod p both congruences constrain k alone (p * anything vanishes). The
+    # first forces k = 0, so the count is p^4 if k = 0 meets the second
+    # (0 = 1 mod p) and 0 otherwise.
+    solutions, tuples = (p**4 if 1 % p == 0 else 0), p**5
     reason = (
         "second coordinate forces k + p*c + p*d = 0, hence k = 0 (mod p); "
         "first coordinate forces p*a + p*b + k = 1, hence k = 1 (mod p); "
@@ -233,12 +230,3 @@ def verify_no_medium_relation(p: int) -> RelationCertificate:
         residue_tuples=tuples,
     )
 
-
-def _count_residue_solutions(p: int) -> tuple[int, int]:
-    """Solutions of {k + p(c+d) = 0, pa + pb + k = 1} over (Z/p)^5.
-
-    Both congruences collapse mod p to conditions on k alone (p * anything
-    vanishes). The first forces k = 0, so the count is p^4 if k = 0 meets
-    the second (0 = 1 mod p) and 0 otherwise.
-    """
-    return (p**4 if 1 % p == 0 else 0), p**5

@@ -67,6 +67,8 @@ class LabConfig(NamedTuple):
     @classmethod
     def from_dict(cls, data: dict) -> "LabConfig":
         try:
+            if not isinstance(data, dict):
+                raise ValueError("the config must be a JSON object")
             a, b = data["curve"]
             config = cls(
                 curve=RationalCurve(_json_int(a), _json_int(b)),
@@ -85,7 +87,9 @@ class LabConfig(NamedTuple):
             if config.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {config.workers}")
             return config
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"malformed config: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed config: {exc}") from exc
 
     def digest(self) -> str:

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -51,27 +51,27 @@ def contexts(n, start=5):
     raise AssertionError("not enough primes")
 
 
-def full_p_torsion_context(p):
-    """Smallest synthetic context whose curve has all p-torsion rational."""
+def full_p_torsion_contexts(p):
+    """Synthetic contexts whose curves have all p-torsion rational: the
+    first such curve at each prime q = 1 (mod p), in increasing q."""
     for q in primes_up_to(200):
         if q < 5 or q % p != 1:
             continue
-        for a in range(q):
-            for b in range(q):
-                if (4 * a**3 + 27 * b**2) % q == 0:
-                    continue
-                curve = FiniteCurve(q, a, b)
-                pts = all_points(curve)
-                if len(pts) % p**2:
-                    continue
-                tors = [s for s in pts if curve.scalar_mul(p, s) is None]
-                if len(tors) != p * p:
-                    continue
-                k1 = tors[1]
-                span = {curve.scalar_mul(i, k1) for i in range(p)}
-                k2 = next(t for t in tors if t not in span)
-                return QuotientContext(curve, k1, k2, p)
-    raise AssertionError(f"no full {p}-torsion curve found in range")
+        for a, b in product(range(q), repeat=2):
+            if (4 * a**3 + 27 * b**2) % q == 0:
+                continue
+            curve = FiniteCurve(q, a, b)
+            pts = all_points(curve)
+            if len(pts) % p**2:
+                continue
+            tors = [s for s in pts if curve.scalar_mul(p, s) is None]
+            if len(tors) != p * p:
+                continue
+            k1 = tors[1]
+            span = {curve.scalar_mul(i, k1) for i in range(p)}
+            k2 = next(t for t in tors if t not in span)
+            yield QuotientContext(curve, k1, k2, p)
+            break
 
 
 def test_descends_examples():
@@ -133,7 +133,7 @@ def test_equivalence_lifted_matrices_p2():
 
 
 def test_equivalence_full_3_torsion():
-    ctx = full_p_torsion_context(3)
+    ctx = next(full_p_torsion_contexts(3))
     for a, b, c, d in product(range(3), repeat=4):
         m = EndoMatrix(a, b, c, d)
         assert kernel_preserved(m, ctx) == descends(m, 3).descends, m
@@ -332,6 +332,36 @@ def test_find_weak_relation_with_odd_orders_matches_sweep_oracle(orders, entry_b
     assert relation_holds(orders[0], zero, ctxs, R_odd) == (len(set(orders)) == 1)
 
 
+@pytest.mark.parametrize(
+    "orders, entry_bound",
+    [
+        ({7: 3, 13: 3, 19: 3}, 4),
+        ({19: 9, 37: 3, 73: 9}, 4),
+        ({19: 9, 37: 3, 73: 9}, 2),
+        ({31: 2, 43: 6, 61: 21}, 4),
+        ({61: 7, 67: 7, 79: 7}, 3),
+        ({31: 2, 61: 7, 67: 7}, 6),
+    ],
+)
+def test_find_weak_relation_at_p3_matches_sweep_oracle(orders, entry_bound):
+    # The other search tests run at p = 2, where a slip of p for 2 in the
+    # descent congruences goes unseen. Here the kernel is 3-torsion on
+    # synthetic curves, and r has the given order at each q. With lcm 7 or
+    # 14 the transposed heads a + b = k (mod lcm) fall in several residue
+    # classes of a mod 3, of which only a = 0 (mod 3) completes to a relation.
+    ctxs = [c for c in islice(full_p_torsion_contexts(3), 10) if c.curve.q in orders]
+    qs = [c.curve.q for c in ctxs]
+    pts = [
+        next(s for s in all_points(c.curve)[1:] if order_by_walk(c.curve.add, s) == orders[q])
+        for c, q in zip(ctxs, qs)
+    ]
+    R3 = RationalPoint(_crt([x for x, _ in pts], qs), _crt([y for _, y in pts], qs))
+    cert = find_weak_relation(3, [evaluate_prime(c, R3) for c in ctxs], entry_bound)
+    got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
+    assert got == weak_relation_by_sweep(3, ctxs, R3, entry_bound)
+    assert cert.searched_primes == tuple(qs)
+
+
 def test_relation_holds_tests_no_primality(monkeypatch):
     # Every QuotientContext has proved its p prime, so apply does not ask again.
     import suppscan
@@ -382,15 +412,14 @@ def test_no_medium_relation_small_p():
 
 def test_no_medium_relation_literal_count_matches_structured():
     # The literal product over all p^5 tuples is the oracle for the count.
-    from suppscan import endo
-
     for p in (2, 3, 5, 7, 11):
-        literal = 0
+        literal = tuples = 0
         for k, a, b, c, d in product(range(p), repeat=5):
+            tuples += 1
             if (k + p * c + p * d) % p == 0 and (p * a + p * b + k) % p == 1:
                 literal += 1
-        solutions, tuples = endo._count_residue_solutions(p)
-        assert (solutions, tuples) == (literal, p**5)
+        cert = verify_no_medium_relation(p)
+        assert (cert.residue_solutions, cert.residue_tuples) == (literal, tuples)
 
 
 def test_certificate_to_dict_forms():

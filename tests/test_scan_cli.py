@@ -78,6 +78,14 @@ def test_config_malformed():
     ):
         with pytest.raises(ValueError, match="malformed config"):
             LabConfig.from_dict(data)
+    # The message names the problem, not the bare exception.
+    without_p = {k: v for k, v in good.items() if k != "p"}
+    for data, message in (
+        (without_p, "missing key 'p'"),
+        ([good], "the config must be a JSON object"),
+    ):
+        with pytest.raises(ValueError, match=f"^malformed config: {message}$"):
+            LabConfig.from_dict(data)
 
 
 def test_config_defaults():
