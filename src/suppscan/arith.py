@@ -3,17 +3,18 @@
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # Sorenson-Webster, Math. Comp. 86, 2017
 
 
 def is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is at or above {_MR_LIMIT}, the proved primality bound")
     if n < 2:
         return False
     for p in _MR_BASES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -44,7 +45,7 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if flags[n]]
 
 
-# Trial division runs over the primes below this; Pollard-Brent does the rest.
+# Trial division runs over the primes below this; Pollard's rho does the rest.
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
 
@@ -53,7 +54,7 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {prime: exponent} of n >= 1, keys ascending.
 
     Trial division takes the factors below 1000; a cofactor left after that
-    is split by Pollard-Brent, with is_prime deciding when to stop.
+    is split by Pollard's rho, with is_prime deciding when to stop.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -80,41 +81,27 @@ def _split(n: int, primes: list[int]) -> None:
     if is_prime(n):
         primes.append(n)
         return
-    d = _pollard_brent(n)
+    d = _pollard_rho(n)
     _split(d, primes)
     _split(n // d, primes)
 
 
-def _pollard_brent(n: int) -> int:
-    """A proper factor of the odd composite n (Brent, BIT 20, 1980).
+def _pollard_rho(n: int) -> int:
+    """A proper factor of the odd composite n (Pollard's rho, Floyd's cycle).
 
-    Iterates x -> x^2 + c from x = 2, for c = 1, 2, ... until a c splits n;
-    gcds are taken over batches of 128 products, backtracking one step at
-    a time when a batch overshoots to n.
+    Iterates x -> x^2 + c from x = 2, one gcd per step; a gcd of n means the
+    cycles mod every factor closed together, and the next c is tried.
     """
     for c in range(1, n):
-        y, r, prod, g = 2, 1, 1, 1
+        x, y, g = 2, 2, 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                saved = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    prod = prod * (x - y) % n
-                g = gcd(prod, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                saved = (saved * saved + c) % n
-                g = gcd(x - saved, n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
-    raise ArithmeticError(f"Pollard-Brent found no factor of {n}")
+    raise ArithmeticError(f"Pollard's rho found no factor of {n}")
 
 
 def sorted_divisors(n: int) -> list[int]:

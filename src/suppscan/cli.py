@@ -11,6 +11,7 @@ import os
 import sys
 from itertools import islice, product
 
+from .arith import _MR_LIMIT
 from .endo import EndoMatrix, descends, kernel_preserved, verify_no_medium_relation
 from .quotient import InvariantViolation, make_context
 from .rational import CurveSearchError, search_curve
@@ -122,6 +123,8 @@ def _cmd_scan(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     _check_out_dir("--out-csv", args.out_csv)
     _check_out_dir("--out-json", args.out_json)
+    if os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
+        raise UsageError(f"--out-csv and --out-json name the same file {args.out_csv}")
     config = _load_config(args.config)
     if args.workers is not None:
         config = config._replace(workers=args.workers)
@@ -170,7 +173,9 @@ def _cmd_endo_check(args) -> int:
 def _cmd_no_relation(args) -> int:
     try:
         cert = verify_no_medium_relation(args.p)
-    except ValueError as exc:  # p is not prime
+    except ValueError as exc:  # p is not prime, or too large for a proved answer
+        if args.p >= _MR_LIMIT:
+            raise UsageError(f"--p {exc}") from exc
         raise UsageError(f"--p must be prime, got {args.p}") from exc
     print(f"p = {args.p}: {cert.kind}")
     print(cert.reason)

@@ -133,25 +133,18 @@ def _first_relation(p: int, bound: int, L: int, transposed: bool):
     The differences are (a-k, c-k), or (a+b-k, c+d) when transposed: each
     is s - t, with s = x (x + y when transposed) for the row (x, y) and t = k
     (t = 0 for the second row when transposed), so the rows are sorted once
-    into classes of s mod L. A matrix
-    (a b; c d) descends only if (a b; 0 a) does, and then whether some
-    (c, d) completes it depends on a mod p alone, so for a fixed k each
-    residue of a is tried once.
+    into classes of s mod L.
     """
     classes = {}
     for x, y in product(_signed_values(bound), repeat=2):
         classes.setdefault((x + y if transposed else x) % L, []).append((x, y))
     for k in range(1, bound + 1):
         tails = classes.get(0 if transposed else k % L, [])
-        barren = set()
         for a, b in classes.get(k % L, []):
-            if a % p in barren or not _congruent(EndoMatrix(a, b, 0, a), p):
-                continue
             for c, d in tails:
                 f = EndoMatrix(a, b, c, d)
                 if _congruent(f, p):
                     return k, f
-            barren.add(a % p)
     return None, None
 
 

@@ -219,9 +219,14 @@ def validate_hypotheses(
         failures.append(f"cm: j-invariant {curve.j_invariant()} admits complex multiplication")
 
     full_p = curve_ok
-    if full_p and not is_prime(p):
-        full_p = False
-        failures.append(f"torsion: p = {p} is not prime")
+    if full_p:
+        try:
+            if not is_prime(p):
+                full_p = False
+                failures.append(f"torsion: p = {p} is not prime")
+        except ValueError as exc:  # p is too large for a proved answer
+            full_p = False
+            failures.append(f"torsion: p = {exc}")
     if full_p and p != 2:
         # Full p-torsion over Q forces the p-th roots of unity into Q.
         full_p = False

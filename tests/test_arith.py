@@ -1,5 +1,6 @@
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from suppscan.arith import (
@@ -32,6 +33,16 @@ def test_is_prime_large():
     assert not is_prime(10**9 + 8)
     assert is_prime(999983)
     assert not is_prime(999983 * 999979)
+
+
+def test_is_prime_at_the_bounds_of_its_witnesses():
+    # The first 12 primes as witnesses pass this composite (Sorenson-Webster,
+    # Math. Comp. 86, 2017); base 41 catches it.
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(2**61 - 1)
+    # The first 13 primes pass the next such composite: no proved answer.
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_primes_up_to():
@@ -79,12 +90,25 @@ def test_factorize_edge_cases():
     assert check_factorization(999983 * 1000003) == {999983: 1, 1000003: 1}
     assert check_factorization(999983**2) == {999983: 2}
     assert check_factorization(8 * 997 * 1009 * 999983) == {2: 3, 997: 1, 1009: 1, 999983: 1}
+    # Floyd's rho from x = 2 with c = 1 meets gcd n here; c = 2 splits it.
+    assert check_factorization(8191 * 31583) == {8191: 1, 31583: 1}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**13))
 def test_factorize_random(n):
     check_factorization(n)
+
+
+_RHO_PRIMES = tuple(p for p in primes_up_to(10**5) if p > 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_RHO_PRIMES), st.sampled_from(_RHO_PRIMES))
+def test_factorize_two_large_primes(p, q):
+    # No factor below 1000 and a product above 1000^2: every draw reaches the rho.
+    assert check_factorization(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+    assert check_factorization(p * p) == {p: 2}
 
 
 def test_sorted_divisors():

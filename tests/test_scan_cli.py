@@ -603,6 +603,25 @@ def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
     assert proc.stderr.count("\n") == 1 and "does not exist" in proc.stderr
 
 
+def test_cli_scan_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, small_config(bound=50))
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("work started although both reports name one file")
+
+    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
+    out = tmp_path / "r"
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(out)
+    for other in (out, tmp_path / "d" / ".." / "r", tmp_path / "link"):
+        argv = ["scan", "--config", path, "--out-csv", str(out), "--out-json", str(other)]
+        assert cli_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("usage error: ") and "same file" in line for line in err)
+    assert not out.exists()
+
+
 def test_cli_no_relation(capsys):
     assert cli_main(["no-relation", "--p", "2"]) == 0
     out = capsys.readouterr().out
@@ -640,6 +659,29 @@ def test_cli_no_relation_tests_primality_once(monkeypatch, capsys):
     assert calls == [p]
     assert cli_main(["no-relation", "--p", "4"]) == 2
     assert capsys.readouterr().err == "usage error: --p must be prime, got 4\n"
+
+
+def test_cli_p_beyond_the_proved_primality_bound(tmp_path, capsys):
+    # A composite that the first 12 primes as Miller-Rabin witnesses pass.
+    assert cli_main(["no-relation", "--p", "318665857834031151167461"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --p must be prime, got 318665857834031151167461\n"
+    )
+    # At the bound the primality test has no proved answer: one line naming it.
+    big = 3317044064679887385961981
+    reason = f"{big} is at or above {big}, the proved primality bound"
+    proc = run_cli_process(["no-relation", "--p", str(big)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"usage error: --p {reason}\n"
+    path = write_config(tmp_path, default_config()._replace(p=big))
+    assert cli_main(["validate", "--config", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("failure")] == [f"failure: torsion: p = {reason}"]
+    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    for argv in (["scan", "--config", path, *outs], ["endo-check", "--config", path]):
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"hypothesis failure: torsion: p = {reason}\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_endo_check(tmp_path, capsys):
