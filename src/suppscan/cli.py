@@ -11,7 +11,6 @@ import os
 import sys
 from itertools import islice, product
 
-from .arith import _MR_LIMIT
 from .endo import EndoMatrix, descends, kernel_preserved, verify_no_medium_relation
 from .quotient import InvariantViolation, make_context
 from .rational import CurveSearchError, search_curve
@@ -43,24 +42,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search-curve", help="find a usable curve, emit a config")
     p_search.add_argument("--height-bound", type=int, required=True)
     p_search.add_argument("--out", help="write the config here instead of stdout")
+    p_search.set_defaults(run=_cmd_search_curve)
 
     p_validate = sub.add_parser("validate", help="check every hypothesis of a config")
     p_validate.add_argument("--config", required=True)
+    p_validate.set_defaults(run=_cmd_validate)
 
     p_scan = sub.add_parser("scan", help="sweep primes and write CSV/JSON reports")
     p_scan.add_argument("--config", required=True)
     p_scan.add_argument("--out-csv", required=True)
     p_scan.add_argument("--out-json", required=True)
     p_scan.add_argument("--workers", type=int, default=None)
+    p_scan.set_defaults(run=_cmd_scan)
 
     p_endo = sub.add_parser(
         "endo-check", help="descent congruences vs kernel preservation, residue matrices"
     )
     p_endo.add_argument("--config", required=True)
     p_endo.add_argument("--primes", type=int, default=10, help="number of good primes")
+    p_endo.set_defaults(run=_cmd_endo_check)
 
     p_norel = sub.add_parser("no-relation", help="impossibility certificate for a prime p")
     p_norel.add_argument("--p", type=int, required=True)
+    p_norel.set_defaults(run=_cmd_no_relation)
 
     return parser
 
@@ -78,10 +82,13 @@ class UsageError(Exception):
 
 
 def _check_out_dir(flag: str, path: str) -> None:
-    """Refuse an output path whose directory is missing, before any work."""
+    """Refuse an output path whose directory is missing, or that is itself a
+    directory, before any work."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"{flag} {path}: directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"{flag} {path} is a directory")
 
 
 def _cmd_search_curve(args) -> int:
@@ -123,8 +130,13 @@ def _cmd_scan(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     _check_out_dir("--out-csv", args.out_csv)
     _check_out_dir("--out-json", args.out_json)
-    if os.path.realpath(args.out_csv) == os.path.realpath(args.out_json):
-        raise UsageError(f"--out-csv and --out-json name the same file {args.out_csv}")
+    # A report written over the config, or over the other report, loses it.
+    paths = {"--config": args.config, "--out-csv": args.out_csv, "--out-json": args.out_json}
+    seen = {}
+    for flag, path in paths.items():
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise UsageError(f"{first} and {flag} name the same file {paths[first]}")
     config = _load_config(args.config)
     if args.workers is not None:
         config = config._replace(workers=args.workers)
@@ -174,21 +186,10 @@ def _cmd_no_relation(args) -> int:
     try:
         cert = verify_no_medium_relation(args.p)
     except ValueError as exc:  # p is not prime, or too large for a proved answer
-        if args.p >= _MR_LIMIT:
-            raise UsageError(f"--p {exc}") from exc
-        raise UsageError(f"--p must be prime, got {args.p}") from exc
+        raise UsageError(f"--p {exc}") from exc
     print(f"p = {args.p}: {cert.kind}")
     print(cert.reason)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "search-curve": _cmd_search_curve,
-    "validate": _cmd_validate,
-    "scan": _cmd_scan,
-    "endo-check": _cmd_endo_check,
-    "no-relation": _cmd_no_relation,
-}
 
 
 def cli_main(argv=None) -> int:
@@ -198,7 +199,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,7 +43,7 @@ def _congruent(m: EndoMatrix, p: int) -> bool:
 def descends(m: EndoMatrix, p: int) -> DescentWitness:
     """Congruence criterion: b, c = 0 and a = d (mod p); then k = a mod p."""
     if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
+        raise ValueError(f"must be prime, got {p}")
     if _congruent(m, p):
         return DescentWitness(True, m.a % p)
     return DescentWitness(False)
@@ -202,7 +202,7 @@ def verify_no_medium_relation(p: int) -> RelationCertificate:
     confirms there is no solution even mod p.
     """
     if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
+        raise ValueError(f"must be prime, got {p}")
     # Mod p both congruences constrain k alone (p * anything vanishes). The
     # first forces k = 0, so the count is p^4 if k = 0 meets the second
     # (0 = 1 mod p) and 0 otherwise.

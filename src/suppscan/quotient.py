@@ -116,13 +116,12 @@ def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int) -> int:
     the orders of s.rep1 and s.rep2.
 
     The order divides m, because m * s is 0 and so lies in the kernel. The
-    divisors of m * p, which include those of m, are tested ascending, so
-    the result is deterministic.
+    divisors of m are tested ascending, so the result is deterministic.
     """
-    for n in sorted_divisors(m * ctx.p):
+    for n in sorted_divisors(m):
         if quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)):
             return n
-    raise InvariantViolation("no annihilator among the divisors of m * p")
+    raise InvariantViolation(f"no annihilator among the divisors of m = {m}: m * s is not 0")
 
 
 class PrimeRecord(NamedTuple):

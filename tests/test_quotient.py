@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_points, coset_order_by_walk, order_by_walk
+from suppscan import quotient
 from suppscan.arith import primes_up_to
 from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
@@ -28,6 +29,8 @@ R2 = RationalPoint(-1, 0)
 
 # y^2 = x^3 - x over F_5 with kernel <((0,0), (1,0))>
 F5_CTX = QuotientContext(FiniteCurve(5, -1, 0), (0, 0), (1, 0), 2)
+# y^2 = x^3 + 2 over F_7 (full 3-torsion) with a kernel of order p = 3
+F7_CTX = QuotientContext(FiniteCurve(7, 0, 2), (0, 3), (3, 1), 3)
 
 
 def test_context_kernel():
@@ -119,13 +122,30 @@ def test_quotient_order_examples():
 
 
 def test_quotient_order_matches_walk_oracle():
-    curve = F5_CTX.curve
-    pts = all_points(curve)
-    for s in pts:
-        for t in pts:
-            pt = QuotientPoint(s, t)
-            expected = coset_order_by_walk(curve.add, F5_CTX.kernel(), (s, t))
-            assert order_of(F5_CTX, s, t) == expected, (s, t)
+    for ctx in (F5_CTX, F7_CTX):
+        curve = ctx.curve
+        pts = all_points(curve)
+        for s in pts:
+            for t in pts:
+                expected = coset_order_by_walk(curve.add, ctx.kernel(), (s, t))
+                assert order_of(ctx, s, t) == expected, (ctx.p, s, t)
+
+
+def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
+    # ord_R = 2 * 3 at q = 7 and 2^3 * 3 at q = 83: the divisor 2^(a+1) of
+    # 2 * ord_R lies below ord_R, yet no order in the quotient can take it.
+    tried = []
+
+    def spy(ctx, n, s):
+        tried.append(n)
+        return quotient_scalar_mul(ctx, n, s)
+
+    monkeypatch.setattr(quotient, "quotient_scalar_mul", spy)
+    for q, ord_r in ((7, 6), (83, 24)):
+        tried.clear()
+        rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, q), R)
+        assert rec.ord_r == ord_r and rec.ord_p == rec.ord_q == ord_r
+        assert tried and all(ord_r % n == 0 for n in tried), (q, tried)
 
 
 def test_quotient_order_divides_p_lcm():

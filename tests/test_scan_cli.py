@@ -589,7 +589,7 @@ def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("suppscan.cli.search_curve", no_sweep)
     assert cli_main(["search-curve", "--height-bound", "5", "--out", str(missing / "c.json")]) == 2
     monkeypatch.undo()
-    # an output path that is a directory fails only at the write, still as a usage error
+    # an output path that is a directory is a usage error too
     assert cli_main(["scan", "--config", path, "--out-csv", str(tmp_path), *ok[2:]]) == 2
     assert cli_main(["search-curve", "--height-bound", "5", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -620,6 +620,49 @@ def test_cli_scan_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatc
     assert len(err) == 3
     assert all(line.startswith("usage error: ") and "same file" in line for line in err)
     assert not out.exists()
+
+
+def test_cli_scan_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, small_config(bound=50))
+    before = Path(path).read_bytes()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("work started although a report names the config")
+
+    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
+    (tmp_path / "link.json").symlink_to(path)
+    other = str(tmp_path / "o.out")
+    for argv in (
+        ["--out-csv", other, "--out-json", path],
+        ["--out-csv", path, "--out-json", other],
+        ["--out-csv", other, "--out-json", str(tmp_path / "link.json")],
+    ):
+        assert cli_main(["scan", "--config", path, *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("usage error: --config and --out-") for line in err)
+    assert all(line.endswith(f"name the same file {path}") for line in err)
+    assert Path(path).read_bytes() == before
+    assert not Path(other).exists()
+    monkeypatch.undo()
+    assert cli_main(["validate", "--config", path]) == 0
+
+
+def test_cli_scan_refuses_a_directory_as_output(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, small_config(bound=50))
+    file_out = str(tmp_path / "o.out")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("work started although an output is a directory")
+
+    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
+    for csv_path, json_path in ((str(tmp_path), file_out), (file_out, str(tmp_path))):
+        assert cli_main(["scan", "--config", path, "--out-csv", csv_path, "--out-json", json_path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: --out-csv {tmp_path} is a directory",
+        f"usage error: --out-json {tmp_path} is a directory",
+    ]
+    assert not Path(file_out).exists()
 
 
 def test_cli_no_relation(capsys):
