@@ -29,7 +29,6 @@ from .quotient import (
     quotient_order,
 )
 from .endo import (
-    DescentWitness,
     EndoMatrix,
     RelationCertificate,
     apply,
@@ -54,7 +53,6 @@ __all__ = [
     "CM_J_INVARIANTS",
     "CSV_HEADER",
     "CurveSearchError",
-    "DescentWitness",
     "EndoMatrix",
     "FiniteCurve",
     "HypothesisFailure",

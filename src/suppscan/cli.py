@@ -73,7 +73,8 @@ def _load_config(path: str) -> LabConfig:
     try:
         with open(path) as fh:
             return LabConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    # RecursionError: json.load on arrays or objects nested too deeply.
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -82,8 +83,10 @@ class UsageError(Exception):
 
 
 def _check_out_dir(flag: str, path: str) -> None:
-    """Refuse an output path whose directory is missing, or that is itself a
-    directory, before any work."""
+    """Refuse an output path that is empty, whose directory is missing, or
+    that is itself a directory, before any work."""
+    if not path:
+        raise UsageError(f"{flag} must name a file")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"{flag} {path}: directory {parent} does not exist")
@@ -94,16 +97,11 @@ def _check_out_dir(flag: str, path: str) -> None:
 def _cmd_search_curve(args) -> int:
     if args.height_bound < 1:
         raise UsageError("--height-bound must be >= 1")
-    if args.out:
+    if args.out is not None:
         _check_out_dir("--out", args.out)
-    try:
-        curve, R, R1, R2 = search_curve(args.height_bound)
-    except CurveSearchError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    config = LabConfig(curve=curve, R=R, R1=R1, R2=R2, p=2)
+    config = LabConfig(*search_curve(args.height_bound), p=2)
     text = json.dumps(config.to_dict(), indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -170,14 +168,13 @@ def _cmd_endo_check(args) -> int:
     mismatches = 0
     for q in qs:
         ctx = make_context(config.curve, config.R1, config.R2, p, q)
-        agree = sum(
-            kernel_preserved(m, ctx) == descends(m, p).descends for m in residues
-        )
+        agree = sum(kernel_preserved(m, ctx) == descends(m, p) for m in residues)
         print(f"q={q}: {agree}/{len(residues)} residue matrices agree")
         mismatches += len(residues) - agree
     if mismatches:
-        print(f"MISMATCH: {mismatches} disagreements", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation(
+            f"descent criterion and kernel preservation disagree on {mismatches} residue matrices"
+        )
     print(f"descent criterion and kernel preservation agree at all {len(qs)} primes")
     return EXIT_OK
 
@@ -207,9 +204,15 @@ def cli_main(argv=None) -> int:
         for reason in exc.report.failures:
             print(f"hypothesis failure: {reason}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except CurveSearchError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError:  # e.g. a sieve up to a prime_bound beyond this host's memory
+        print("usage error: out of memory; try a smaller prime_bound", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

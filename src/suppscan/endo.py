@@ -30,23 +30,16 @@ class EndoMatrix(NamedTuple):
         return [[self.a, self.b], [self.c, self.d]]
 
 
-class DescentWitness(NamedTuple):
-    descends: bool
-    k: int | None = None
-
-
 def _congruent(m: EndoMatrix, p: int) -> bool:
     """The descent congruences b, c = 0 and a = d (mod p), for a prime p."""
     return m.b % p == 0 and m.c % p == 0 and (m.a - m.d) % p == 0
 
 
-def descends(m: EndoMatrix, p: int) -> DescentWitness:
-    """Congruence criterion: b, c = 0 and a = d (mod p); then k = a mod p."""
+def descends(m: EndoMatrix, p: int) -> bool:
+    """Congruence criterion: b, c = 0 and a = d (mod p), for a prime p."""
     if not is_prime(p):
         raise ValueError(f"must be prime, got {p}")
-    if _congruent(m, p):
-        return DescentWitness(True, m.a % p)
-    return DescentWitness(False)
+    return _congruent(m, p)
 
 
 def _act(m: EndoMatrix, ctx: QuotientContext, s: QuotientPoint) -> QuotientPoint:

@@ -170,7 +170,7 @@ def test_criterion_4_endomorphism_equivalence():
         for a, b, c, d in product(range(2), repeat=4):
             m = EndoMatrix(a, b, c, d)
             total += 1
-            if kernel_preserved(m, ctx) == descends(m, 2).descends:
+            if kernel_preserved(m, ctx) == descends(m, 2):
                 agree += 1
     _report(
         4,

@@ -466,6 +466,31 @@ SEARCH_CURVE_5 = """{
 
 def test_cli_search_curve_not_found(capsys):
     assert cli_main(["search-curve", "--height-bound", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("search failed: ")
+
+
+def test_cli_empty_output_path_exit_2(tmp_path, capsys, monkeypatch):
+    # An empty --out is refused, not read as "no --out" (stdout).
+    assert cli_main(["search-curve", "--height-bound", "5", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --out must name a file\n"
+
+    # refused before the sweep starts, not at the write after it
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("work started although an output path is empty")
+
+    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
+    path = write_config(tmp_path, small_config(bound=50))
+    json_path = tmp_path / "r.json"
+    assert cli_main(["scan", "--config", path, "--out-csv", "", "--out-json", str(json_path)]) == 2
+    assert cli_main(["scan", "--config", path, "--out-csv", str(tmp_path / "r.csv"), "--out-json", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: --out-csv must name a file",
+        "usage error: --out-json must name a file",
+    ]
+    assert not json_path.exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -510,6 +535,32 @@ def test_cli_scan(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text().startswith(CSV_HEADER)
     assert "forward rate 1" in capsys.readouterr().out
+
+
+def test_cli_deeply_nested_config_exit_2(tmp_path, capsys):
+    # json.load raises RecursionError on deep nesting; that is a malformed
+    # config (exit 2, one line), not a traceback with exit 1.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: cannot load config {path}: ")
+
+
+def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # A prime_bound whose sieve does not fit in memory: the allocation is
+    # simulated, as a real one would take this host's memory.
+    def no_memory(bound):
+        raise MemoryError
+
+    monkeypatch.setattr("suppscan.scan.primes_up_to", no_memory)
+    path = write_config(tmp_path, small_config(bound=50))
+    json_path = tmp_path / "o.json"
+    argv = ["scan", "--config", path, "--out-csv", str(tmp_path / "o.csv"), "--out-json", str(json_path)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: out of memory")
+    assert not json_path.exists()
 
 
 def test_cli_scan_missing_config(tmp_path, capsys):
@@ -732,6 +783,20 @@ def test_cli_endo_check(tmp_path, capsys):
     assert cli_main(["endo-check", "--config", path, "--primes", "4"]) == 0
     out = capsys.readouterr().out
     assert "16/16" in out
+
+
+def test_cli_endo_check_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    # Kernel preservation that holds for every matrix disagrees with descent
+    # on the 14 residue matrices mod 2 that do not descend.
+    monkeypatch.setattr("suppscan.cli.kernel_preserved", lambda m, ctx: True)
+    path = write_config(tmp_path, small_config())
+    assert cli_main(["endo-check", "--config", path, "--primes", "3"]) == 3
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert len(out) == 3 and all(re.fullmatch(r"q=\d+: 2/16 residue matrices agree", line) for line in out)
+    assert captured.err == (
+        "invariant violation: descent criterion and kernel preservation disagree on 42 residue matrices\n"
+    )
 
 
 def test_cli_endo_check_validates_first(tmp_path, capsys):
