@@ -37,12 +37,13 @@ def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending (sieve of Eratosthenes)."""
     if bound < 2:
         return []
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
+    # bytearray(n) of zeros, not bytearray([1]) * n: when that repeat cannot
+    # allocate, Python 3.11 prints a SystemError line before the MemoryError.
+    crossed = bytearray(bound + 1)
     for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return [n for n in range(2, bound + 1) if flags[n]]
+        if not crossed[p]:
+            crossed[p * p :: p] = b"\x01" * len(range(p * p, bound + 1, p))
+    return [n for n in range(2, bound + 1) if not crossed[n]]
 
 
 # Trial division runs over the primes below this; Pollard's rho does the rest.

@@ -94,6 +94,16 @@ def _check_out_dir(flag: str, path: str) -> None:
         raise UsageError(f"{flag} {path} is a directory")
 
 
+def _file_identity(path: str):
+    """(device, inode) of an existing file, so that hard links compare
+    equal; the resolved path of one that does not exist yet."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _cmd_search_curve(args) -> int:
     if args.height_bound < 1:
         raise UsageError("--height-bound must be >= 1")
@@ -132,7 +142,7 @@ def _cmd_scan(args) -> int:
     paths = {"--config": args.config, "--out-csv": args.out_csv, "--out-json": args.out_json}
     seen = {}
     for flag, path in paths.items():
-        first = seen.setdefault(os.path.realpath(path), flag)
+        first = seen.setdefault(_file_identity(path), flag)
         if first != flag:
             raise UsageError(f"{first} and {flag} name the same file {paths[first]}")
     config = _load_config(args.config)

@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cli_cases import CASES, SEARCH_CURVE_5, Link
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
@@ -48,6 +50,7 @@ def test_default_config_is_frozen_search_output():
     assert cfg.p == 2
     assert cfg.prime_bound == 10_000
     assert cfg.validate().ok
+    assert json.loads(SEARCH_CURVE_5) == cfg.to_dict()
 
 
 def test_config_roundtrip_and_digest():
@@ -319,6 +322,7 @@ def test_cli_scan_computes_the_report_digest_once(tmp_path, capsys, monkeypatch)
     argv = ["scan", "--config", path, "--out-csv", str(csv_path), "--out-json", str(json_path)]
     assert cli_main(argv) == 0
     assert len(calls) == 1
+    assert csv_path.read_text().startswith(CSV_HEADER)
     written = json.loads(json_path.read_text())["report_digest"]
     assert capsys.readouterr().out.splitlines()[-1] == f"report digest {written}"
 
@@ -384,18 +388,8 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_scan", boom)
     path = write_config(tmp_path, small_config(bound=50))
-    code = cli_main(
-        [
-            "scan",
-            "--config",
-            path,
-            "--out-csv",
-            str(tmp_path / "o.csv"),
-            "--out-json",
-            str(tmp_path / "o.json"),
-        ]
-    )
-    assert code == 3
+    out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    assert cli_main(["scan", "--config", path, *out]) == 3
 
 
 def test_report_digest_ignores_elapsed():
@@ -415,136 +409,84 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
-def run_cli_process(args, timeout=60):
-    """The CLI as a user runs it: a fresh interpreter on the source tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "suppscan.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
+def run_cli_process(args, cwd, command=None, **kwargs):
+    """The CLI as a user runs it: the given command, or by default a fresh
+    interpreter on the source tree."""
+    env = None
+    if command is None:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-m", "suppscan.cli"]
+    return subprocess.run([*command, *args], capture_output=True, text=True, cwd=cwd, env=env, **kwargs)
 
 
-def test_cli_search_curve(tmp_path, capsys):
-    out = tmp_path / "cfg.json"
-    assert cli_main(["search-curve", "--height-bound", "5", "--out", str(out)]) == 0
-    cfg = LabConfig.from_dict(json.loads(out.read_text()))
-    assert cfg == default_config()
-    # stdout variant: the field order of LabConfig, unsorted
-    assert cli_main(["search-curve", "--height-bound", "5"]) == 0
-    assert capsys.readouterr().out == SEARCH_CURVE_5
+def make_inputs(case, cwd):
+    """Create the case's input files in a new cwd; return the bytes of the
+    files that must stay unchanged."""
+    cwd.mkdir()
+    for name, content in case.files.items():
+        path = cwd / name
+        if isinstance(content, Link):
+            if content.hard:
+                os.link(cwd / content.target, path)
+            else:
+                path.symlink_to(content.target)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return {name: (cwd / name).read_bytes() for name in case.unchanged}
 
 
-SEARCH_CURVE_5 = """{
-  "curve": [
-    -21,
-    -20
-  ],
-  "R": [
-    -3,
-    4,
-    1
-  ],
-  "R1": [
-    -4,
-    0,
-    1
-  ],
-  "R2": [
-    -1,
-    0,
-    1
-  ],
-  "p": 2,
-  "prime_bound": 10000,
-  "naive_threshold": 100000,
-  "entry_bound": 4,
-  "workers": 1
-}
-"""
+def check_case(case, cwd, before, code, out, err):
+    assert code == case.code and re.fullmatch(case.err, err), (code, err)
+    assert case.out.fullmatch(out) if isinstance(case.out, re.Pattern) else out == case.out, out
+    assert not [name for name in case.absent if os.path.lexists(cwd / name)]
+    assert {name: (cwd / name).read_bytes() for name in before} == before
+    assert {name: (cwd / name).read_text() for name in case.wrote} == case.wrote
 
 
-def test_cli_search_curve_not_found(capsys):
-    assert cli_main(["search-curve", "--height-bound", "1"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("search failed: ")
+def work_started(*args, **kwargs):
+    raise AssertionError("work started although the command line is refused")
 
 
-def test_cli_empty_output_path_exit_2(tmp_path, capsys, monkeypatch):
-    # An empty --out is refused, not read as "no --out" (stdout).
-    assert cli_main(["search-curve", "--height-bound", "5", "--out", ""]) == 2
+def run_case(case, cwd, monkeypatch, capsys):
+    before = make_inputs(case, cwd)
+    if case.timeout:  # a fresh process with a timeout fails, not hangs
+        proc = run_cli_process(shlex.split(case.argv), cwd, timeout=case.timeout)
+        return check_case(case, cwd, before, proc.returncode, proc.stdout, proc.stderr)
+    with monkeypatch.context() as patch:
+        patch.chdir(cwd)
+        if case.before_work:
+            patch.setattr("suppscan.cli.run_scan", work_started)
+            patch.setattr("suppscan.cli.search_curve", work_started)
+        code = cli_main(shlex.split(case.argv))
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "usage error: --out must name a file\n"
-
-    # refused before the sweep starts, not at the write after it
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("work started although an output path is empty")
-
-    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
-    path = write_config(tmp_path, small_config(bound=50))
-    json_path = tmp_path / "r.json"
-    assert cli_main(["scan", "--config", path, "--out-csv", "", "--out-json", str(json_path)]) == 2
-    assert cli_main(["scan", "--config", path, "--out-csv", str(tmp_path / "r.csv"), "--out-json", ""]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "usage error: --out-csv must name a file",
-        "usage error: --out-json must name a file",
-    ]
-    assert not json_path.exists() and not (tmp_path / "r.csv").exists()
+    check_case(case, cwd, before, code, captured.out, captured.err)
 
 
-def test_cli_validate(tmp_path, capsys):
-    path = write_config(tmp_path, small_config())
-    assert cli_main(["validate", "--config", path]) == 0
-    out = capsys.readouterr().out
-    assert "curve_ok: True" in out
+def cases_test(cases):
+    def test(tmp_path, monkeypatch, capsys):
+        for i, case in enumerate(cases):
+            run_case(case, tmp_path / str(i), monkeypatch, capsys)
 
-    cm = small_config()._replace(curve=RationalCurve(-1, 0), R=RationalPoint(2, 2, 1),
-                                 R1=RationalPoint(0, 0), R2=RationalPoint(1, 0))
-    path = write_config(tmp_path, cm)
-    assert cli_main(["validate", "--config", path]) == 1
+    return test
 
 
-def test_cli_validate_cubic_that_does_not_split(tmp_path, capsys):
-    # y^2 = x^3 + x - 2 = (x - 1)(x^2 + x + 2): (1, 0) has order 2, but the
-    # other two roots are not rational, so the 2-torsion is not full. The
-    # curve has no CM (j = 432/7), so only the torsion and rank checks fail.
-    path = tmp_path / "nonsplit.json"
-    one = [1, 0, 1]
-    path.write_text(json.dumps({"curve": [1, -2], "R": one, "R1": one, "R2": one, "p": 2}))
-    assert cli_main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "curve_ok: True",
-        "non_cm: True",
-        "full_p_torsion: False",
-        "r_infinite_order: False",
-        "r1_r2_independent: False",
-        "failure: torsion: the cubic does not split over Z",
-        "failure: rank: R is a torsion point",
-        "failure: torsion: R2 lies in the cyclic group generated by R1",
-    ]
+# One test per group of rows in cli_cases.CASES, named for the group.
+for name, cases in CASES.items():
+    globals()[name] = cases_test(cases)
 
 
-def test_cli_scan(tmp_path, capsys):
-    path = write_config(tmp_path, small_config(bound=100))
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    code = cli_main(
-        ["scan", "--config", path, "--out-csv", str(csv_path), "--out-json", str(json_path)]
-    )
-    assert code == 0
-    assert csv_path.read_text().startswith(CSV_HEADER)
-    assert "forward rate 1" in capsys.readouterr().out
-
-
-def test_cli_deeply_nested_config_exit_2(tmp_path, capsys):
-    # json.load raises RecursionError on deep nesting; that is a malformed
-    # config (exit 2, one line), not a traceback with exit 1.
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    assert cli_main(["validate", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"usage error: cannot load config {path}: ")
+@pytest.mark.installed
+@pytest.mark.parametrize(
+    "case", [case for cases in CASES.values() for case in cases],
+    ids=[f"{name.removeprefix('test_cli_')}-{i}" for name, cases in CASES.items() for i in range(len(cases))],
+)
+def test_installed_console_script(case, tmp_path):
+    # Selected by -m installed after pip install: every row, run by the
+    # console script in a temporary directory outside the checkout.
+    before = make_inputs(case, tmp_path / "cwd")
+    proc = run_cli_process(shlex.split(case.argv), tmp_path / "cwd", ["suppscan"], timeout=case.timeout or 120)
+    check_case(case, tmp_path / "cwd", before, proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
@@ -563,177 +505,22 @@ def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     assert not json_path.exists()
 
 
-def test_cli_scan_missing_config(tmp_path, capsys):
-    code = cli_main(
-        [
-            "scan",
-            "--config",
-            str(tmp_path / "nope.json"),
-            "--out-csv",
-            str(tmp_path / "o.csv"),
-            "--out-json",
-            str(tmp_path / "o.json"),
-        ]
-    )
-    assert code == 2
+def test_cli_sieve_out_of_memory_is_one_line(tmp_path):
+    # A real allocation failure, in a child whose address space is capped at
+    # 2 GiB: the sieve to 10^12 is refused at once, so nothing is allocated.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    (tmp_path / "config.json").write_text(json.dumps(small_config(bound=10**12).to_dict()))
+    argv = ["scan", "--config", "config.json", "--out-csv", "o.csv", "--out-json", "o.json"]
+    proc = run_cli_process(argv, tmp_path, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "usage error: out of memory; try a smaller prime_bound\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
-def test_cli_usage_errors(capsys):
-    assert cli_main([]) == 2
-    assert cli_main(["scan"]) == 2
-    assert cli_main(["no-relation", "--p", "4"]) == 2
-    assert cli_main(["bogus"]) == 2
-
-
-def test_cli_out_of_range_values_exit_2(tmp_path, capsys):
-    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
-    good = small_config(bound=50).to_dict()
-    bad_path = tmp_path / "bad.json"
-    for bad in (
-        {"entry_bound": 0},
-        {"entry_bound": -1},
-        {"workers": 0},
-        {"curve": [-21.9, -20]},  # not truncated to -21
-        {"p": True},  # not read as p = 1
-    ):
-        bad_path.write_text(json.dumps({**good, **bad}))
-        assert cli_main(["validate", "--config", str(bad_path)]) == 2
-        assert cli_main(["scan", "--config", str(bad_path), *outs]) == 2
-    good_path = write_config(tmp_path, small_config(bound=50))
-    assert cli_main(["scan", "--config", good_path, "--workers", "0", *outs]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 11 and all(line.startswith("usage error: ") for line in err)
-
-    # as a user runs it: one line on stderr, no traceback
-    bad_path.write_text(json.dumps({**good, "entry_bound": 0}))
-    proc = run_cli_process(["scan", "--config", str(bad_path), *outs])
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and "entry_bound must be >= 1" in proc.stderr
-
-
-def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
-    # A misspelt key must not leave the default in force unnoticed.
-    path = tmp_path / "typo.json"
-    path.write_text(json.dumps({**small_config(bound=50).to_dict(), "prime_bund": 50}))
-    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
-    assert cli_main(["scan", "--config", str(path), *outs]) == 2
-    assert cli_main(["validate", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    assert all(line.startswith("usage error: ") and "'prime_bund'" in line for line in err)
-    assert not (tmp_path / "o.csv").exists()
-
-
-def test_cli_missing_output_dir_exit_2(tmp_path, capsys, monkeypatch):
-    missing = tmp_path / "missing"
-    path = write_config(tmp_path, small_config(bound=50))
-    ok = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
-
-    # refused before the sweep starts
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("work started despite a missing output directory")
-
-    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
-    assert cli_main(["scan", "--config", path, *ok[:2], "--out-json", str(missing / "o.json")]) == 2
-    assert cli_main(["scan", "--config", path, "--out-csv", str(missing / "o.csv"), *ok[2:]]) == 2
-    monkeypatch.setattr("suppscan.cli.search_curve", no_sweep)
-    assert cli_main(["search-curve", "--height-bound", "5", "--out", str(missing / "c.json")]) == 2
-    monkeypatch.undo()
-    # an output path that is a directory is a usage error too
-    assert cli_main(["scan", "--config", path, "--out-csv", str(tmp_path), *ok[2:]]) == 2
-    assert cli_main(["search-curve", "--height-bound", "5", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 5 and all(line.startswith("usage error: ") for line in err)
-    assert all("does not exist" in line for line in err[:3])
-    assert not missing.exists()
-
-    proc = run_cli_process(["scan", "--config", path, "--out-csv", str(missing / "o.csv"), *ok[2:]])
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and "does not exist" in proc.stderr
-
-
-def test_cli_scan_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path, small_config(bound=50))
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("work started although both reports name one file")
-
-    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
-    out = tmp_path / "r"
-    (tmp_path / "d").mkdir()
-    (tmp_path / "link").symlink_to(out)
-    for other in (out, tmp_path / "d" / ".." / "r", tmp_path / "link"):
-        argv = ["scan", "--config", path, "--out-csv", str(out), "--out-json", str(other)]
-        assert cli_main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3
-    assert all(line.startswith("usage error: ") and "same file" in line for line in err)
-    assert not out.exists()
-
-
-def test_cli_scan_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path, small_config(bound=50))
-    before = Path(path).read_bytes()
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("work started although a report names the config")
-
-    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
-    (tmp_path / "link.json").symlink_to(path)
-    other = str(tmp_path / "o.out")
-    for argv in (
-        ["--out-csv", other, "--out-json", path],
-        ["--out-csv", path, "--out-json", other],
-        ["--out-csv", other, "--out-json", str(tmp_path / "link.json")],
-    ):
-        assert cli_main(["scan", "--config", path, *argv]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3
-    assert all(line.startswith("usage error: --config and --out-") for line in err)
-    assert all(line.endswith(f"name the same file {path}") for line in err)
-    assert Path(path).read_bytes() == before
-    assert not Path(other).exists()
-    monkeypatch.undo()
-    assert cli_main(["validate", "--config", path]) == 0
-
-
-def test_cli_scan_refuses_a_directory_as_output(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path, small_config(bound=50))
-    file_out = str(tmp_path / "o.out")
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("work started although an output is a directory")
-
-    monkeypatch.setattr("suppscan.cli.run_scan", no_sweep)
-    for csv_path, json_path in ((str(tmp_path), file_out), (file_out, str(tmp_path))):
-        assert cli_main(["scan", "--config", path, "--out-csv", csv_path, "--out-json", json_path]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"usage error: --out-csv {tmp_path} is a directory",
-        f"usage error: --out-json {tmp_path} is a directory",
-    ]
-    assert not Path(file_out).exists()
-
-
-def test_cli_no_relation(capsys):
-    assert cli_main(["no-relation", "--p", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "medium_relation_impossible" in out
-    assert "impossible" in out
-    assert cli_main(["no-relation", "--p", "97"]) == 0
-
-
-def test_cli_no_relation_large_prime():
-    # p = 2^61 - 1: the residue count must not loop over k mod p. A fresh
-    # process with a timeout fails, not hangs.
-    p = 2**61 - 1
-    proc = run_cli_process(["no-relation", "--p", str(p)], timeout=20)
-    assert proc.returncode == 0
-    assert f"Residue check: 0 of {p**5} tuples" in proc.stdout
-
-
-def test_cli_no_relation_tests_primality_once(monkeypatch, capsys):
+def test_cli_no_relation_tests_primality_once(monkeypatch):
     # Count every call, through whichever module bound the name.
     import suppscan
     from suppscan import arith
@@ -749,40 +536,8 @@ def test_cli_no_relation_tests_primality_once(monkeypatch, capsys):
         if getattr(module, "is_prime", None) is original:
             monkeypatch.setattr(module, "is_prime", counted)
     p = 2**61 - 1
-    assert cli_main(["no-relation", "--p", str(p)]) == 0
+    cli_main(["no-relation", "--p", str(p)])
     assert calls == [p]
-    assert cli_main(["no-relation", "--p", "4"]) == 2
-    assert capsys.readouterr().err == "usage error: --p must be prime, got 4\n"
-
-
-def test_cli_p_beyond_the_proved_primality_bound(tmp_path, capsys):
-    # A composite that the first 12 primes as Miller-Rabin witnesses pass.
-    assert cli_main(["no-relation", "--p", "318665857834031151167461"]) == 2
-    assert capsys.readouterr().err == (
-        "usage error: --p must be prime, got 318665857834031151167461\n"
-    )
-    # At the bound the primality test has no proved answer: one line naming it.
-    big = 3317044064679887385961981
-    reason = f"{big} is at or above {big}, the proved primality bound"
-    proc = run_cli_process(["no-relation", "--p", str(big)])
-    assert proc.returncode == 2
-    assert proc.stderr == f"usage error: --p {reason}\n"
-    path = write_config(tmp_path, default_config()._replace(p=big))
-    assert cli_main(["validate", "--config", path]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert [line for line in out if line.startswith("failure")] == [f"failure: torsion: p = {reason}"]
-    outs = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
-    for argv in (["scan", "--config", path, *outs], ["endo-check", "--config", path]):
-        assert cli_main(argv) == 1
-        assert capsys.readouterr().err == f"hypothesis failure: torsion: p = {reason}\n"
-    assert not (tmp_path / "o.csv").exists()
-
-
-def test_cli_endo_check(tmp_path, capsys):
-    path = write_config(tmp_path, small_config())
-    assert cli_main(["endo-check", "--config", path, "--primes", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "16/16" in out
 
 
 def test_cli_endo_check_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
@@ -797,22 +552,3 @@ def test_cli_endo_check_mismatch_is_an_invariant_violation(tmp_path, capsys, mon
     assert captured.err == (
         "invariant violation: descent criterion and kernel preservation disagree on 42 residue matrices\n"
     )
-
-
-def test_cli_endo_check_validates_first(tmp_path, capsys):
-    good = default_config().to_dict()
-    bad_path = tmp_path / "bad.json"
-    for bad, failure in (
-        ({"p": 4}, "torsion: p = 4 is not prime"),
-        ({"R1": [0, 1, 0]}, "torsion: R1 does not have exact order 2"),
-    ):
-        bad_path.write_text(json.dumps({**good, **bad}))
-        assert cli_main(["endo-check", "--config", str(bad_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"hypothesis failure: {failure}"]
-
-    # A singular curve has no good prime, so the prime stream never yields:
-    # only validation stops it. A fresh process with a timeout fails, not hangs.
-    bad_path.write_text(json.dumps({**good, "curve": [0, 0]}))
-    proc = run_cli_process(["endo-check", "--config", str(bad_path)])
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["hypothesis failure: curve: discriminant is zero"]
