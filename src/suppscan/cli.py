@@ -28,11 +28,19 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one usage-error line, not usage
+    text; add_subparsers gives each subcommand the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser unchanged, and
     # building it costs more than parsing one command line.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="suppscan",
         description="Order-divisibility scans on a quotient of E x E, with "
         "endomorphism-relation certificates.",
@@ -200,13 +208,11 @@ def _cmd_no_relation(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:  # only --help, after printing the usage on stdout
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -135,10 +135,6 @@ class PrimeRecord(NamedTuple):
     backward_holds: bool  # ord_P | ord_Q
     elapsed_us: int
 
-    def csv_row(self) -> str:
-        """The fields in order; booleans as true/false."""
-        return ",".join(str(v).lower() for v in self)
-
 
 def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     """Orders of R, P = image (R, 0) and Q = image (R, R) at one prime."""

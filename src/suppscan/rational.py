@@ -190,6 +190,32 @@ class HypothesisReport(NamedTuple):
         return not self.failures
 
 
+def _p_torsion_failures(curve: RationalCurve, R1: RationalPoint, R2: RationalPoint, p: int) -> list:
+    """Why R1 and R2 do not generate the full rational p-torsion; empty if they do."""
+    try:
+        if not is_prime(p):
+            return [f"torsion: p = {p} is not prime"]
+    except ValueError as exc:  # p is too large for a proved answer
+        return [f"torsion: p = {exc}"]
+    if p != 2:
+        # Full p-torsion over Q forces the p-th roots of unity into Q.
+        return [f"torsion: full {p}-torsion is impossible over Q (Weil pairing)"]
+    wrong = [
+        f"torsion: {name} does not have exact order {p}"
+        for name, pt in (("R1", R1), ("R2", R2))
+        if torsion_order(curve, pt) != p
+    ]
+    if wrong:
+        return wrong
+    # R1 = (e1, 0) has order 2, so the cubic is (x - e1)(x^2 + e1*x + e1^2 + a).
+    # The cofactor's roots (-e1 +- sqrt(D))/2, D = -3*e1^2 - 4a, are rational
+    # exactly when D is a square, and then integers, as D = e1^2 (mod 4); the
+    # curve is nonsingular, so all three roots are distinct.
+    if not is_perfect_square(-3 * R1.x**2 - 4 * curve.a):
+        return ["torsion: the cubic does not split over Z"]
+    return []
+
+
 def validate_hypotheses(
     curve: RationalCurve,
     R: RationalPoint,
@@ -202,72 +228,35 @@ def validate_hypotheses(
     Nothing raises; every failed check lands in the report so a config can
     be rejected with all its defects listed at once.
     """
-    failures = []
-
-    nonsingular = curve.discriminant() != 0
-    curve_ok = nonsingular
-    if not nonsingular:
-        failures.append("curve: discriminant is zero")
-    else:
-        for name, pt in (("R", R), ("R1", R1), ("R2", R2)):
-            if not on_curve(curve, pt):
-                curve_ok = False
-                failures.append(f"curve: point {name} does not satisfy the curve equation")
-
-    non_cm = nonsingular and not curve.is_cm()
-    if nonsingular and not non_cm:
+    if curve.discriminant() == 0:
+        return HypothesisReport(False, False, False, False, False, ("curve: discriminant is zero",))
+    failures = [
+        f"curve: point {name} does not satisfy the curve equation"
+        for name, pt in (("R", R), ("R1", R1), ("R2", R2))
+        if not on_curve(curve, pt)
+    ]
+    curve_ok = not failures
+    non_cm = not curve.is_cm()
+    if not non_cm:
         failures.append(f"cm: j-invariant {curve.j_invariant()} admits complex multiplication")
+    if not curve_ok:
+        return HypothesisReport(False, non_cm, False, False, False, tuple(failures))
 
-    full_p = curve_ok
-    if full_p:
-        try:
-            if not is_prime(p):
-                full_p = False
-                failures.append(f"torsion: p = {p} is not prime")
-        except ValueError as exc:  # p is too large for a proved answer
-            full_p = False
-            failures.append(f"torsion: p = {exc}")
-    if full_p and p != 2:
-        # Full p-torsion over Q forces the p-th roots of unity into Q.
-        full_p = False
-        failures.append(f"torsion: full {p}-torsion is impossible over Q (Weil pairing)")
-    if full_p:
-        for name, pt in (("R1", R1), ("R2", R2)):
-            if torsion_order(curve, pt) != p:
-                full_p = False
-                failures.append(f"torsion: {name} does not have exact order {p}")
-        # R1 = (e1, 0) has order 2, so the cubic is (x - e1)(x^2 + e1*x + e1^2 + a).
-        # The cofactor's roots (-e1 +- sqrt(D))/2, D = -3*e1^2 - 4a, are rational
-        # exactly when D is a square, and then integers, as D = e1^2 (mod 4); the
-        # curve is nonsingular, so all three roots are distinct.
-        if full_p and not is_perfect_square(-3 * R1.x**2 - 4 * curve.a):
-            full_p = False
-            failures.append("torsion: the cubic does not split over Z")
-
-    r_inf = curve_ok and not is_torsion(curve, R)
-    if curve_ok and not r_inf:
+    torsion_failures = _p_torsion_failures(curve, R1, R2, p)
+    failures += torsion_failures
+    r_inf = not is_torsion(curve, R)
+    if not r_inf:
         failures.append("rank: R is a torsion point")
-
-    independent = curve_ok
-    if independent:
-        # Walk <R1>; rational torsion has order <= 12, so the walk is short.
-        members = [RationalPoint.identity()]
-        t = R1
-        while not t.is_identity and len(members) <= MAZUR_ORDER_BOUND:
-            members.append(t)
-            t = rational_add(curve, t, R1)
-        if R2 in members:
-            independent = False
-            failures.append("torsion: R2 lies in the cyclic group generated by R1")
-
-    return HypothesisReport(
-        curve_ok=curve_ok,
-        non_cm=non_cm,
-        full_p_torsion=full_p,
-        r_infinite_order=r_inf,
-        r1_r2_independent=independent,
-        failures=tuple(failures),
-    )
+    # Walk <R1>; rational torsion has order <= 12, so the walk is short.
+    members = [RationalPoint.identity()]
+    t = R1
+    while not t.is_identity and len(members) <= MAZUR_ORDER_BOUND:
+        members.append(t)
+        t = rational_add(curve, t, R1)
+    independent = R2 not in members
+    if not independent:
+        failures.append("torsion: R2 lies in the cyclic group generated by R1")
+    return HypothesisReport(True, non_cm, not torsion_failures, r_inf, independent, tuple(failures))
 
 
 def search_curve(height_bound: int):

@@ -272,8 +272,8 @@ def _usable_cores() -> int:
 def write_report(report: ScanReport, csv_path, json_path) -> str:
     """CSV of per-prime records plus the full JSON report; returns the
     report digest written into the JSON."""
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in report.records)
+    # One row per record, its fields in column order; booleans as true/false.
+    lines = [CSV_HEADER, *(",".join(str(v).lower() for v in r) for r in report.records)]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     payload = report.to_dict()

@@ -56,7 +56,8 @@ def no_relation(p):
 
 CFG = {"config.json": BASE}
 OUTS = "--out-csv o.csv --out-json o.json"
-ARGPARSE = r"(?s)usage: suppscan .*\nsuppscan[a-z ]*: error: [^\n]*\n"
+# argparse's own errors: one line naming the parser, no usage text.
+ARGPARSE = r"usage error: suppscan( [a-z-]+)?: [^\n]+\n"
 VALID = "curve_ok: True\nnon_cm: True\nfull_p_torsion: True\nr_infinite_order: True\nr1_r2_independent: True\n"
 BIG = 3317044064679887385961981  # the proved primality bound
 BIG_REASON = f"{BIG} is at or above {BIG}, the proved primality bound"
@@ -125,7 +126,14 @@ CASES = {
         Case("", 2, ARGPARSE),
         Case("scan", 2, ARGPARSE),
         Case("bogus", 2, ARGPARSE),
+        Case(f"scan --config config.json {OUTS} --workers x", 2,
+             usage("suppscan scan: argument --workers: invalid int value: 'x'"), files=CFG,
+             absent=("o.csv", "o.json"), before_work=True),
+        Case(f"scan --config config.json {OUTS} --bogus", 2, usage("suppscan: unrecognized arguments: --bogus"),
+             files=CFG, absent=("o.csv", "o.json"), before_work=True),
         Case("no-relation --p 4", 2, usage("--p must be prime, got 4")),
+        # --help is not an error: the usage on stdout, nothing on stderr.
+        Case("--help", 0, out=re.compile(r"usage: suppscan .*", re.S)),
     ],
     "test_cli_out_of_range_values_exit_2": [
         *(Case(f"{command} --config bad.json", 2, usage(f"cannot load config bad.json: malformed config: {why}"),

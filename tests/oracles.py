@@ -147,6 +147,20 @@ def weak_relation_by_sweep(p, ctxs, R, entry_bound):
     return (kind, *(hit or (None, None)), *(hit_t or (None, None)))
 
 
+def first_relation_by_walk(p, bound, L, transposed):
+    """(k, f) of endo._first_relation by walking the whole box in the
+    documented order: k = 1 .. bound, then a, b, c, d over 0, 1, -1, 2, ...
+    A candidate counts when L divides both differences, (a-k, c-k) or
+    (a+b-k, c+d) when transposed, and f meets the descent congruences."""
+    values = [0] + [v for n in range(1, bound + 1) for v in (n, -n)]
+    for k in range(1, bound + 1):
+        for a, b, c, d in product(values, repeat=4):
+            j1, j2 = (a + b - k, c + d) if transposed else (a - k, c - k)
+            if j1 % L == 0 and j2 % L == 0 and b % p == 0 and c % p == 0 and (a - d) % p == 0:
+                return k, EndoMatrix(a, b, c, d)
+    return None, None
+
+
 def class_number(D):
     """Form class number of a negative discriminant, by counting reduced
     primitive positive-definite binary quadratic forms."""

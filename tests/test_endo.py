@@ -4,8 +4,9 @@ from itertools import islice, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_points, compose, order_by_walk, weak_relation_by_sweep
+from oracles import all_points, compose, first_relation_by_walk, order_by_walk, weak_relation_by_sweep
 from test_quotient import draw_split_context
+from suppscan import endo
 from suppscan.arith import primes_up_to
 from suppscan.endo import (
     KIND_MEDIUM_IMPOSSIBLE,
@@ -352,6 +353,33 @@ def test_find_weak_relation_at_p3_matches_sweep_oracle(orders, entry_bound):
     got = (cert.kind, cert.k, cert.f, cert.transposed_k, cert.transposed_f)
     assert got == weak_relation_by_sweep(3, ctxs, R3, entry_bound)
     assert cert.searched_primes == tuple(qs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.one_of(st.integers(1, 100), st.integers(10**6 - 100, 10**6 + 100)),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_first_relation_matches_box_walk(p, L, entry_bound, transposed):
+    assert endo._first_relation(p, entry_bound, L, transposed) == first_relation_by_walk(
+        p, entry_bound, L, transposed
+    )
+
+
+@pytest.mark.parametrize("entry_bound", [24, 48])
+def test_first_relation_does_not_walk_class_products(monkeypatch, entry_bound):
+    # At p = 2, L = 6 no k = 1 relation exists: c = 1 (mod 6) is odd, and
+    # when transposed a + b = 1 (mod 6) with b even makes a, d and c + d odd.
+    # A walk over every tail of a class then tries about (2B + 1)^4 / 36
+    # matrices at k = 1; a lookup per head tries at most one.
+    calls = []
+    congruent = endo._congruent
+    monkeypatch.setattr(endo, "_congruent", lambda m, p: calls.append(m) or congruent(m, p))
+    for transposed in (False, True):
+        assert endo._first_relation(2, entry_bound, 6, transposed)[0] == 2
+    assert len(calls) <= (2 * entry_bound + 1) ** 2
 
 
 def test_relation_holds_tests_no_primality(monkeypatch):

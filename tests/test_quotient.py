@@ -239,14 +239,3 @@ def test_ord_p_always_equals_ord_r():
         rec = evaluate_prime(ctx, R)
         assert rec.ord_p == rec.ord_r
         assert rec.ord_r % rec.ord_q == 0  # n = ord_R kills both components
-
-
-def test_csv_row_format():
-    ctx = make_context(DEFAULT, R1, R2, 2, 5)
-    rec = evaluate_prime(ctx, R)
-    fields = rec.csv_row().split(",")
-    assert fields[:4] == ["5", "4", "4", "4"]
-    assert fields[4:6] == ["true", "true"]
-    assert fields[6].isdigit()
-    row = rec._replace(ord_p=8, forward_holds=False, elapsed_us=12).csv_row()
-    assert row == "5,4,8,4,false,true,12"
