@@ -21,6 +21,7 @@ from suppscan.quotient import (
     quotient_scalar_mul,
 )
 from suppscan.rational import RationalCurve, RationalPoint
+from suppscan.scan import default_config, run_scan, write_report
 
 DEFAULT = RationalCurve(-21, -20)
 R = RationalPoint(-3, 4)
@@ -239,3 +240,21 @@ def test_ord_p_always_equals_ord_r():
         rec = evaluate_prime(ctx, R)
         assert rec.ord_p == rec.ord_r
         assert rec.ord_r % rec.ord_q == 0  # n = ord_R kills both components
+
+
+def test_csv_row_format(tmp_path):
+    # write_report prints a record's fields in column order, booleans as true/false.
+    ctx = make_context(DEFAULT, R1, R2, 2, 5)
+    rec = evaluate_prime(ctx, R)
+    report = run_scan(default_config()._replace(prime_bound=6))
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+
+    def row(record):
+        write_report(report._replace(records=(record,)), csv_path, json_path)
+        return csv_path.read_text().split("\n")[1]
+
+    fields = row(rec).split(",")
+    assert fields[:4] == ["5", "4", "4", "4"]
+    assert fields[4:6] == ["true", "true"]
+    assert fields[6].isdigit()
+    assert row(rec._replace(ord_p=8, forward_holds=False, elapsed_us=12)) == "5,4,8,4,false,true,12"

@@ -295,10 +295,6 @@ def test_write_report_shapes(tmp_path):
     assert payload["weak_relation"]["k"] == 2
     assert payload["weak_relation"]["transposed_f"] == [[0, 2], [0, 0]]
     assert payload["condition1_forward_rate"] == "1"
-    # A row holds a record's fields in column order, booleans as true/false.
-    record = rep.records[0]._replace(ord_p=8, forward_holds=False, elapsed_us=12)
-    write_report(rep._replace(records=(record,)), csv_path, json_path)
-    assert csv_path.read_text() == CSV_HEADER + "\n5,4,8,4,false,true,12\n"
 
 
 def test_report_bytes_of_a_small_default_scan(tmp_path):
