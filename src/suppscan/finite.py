@@ -86,7 +86,10 @@ class FiniteCurve:
         return x3, (lam * (x1 - x3) - y1) % q
 
     def scalar_mul(self, n: int, s):
-        """n * s by double-and-add; negative n negates the point."""
+        """n * s by double-and-add; negative n negates the point. Every
+        multiple of the identity is the identity, at no group operation."""
+        if s is None:
+            return None
         if n < 0:
             n, s = -n, self.neg(s)
         acc = None

@@ -99,7 +99,9 @@ def quotient_neg(ctx: QuotientContext, s: QuotientPoint) -> QuotientPoint:
 
 
 def quotient_scalar_mul(ctx: QuotientContext, n: int, s: QuotientPoint) -> QuotientPoint:
-    return QuotientPoint(ctx.curve.scalar_mul(n, s.rep1), ctx.curve.scalar_mul(n, s.rep2))
+    """n * s; a diagonal pair (r, r), such as Q, multiplies r only once."""
+    u = ctx.curve.scalar_mul(n, s.rep1)
+    return QuotientPoint(u, u if s.rep2 == s.rep1 else ctx.curve.scalar_mul(n, s.rep2))
 
 
 def quotient_is_zero(ctx: QuotientContext, s: QuotientPoint) -> bool:

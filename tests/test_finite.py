@@ -79,6 +79,7 @@ def test_scalar_mul():
     assert F5.scalar_mul(4, (2, 1)) is None
     assert F5.scalar_mul(-1, (2, 1)) == (2, 4)
     assert F5.scalar_mul(-3, (2, 1)) == F5.neg(F5.scalar_mul(3, (2, 1)))
+    assert all(F5.scalar_mul(n, None) is None for n in (-9, -1, 0, 1, 2, 9))
     acc = None
     for n in range(1, 9):
         acc = F5.add(acc, (2, 1))

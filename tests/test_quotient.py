@@ -20,8 +20,8 @@ from suppscan.quotient import (
     quotient_order,
     quotient_scalar_mul,
 )
-from suppscan.rational import RationalCurve, RationalPoint
-from suppscan.scan import default_config, run_scan, write_report
+from suppscan.rational import RationalCurve, RationalPoint, reduce_onto
+from suppscan.scan import classify_primes, default_config, run_scan, write_report
 
 DEFAULT = RationalCurve(-21, -20)
 R = RationalPoint(-3, 4)
@@ -209,6 +209,67 @@ def test_scalar_mul_matches_repeated_add():
     for n in range(1, 6):
         acc = quotient_add(F5_CTX, acc, pt)
         assert quotient_scalar_mul(F5_CTX, n, pt) == acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_scalar_mul_is_componentwise(data):
+    # The diagonal shortcut must fire for (r, r) only: not for (r, 0), not
+    # for (r, -r), which shares r's x, and not for an unrelated t.
+    ctx = draw_split_context(data, 500)
+    curve = ctx.curve
+    pts = all_points(curve)
+    s = data.draw(st.sampled_from(pts), label="s")
+    t = data.draw(st.sampled_from([None, s, curve.neg(s), data.draw(st.sampled_from(pts))]), label="t")
+    bound = 2 * lcm(curve.point_order(s), curve.point_order(t))
+    n = data.draw(st.integers(-bound, bound), label="n")
+    assert quotient_scalar_mul(ctx, n, QuotientPoint(s, t)) == (curve.scalar_mul(n, s), curve.scalar_mul(n, t))
+
+
+def count_adds(monkeypatch) -> list:
+    """A list that grows by one at every FiniteCurve.add call from now on."""
+    calls = []
+    add = FiniteCurve.add
+
+    def counted(self, s, t):
+        calls.append(None)
+        return add(self, s, t)
+
+    monkeypatch.setattr(FiniteCurve, "add", counted)
+    return calls
+
+
+def test_quotient_trial_costs_one_scalar_mul(monkeypatch):
+    # Q = (r, r) reuses n * r, and the identity in P = (r, 0) costs nothing.
+    ctx = make_context(DEFAULT, R1, R2, 2, 9973)
+    r = reduce_onto(R, ctx.curve)
+    ord_r = ctx.curve.point_order(r)
+    calls = count_adds(monkeypatch)
+
+    def adds(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    for n in (0, 1, 2, 12, -77, ord_r // 2, ord_r):
+        alone = adds(ctx.curve.scalar_mul, n, r)
+        assert adds(ctx.curve.scalar_mul, n, None) == 0
+        for pair in ((r, r), (r, None)):
+            assert adds(quotient_scalar_mul, ctx, n, QuotientPoint(*pair)) == alone, (n, pair)
+
+
+def test_evaluate_prime_group_operation_budget(monkeypatch):
+    # A timing-free pin of the per-prime cost: FiniteCurve.add calls while
+    # evaluate_prime runs at the default config's good primes below 2000.
+    # Multiplying both components at every quotient-order trial made 74,728;
+    # one multiplication per trial makes 47,074. A cheaper path still passes.
+    config = default_config()._replace(prime_bound=2000)
+    ctxs = [make_context(DEFAULT, R1, R2, 2, q) for q in classify_primes(config)[0]]
+    assert len(ctxs) == 301
+    calls = count_adds(monkeypatch)
+    for ctx in ctxs:
+        evaluate_prime(ctx, R)
+    assert len(calls) <= 47_074
 
 
 def test_evaluate_prime_small():

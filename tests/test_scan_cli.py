@@ -505,18 +505,37 @@ def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     assert not json_path.exists()
 
 
-def test_cli_sieve_out_of_memory_is_one_line(tmp_path):
-    # A real allocation failure, in a child whose address space is capped at
-    # 2 GiB: the sieve to 10^12 is refused at once, so nothing is allocated.
+# Exit code and stderr of a scan that runs out of memory.
+OUT_OF_MEMORY = (2, "usage error: out of memory; try a smaller prime_bound or entry_bound\n")
+
+
+def scan_in_capped_child(tmp_path, config, limit):
+    """`scan` of config in a child process whose address space is capped at
+    limit bytes; the reports would go to tmp_path."""
     resource = pytest.importorskip("resource")
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    (tmp_path / "config.json").write_text(json.dumps(small_config(bound=10**12).to_dict()))
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()))
     argv = ["scan", "--config", "config.json", "--out-csv", "o.csv", "--out-json", "o.json"]
-    proc = run_cli_process(argv, tmp_path, preexec_fn=cap, timeout=60)
-    assert (proc.returncode, proc.stderr) == (2, "usage error: out of memory; try a smaller prime_bound\n")
+    return run_cli_process(argv, tmp_path, preexec_fn=cap, timeout=120)
+
+
+def test_cli_sieve_out_of_memory_is_one_line(tmp_path):
+    # A real allocation failure, in a child whose address space is capped at
+    # 2 GiB: the sieve to 10^12 is refused at once, so nothing is allocated.
+    proc = scan_in_capped_child(tmp_path, small_config(bound=10**12), 2 << 30)
+    assert (proc.returncode, proc.stderr) == OUT_OF_MEMORY
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_cli_search_box_out_of_memory_names_entry_bound(tmp_path):
+    # The sieve to 50 is tiny; the relation search's (2 * 20000 + 1)^2 class
+    # table is what exhausts a child capped at 400 MiB, so the line must name
+    # entry_bound too.
+    proc = scan_in_capped_child(tmp_path, small_config(bound=50)._replace(entry_bound=20_000), 400 << 20)
+    assert (proc.returncode, proc.stderr) == OUT_OF_MEMORY
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
