@@ -13,6 +13,10 @@ from .arith import factorize, is_prime
 FinitePoint = tuple[int, int] | None
 
 
+class InvariantViolation(RuntimeError):
+    """A structural guarantee failed; signals a bug or a mis-excluded prime."""
+
+
 def hasse_interval(q: int):
     """[q + 1 - w, q + 1 + w], w = floor(2*sqrt(q)): where #E(F_q) lies."""
     w = isqrt(4 * q)
@@ -100,16 +104,63 @@ class FiniteCurve:
             n >>= 1
         return acc
 
+    def killed_by(self, n: int, s) -> bool:
+        """True iff n * s is the identity, for any integer n.
+
+        Left-to-right double-and-add in Jacobian coordinates, (X : Y : Z)
+        standing for (X/Z^2, Y/Z^3) and Z = 0 for the identity, with mixed
+        additions of the affine s (Cohen-Frey, Handbook of Elliptic and
+        Hyperelliptic Curve Cryptography, ch. 13). Nothing is inverted, so
+        this is cheaper than testing scalar_mul(n, s) is None.
+        """
+        if s is None or n == 0:
+            return True
+        q, a = self.q, self.a
+        x, y = s
+        X, Y, Z = x, y, 1
+        for bit in bin(abs(n))[3:]:
+            # Doubling; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion.
+            YY = Y * Y % q
+            S = 4 * X * YY % q
+            ZZ = Z * Z % q
+            M = (3 * X * X + a * ZZ * ZZ) % q
+            X3 = (M * M - 2 * S) % q
+            Z = 2 * Y * Z % q
+            Y = (M * (S - X3) - 8 * YY * YY) % q
+            X = X3
+            if bit == "1":
+                if not Z:
+                    X, Y, Z = x, y, 1
+                    continue
+                ZZ = Z * Z % q
+                H = (x * ZZ - X) % q
+                r = (y * ZZ * Z - Y) % q
+                if not H:
+                    if r:  # the accumulator is -s
+                        Z = 0
+                    else:  # the accumulator 2k*s is s: s has odd order, 2s is finite
+                        (X, Y), Z = self.add(s, s), 1
+                    continue
+                HH = H * H % q
+                HHH = H * HH % q
+                V = X * HH % q
+                X3 = (r * r - HHH - 2 * V) % q
+                Y = (r * (V - X3) - Y * HHH) % q
+                Z = Z * H % q
+                X = X3
+        return not Z
+
     def point_order(self, s) -> int:
         """Exact order of s.
 
         Finds an annihilator N of s in (or just past) hasse_interval(q) by
         baby-step/giant-step, then strips the prime factors of N that are not
-        needed; the exact order is unique, so which N is found does not
-        matter. The search first runs on t = 4*s over N/4: the scanned curves
-        have full rational 2-torsion, which injects into E(F_q), so
-        4 | #E(F_q) and an annihilator with 4 | N lies in the window. Only
-        when that finds nothing does the search rerun on s itself.
+        needed, each test by killed_by; the exact order is unique, so which N
+        is found does not matter. The search first runs on t = 4*s over N/4:
+        the scanned curves have full rational 2-torsion, which injects into
+        E(F_q), so 4 | #E(F_q) and an annihilator with 4 | N lies in the
+        window. Only when that finds nothing does the search rerun on s
+        itself.
         Cost is O(q^(1/4)) group operations.
         """
         if s is None:
@@ -118,9 +169,12 @@ class FiniteCurve:
         c = self._annihilator(self.scalar_mul(4, s), -(-lo // 4), hi // 4)
         n = 4 * c if c else self._annihilator(s, lo, hi)
         if n is None:
-            raise RuntimeError("no annihilator in the Hasse interval; group law is broken")
+            raise InvariantViolation(
+                f"no annihilator of {s} in the Hasse interval at q = {self.q}; "
+                "the group law is broken"
+            )
         for f in factorize(n):
-            while n % f == 0 and self.scalar_mul(n // f, s) is None:
+            while n % f == 0 and self.killed_by(n // f, s):
                 n //= f
         return n
 

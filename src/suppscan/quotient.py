@@ -9,12 +9,8 @@ import time
 from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
-from .finite import FiniteCurve, FinitePoint
+from .finite import FiniteCurve, FinitePoint, InvariantViolation
 from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
-
-
-class InvariantViolation(RuntimeError):
-    """A structural guarantee failed; signals a bug or a mis-excluded prime."""
 
 
 class QuotientPoint(NamedTuple):

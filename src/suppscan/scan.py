@@ -31,6 +31,11 @@ from .rational import (
 # The report's name for each PrimeRecord field, in field order.
 CSV_COLUMNS = ("q", "ord_R", "ord_P", "ord_Q", "forward_holds", "backward_holds", "elapsed_us")
 CSV_HEADER = ",".join(CSV_COLUMNS)
+# A record as json.dumps(..., indent=2, sort_keys=True) prints it inside the
+# report's records list; format it with the record's CSV fields.
+_JSON_RECORD = "    {{\n%s\n    }}" % ",\n".join(
+    f'      "{name}": {{{i}}}' for i, name in sorted(enumerate(CSV_COLUMNS), key=lambda c: c[1])
+)
 
 SKIP_WEIERSTRASS = "short-Weierstrass exclusion"
 SKIP_DISCRIMINANT = "divides the discriminant"
@@ -140,13 +145,16 @@ class ScanReport(NamedTuple):
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
         columns = CSV_COLUMNS if include_elapsed else CSV_COLUMNS[:-1]
+        return self._summary() | {"records": [dict(zip(columns, r)) for r in self.records]}
+
+    def _summary(self) -> dict:
+        """Every key of to_dict but records."""
         return {
             "config_digest": self.config_digest,
             "primes_scanned": self.primes_scanned,
             "primes_skipped": [[q, reason] for q, reason in self.primes_skipped],
             "condition1_forward_rate": str(self.condition1_forward_rate),
             "condition1_backward_rate": str(self.condition1_backward_rate),
-            "records": [dict(zip(columns, r)) for r in self.records],
             "weak_relation": self.weak_relation.to_dict(),
             "medium_impossibility": self.medium_impossibility.to_dict(),
         }
@@ -271,16 +279,26 @@ def _usable_cores() -> int:
 
 def write_report(report: ScanReport, csv_path, json_path) -> str:
     """CSV of per-prime records plus the full JSON report; returns the
-    report digest written into the JSON."""
-    # One row per record, its fields in column order; booleans as true/false.
-    lines = [CSV_HEADER, *(",".join(str(v).lower() for v in r) for r in report.records)]
+    report digest written into the JSON.
+
+    The JSON is the bytes of json.dumps(report.to_dict() plus the digest,
+    indent=2, sort_keys=True). Any indent runs json's pure-Python encoder,
+    so only the keys around the records go through it; each record is
+    formatted from _JSON_RECORD.
+    """
+    # One row per record, its fields in column order; booleans as true/false,
+    # which is also their JSON spelling.
+    rows = [[str(v).lower() for v in r] for r in report.records]
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    payload = report.to_dict()
-    payload["report_digest"] = digest = report.digest()
+        fh.write("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
+    digest = report.digest()
+    payload = report._summary() | {"records": [], "report_digest": digest}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if rows:
+        records = ",\n".join(_JSON_RECORD.format(*row) for row in rows)
+        text = text.replace('\n  "records": []', f'\n  "records": [\n{records}\n  ]', 1)
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return digest
 
 

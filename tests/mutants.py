@@ -1,0 +1,297 @@
+"""Mutation gate for the mathematical layers: every mutant must be killed.
+
+    python tests/mutants.py
+
+Each mutant is one textual edit (file, old, new, why) of a module under
+src/suppscan, plus the test modules expected to catch it. The gate copies
+src/ and tests/ into a temporary directory, applies the edit there, and
+runs those modules with pytest -x under the derandomized ``ci`` hypothesis
+profile (tests/conftest.py), so a verdict does not depend on the draw. Two
+mutants run at a time, one per core of a 2-core CI runner. The checkout
+itself is never edited.
+
+Exit 0 when every mutant is killed. Exit 1 naming every mutant that
+survived, whose old text no longer occurs exactly once (stale), whose run
+ended in a pytest error other than a failing test, or that ran past
+TIMEOUT_S. A survivor means a missing test: add the test, never drop the
+mutant.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = 2
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/suppscan
+    old: str  # must occur exactly once in the file
+    new: str
+    why: str
+    tests: tuple  # test modules under tests/
+
+
+FINITE, QUOTIENT, ENDO, ARITH, SCAN = "finite.py", "quotient.py", "endo.py", "arith.py", "scan.py"
+T_FINITE, T_QUOTIENT, T_ENDO = "test_finite.py", "test_quotient.py", "test_endo.py"
+T_ARITH, T_SCAN, T_SYMPY = "test_arith.py", "test_scan_cli.py", "test_sympy_oracles.py"
+
+MUTANTS = (
+    # killed_by: the degenerate cases of the Jacobian double-and-add.
+    Mutant(
+        FINITE,
+        "if s is None or n == 0:\n            return True",
+        "if s is None:\n            return True",
+        "killed_by: n == 0 runs no bit and reads s itself as the result",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "for bit in bin(abs(n))[3:]:",
+        "for bit in bin(n)[3:]:",
+        "killed_by: a negative n reads the sign and 'b' as bits",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "Z = 2 * Y * Z % q",
+        "Z = (2 * Y * Z % q) or Z",
+        "killed_by: doubling a point with Y == 0 (2-torsion) stays finite",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if not Z:\n                    X, Y, Z = x, y, 1",
+        "if not Z:\n                    X, Y, Z = x, y, 0",
+        "killed_by: the identity accumulator plus s stays the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "X, Y, Z = x, y, 1\n                    continue",
+        "X, Y, Z = x, y, 1",
+        "killed_by: the identity accumulator plus s goes on to add s again",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if r:  # the accumulator is -s\n                        Z = 0",
+        "if r:  # the accumulator is -s\n                        Z = Z",
+        "killed_by: H == 0, r != 0 (accumulator -s) leaves -s instead of the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if r:  # the accumulator is -s",
+        "if not r:  # the accumulator is -s",
+        "killed_by: H == 0 with r == 0 and r != 0 swapped",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "(X, Y), Z = self.add(s, s), 1",
+        "(X, Y), Z = s, 1",
+        "killed_by: H == 0, r == 0 (accumulator s) gives s instead of 2s",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "M = (3 * X * X + a * ZZ * ZZ) % q",
+        "M = 3 * X * X % q",
+        "killed_by: doubling ignores the curve's a",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "H = (x * ZZ - X) % q",
+        "H = (x * Z - X) % q",
+        "killed_by: mixed addition scales x by Z, not Z^2",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "Y = (r * (V - X3) - Y * HHH) % q",
+        "Y = (r * (V - X3) + Y * HHH) % q",
+        "killed_by: sign of the Y * H^3 term in mixed addition",
+        (T_FINITE,),
+    ),
+    # point_order and the affine group law.
+    Mutant(
+        FINITE,
+        "while n % f == 0 and self.killed_by(n // f, s):",
+        "if n % f == 0 and self.killed_by(n // f, s):",
+        "point_order: the strip removes one power of each prime only",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "n = 4 * c if c else",
+        "n = 2 * c if c else",
+        "point_order: the annihilator of 4s taken back to s with the wrong factor",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "return centre - j if y == walk[1] else centre + j",
+        "return centre + j if y == walk[1] else centre - j",
+        "_annihilator: the baby-step match with the sign of j swapped",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "raise InvariantViolation(\n                f\"no annihilator",
+        "raise RuntimeError(\n                f\"no annihilator",
+        "point_order: no annihilator escapes cli_main as a traceback",
+        (T_SCAN,),
+    ),
+    Mutant(
+        FINITE,
+        "n, s = -n, self.neg(s)",
+        "n, s = -n, s",
+        "scalar_mul: a sign error for negative n (once masked by p = 2)",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, q) % q",
+        "lam = 3 * x1 * x1 * pow(2 * y1, -1, q) % q",
+        "add: the tangent slope ignores the curve's a",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "lam = (y2 - y1) * pow(x2 - x1, -1, q) % q",
+        "lam = (y2 + y1) * pow(x2 - x1, -1, q) % q",
+        "add: the chord slope; sympy's group law, which shares no code, must see it",
+        (T_SYMPY,),
+    ),
+    # The quotient.
+    Mutant(
+        QUOTIENT,
+        "u if s.rep2 == s.rep1 else",
+        "u if s.rep1 and s.rep2 and s.rep2[0] == s.rep1[0] else",
+        "quotient_scalar_mul: the diagonal reuse also taken for (r, -r)",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "for n in sorted_divisors(m):",
+        "for n in sorted_divisors(m)[1:]:",
+        "quotient_order: an order of 1 is never found",
+        (T_QUOTIENT,),
+    ),
+    # The relation search and the impossibility certificate.
+    Mutant(
+        ENDO,
+        "L = lcm(*(r.ord_r for r in records))",
+        "L = max(*(r.ord_r for r in records))",
+        "find_weak_relation: max for lcm (once killed only in some hypothesis runs)",
+        (T_ENDO,),
+    ),
+    Mutant(
+        ENDO,
+        "_congruent(f := EndoMatrix(a, b, *tail), p)",
+        "_congruent(f := EndoMatrix(a, b, *tail), 2)",
+        "_first_relation: the descent test at p = 2 whatever p is (killed by the p = 3 tests)",
+        (T_ENDO,),
+    ),
+    Mutant(
+        ENDO,
+        "(m.a - m.d) % p == 0",
+        "(m.a + m.d) % p == 0",
+        "_congruent: a = -d instead of a = d, the same at p = 2",
+        (T_ENDO,),
+    ),
+    # Factoring and primality.
+    Mutant(
+        ARITH,
+        "if g != n:\n            return g",
+        "if True:\n            return g",
+        "_pollard_rho: returns g == n, a trivial factor (killed by 8191 * 31583)",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "if f * f > n:",
+        "if f * f >= n:",
+        "factorize: trial division stops before a square of a small prime",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "for _ in range(s - 1):",
+        "for _ in range(s - 2):",
+        "is_prime: one squaring short in each Miller-Rabin round",
+        (T_ARITH,),
+    ),
+    # The report.
+    Mutant(
+        SCAN,
+        "for i, name in sorted(enumerate(CSV_COLUMNS), key=lambda c: c[1])",
+        "for i, name in enumerate(CSV_COLUMNS)",
+        "write_report: JSON record keys in column order, not sorted",
+        (T_SCAN,),
+    ),
+    Mutant(
+        SCAN,
+        "rows = [[str(v).lower() for v in r] for r in report.records]",
+        "rows = [[str(v) for v in r] for r in report.records]",
+        "write_report: booleans as True/False in the CSV and the JSON",
+        (T_SCAN,),
+    ),
+)
+
+
+def run_mutant(mutant: Mutant) -> tuple[str, str]:
+    """(verdict, detail): killed, survived, stale, error or timeout."""
+    with tempfile.TemporaryDirectory(prefix="suppscan-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", work / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        path = work / "src" / "suppscan" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale", f"old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        argv += ["--hypothesis-profile=ci", *(f"tests/{m}" for m in mutant.tests)]
+        try:
+            proc = subprocess.run(argv, cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", f"no verdict in {TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines() or [""]
+    # The first failing test when there is one, else pytest's summary line.
+    detail = next((line for line in lines if line.startswith("FAILED")), lines[-1])
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error"), detail
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        results = list(pool.map(run_mutant, MUTANTS))
+    failed = 0
+    for mutant, (verdict, detail) in zip(MUTANTS, results):
+        print(f"{verdict:8} {mutant.file:12} {mutant.why}  [{detail}]")
+        failed += verdict != "killed"
+    elapsed = time.perf_counter() - start
+    if failed:
+        print(f"{failed} of {len(MUTANTS)} mutants not killed ({elapsed:.0f} s):", file=sys.stderr)
+        for mutant, (verdict, _) in zip(MUTANTS, results):
+            if verdict != "killed":
+                print(f"  {verdict}: {mutant.file}: {mutant.old!r} -> {mutant.new!r}", file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed ({elapsed:.0f} s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import affine_points_brute, all_points, count_points_brute, order_by_walk
-from suppscan.arith import primes_up_to
+from suppscan.arith import factorize, primes_up_to
 from suppscan.finite import FiniteCurve, hasse_interval
 
 # y^2 = x^3 - x over F_5: the fully hand-checked table
@@ -165,8 +165,6 @@ def test_point_order_large_q_certificate():
     assert curve.contains(s)
     n = curve.point_order(s)
     assert curve.scalar_mul(n, s) is None
-    from suppscan.arith import factorize
-
     for ell in factorize(n):
         assert curve.scalar_mul(n // ell, s) is not None
     lo, hi = hasse_interval(q)
@@ -220,3 +218,59 @@ def test_point_order_group_order_not_divisible_by_4():
     lo, hi = hasse_interval(997)
     assert all(curve.scalar_mul(4 * c, s) is not None for c in range(-(-lo // 4), hi // 4 + 1))
     assert curve.point_order(s) == 1057 == order_by_walk(curve.add, s)
+
+
+def test_killed_by_every_point_of_small_fields():
+    # Every point, the identity and points of order 2 and 4 among them, and
+    # every scalar in [-2 ord - 1, 2 ord + 1] with 0 and negative ones, so
+    # the accumulator meets the identity, s and -s before an addition.
+    for q in (5, 7, 11, 13):
+        for a in range(q):
+            for b in range(q):
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                curve = FiniteCurve(q, a, b)
+                for s in all_points(curve):
+                    order = order_by_walk(curve.add, s)
+                    for n in range(-2 * order - 1, 2 * order + 2):
+                        assert curve.killed_by(n, s) is (n % order == 0), (q, a, b, s, n)
+
+
+def test_killed_by_large_fields():
+    # 20- and 34-bit q on the default curve, orders from point_order.
+    for q, s in ((999983, (0, 400686)), (17179869143, (4, 10388018091))):
+        curve = FiniteCurve(q, -21, -20)
+        assert curve.contains(s)
+        n = curve.point_order(s)
+        for m in (n, -n, 2 * n, n + 1, n - 1, *(n // f for f in factorize(n))):
+            assert curve.killed_by(m, s) is (curve.scalar_mul(m, s) is None) is (m % n == 0), (q, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_killed_by_matches_scalar_mul_and_walk(data):
+    # Random curves, or the default curve, whose reductions have full
+    # 2-torsion; s is drawn and then moved to its multiple of order 2 or 4
+    # when there is one, or to the identity.
+    q = data.draw(st.sampled_from([q for q in primes_up_to(400) if q >= 5]), label="q")
+    if data.draw(st.booleans(), label="default curve"):
+        a, b = -21, -20
+    else:
+        a = data.draw(st.integers(0, q - 1), label="a")
+        b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    s = data.draw(st.sampled_from(all_points(curve)), label="s")
+    order = order_by_walk(curve.add, s)
+    target = data.draw(st.sampled_from([order, 1, 2, 4]), label="order of s")
+    if order % target == 0:
+        s, order = curve.scalar_mul(order // target, s), target
+    n = data.draw(
+        st.one_of(
+            st.integers(-2 * order - 2, 2 * order + 2),
+            st.integers(-5, 5).map(lambda k: k * order),
+            st.integers(-(2**40), 2**40),
+        ),
+        label="n",
+    )
+    assert curve.killed_by(n, s) is (curve.scalar_mul(n, s) is None) is (n % order == 0)

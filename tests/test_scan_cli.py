@@ -17,6 +17,7 @@ from cli_cases import CASES, SEARCH_CURVE_5, Link
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
+from suppscan.finite import FiniteCurve
 from suppscan.rational import RationalCurve, RationalPoint
 from suppscan.scan import (
     CSV_HEADER,
@@ -313,6 +314,27 @@ def test_report_bytes_of_a_small_default_scan(tmp_path):
     )
 
 
+def test_report_json_is_json_dumps_of_to_dict(tmp_path):
+    # write_report formats the records itself; the bytes are still those of
+    # json.dumps with indent 2: no records, records with both booleans, and
+    # a not-found certificate.
+    found = run_scan(small_config(bound=60))
+    flipped = tuple(
+        r._replace(forward_holds=i % 2 == 0, backward_holds=i % 3 == 0) for i, r in enumerate(found.records)
+    )
+    reports = (
+        run_scan(small_config(bound=4)),
+        found._replace(records=flipped),
+        run_scan(small_config(bound=50)._replace(entry_bound=1)),
+    )
+    assert reports[0].records == () and reports[2].weak_relation.kind == "weak_relation_not_found"
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    for rep in reports:
+        digest = write_report(rep, csv_path, json_path)
+        want = json.dumps(rep.to_dict() | {"report_digest": digest}, indent=2, sort_keys=True)
+        assert json_path.read_text() == want + "\n"
+
+
 def test_cli_scan_computes_the_report_digest_once(tmp_path, capsys, monkeypatch):
     calls = []
     digest = ScanReport.digest
@@ -390,6 +412,20 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path, small_config(bound=50))
     out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     assert cli_main(["scan", "--config", path, *out]) == 3
+
+
+def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi: None)
+    path = write_config(tmp_path, small_config(bound=50))
+    out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    assert cli_main(["scan", "--config", path, *out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(
+        r"invariant violation: no annihilator of \(\d+, \d+\) in the Hasse interval at q = \d+; "
+        r"the group law is broken\n",
+        err,
+    )
 
 
 def test_report_digest_ignores_elapsed():

@@ -60,6 +60,15 @@ def test_point_order_and_count_match_sympy(q, a, b):
         assert orders[(0, 9)] == curve.point_order((0, 9)) == 8
 
 
+@pytest.mark.parametrize("q, a, b", [(37, 1, 1), (101, -21, -20)])
+def test_killed_by_matches_sympy(q, a, b):
+    # n * s is the identity exactly when sympy's order of s divides n.
+    curve = FiniteCurve(q, a, b)
+    for s, order in sympy_orders(EllipticCurve(a, b, modulus=q)).items():
+        for n in range(-2 * order - 1, 2 * order + 2):
+            assert curve.killed_by(n, s) is (n % order == 0), (s, n)
+
+
 def test_order_of_r_matches_sympy_at_every_good_prime_below_2000():
     # n is the order of P iff n*P = O and (n/f)*P != O for each prime f | n.
     cfg = default_config()
