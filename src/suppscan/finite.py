@@ -1,9 +1,12 @@
 """Short-Weierstrass arithmetic over prime fields F_q, q >= 5.
 
 Points are None (the identity) or (x, y) tuples of canonical residues.
-Orders come from a baby-step/giant-step annihilator search over the Hasse
-interval followed by exact reduction, so no full point count is ever needed
-in the scanning path.
+add is the affine group law, one inversion per operation. Every scalar
+multiple comes from one double-and-add in Jacobian coordinates
+(_jacobian_mul): scalar_mul inverts its final Z once to return an affine
+point, and killed_by reads Z = 0 and inverts nothing. Orders come from a
+baby-step/giant-step annihilator search over the Hasse interval followed by
+exact reduction, so no full point count is ever needed in the scanning path.
 """
 
 from math import isqrt
@@ -90,31 +93,37 @@ class FiniteCurve:
         return x3, (lam * (x1 - x3) - y1) % q
 
     def scalar_mul(self, n: int, s):
-        """n * s by double-and-add; negative n negates the point. Every
-        multiple of the identity is the identity, at no group operation."""
+        """n * s; negative n negates the point. Every multiple of the
+        identity is the identity, at no group operation. The one inversion
+        is the final Z's, which takes the Jacobian result back to affine."""
         if s is None:
             return None
         if n < 0:
             n, s = -n, self.neg(s)
-        acc = None
-        while n:
-            if n & 1:
-                acc = self.add(acc, s)
-            s = self.add(s, s)
-            n >>= 1
-        return acc
+        X, Y, Z = self._jacobian_mul(n, s)
+        if not Z:
+            return None
+        q = self.q
+        zi = pow(Z, -1, q)
+        zz = zi * zi % q
+        return X * zz % q, Y * zz * zi % q
 
     def killed_by(self, n: int, s) -> bool:
-        """True iff n * s is the identity, for any integer n.
+        """True iff n * s is the identity, for any integer n; nothing is
+        inverted, so this is cheaper than testing scalar_mul(n, s) is None."""
+        return s is None or not self._jacobian_mul(n, s)[2]
 
-        Left-to-right double-and-add in Jacobian coordinates, (X : Y : Z)
-        standing for (X/Z^2, Y/Z^3) and Z = 0 for the identity, with mixed
-        additions of the affine s (Cohen-Frey, Handbook of Elliptic and
-        Hyperelliptic Curve Cryptography, ch. 13). Nothing is inverted, so
-        this is cheaper than testing scalar_mul(n, s) is None.
+    def _jacobian_mul(self, n: int, s):
+        """|n| * s for an affine s (not the identity) as Jacobian (X, Y, Z).
+
+        Left-to-right double-and-add, (X : Y : Z) standing for (X/Z^2, Y/Z^3)
+        and Z = 0 for the identity, with mixed additions of the affine s
+        (Cohen-Frey, Handbook of Elliptic and Hyperelliptic Curve
+        Cryptography, ch. 13). The sign of n is the caller's: a multiple is
+        the identity iff its negative is.
         """
-        if s is None or n == 0:
-            return True
+        if n == 0:
+            return 1, 1, 0
         q, a = self.q, self.a
         x, y = s
         X, Y, Z = x, y, 1
@@ -148,7 +157,7 @@ class FiniteCurve:
                 Y = (r * (V - X3) - Y * HHH) % q
                 Z = Z * H % q
                 X = X3
-        return not Z
+        return X, Y, Z
 
     def point_order(self, s) -> int:
         """Exact order of s.

@@ -8,7 +8,6 @@ the only nondeterministic output and are excluded from every digest.
 import json
 import os
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -35,6 +34,10 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 # report's records list; format it with the record's CSV fields.
 _JSON_RECORD = "    {{\n%s\n    }}" % ",\n".join(
     f'      "{name}": {{{i}}}' for i, name in sorted(enumerate(CSV_COLUMNS), key=lambda c: c[1])
+)
+# The same record as the digest's compact JSON prints it, without elapsed_us.
+_DIGEST_RECORD = "{{%s}}" % ",".join(
+    f'"{name}":{{{i}}}' for i, name in sorted(enumerate(CSV_COLUMNS[:-1]), key=lambda c: c[1])
 )
 
 SKIP_WEIERSTRASS = "short-Weierstrass exclusion"
@@ -100,7 +103,7 @@ class LabConfig(NamedTuple):
     def digest(self) -> str:
         """Hash of the semantic content; the workers knob is a runtime detail."""
         semantic = {k: v for k, v in self.to_dict().items() if k != "workers"}
-        return _sha256_of(semantic)
+        return _sha256(_compact(semantic))
 
     def validate(self) -> HypothesisReport:
         return validate_hypotheses(self.curve, self.R, self.R1, self.R2, self.p)
@@ -113,11 +116,15 @@ def _json_int(value) -> int:
     return value
 
 
-def _sha256_of(obj) -> str:
+def _compact(obj) -> str:
+    """obj as the digests hash it: compact JSON in sorted key order."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
     import hashlib  # here, not at module level: a measurable part of import time
 
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class ScanReport(NamedTuple):
@@ -160,8 +167,14 @@ class ScanReport(NamedTuple):
         }
 
     def digest(self) -> str:
-        """Content hash with all timing fields stripped."""
-        return _sha256_of(self.to_dict(include_elapsed=False))
+        """Content hash with all timing fields stripped.
+
+        The hash of _compact(self.to_dict(include_elapsed=False)), but each
+        record is formatted from _DIGEST_RECORD, not built as a dict.
+        """
+        records = ",".join(_DIGEST_RECORD.format(*[str(v).lower() for v in r]) for r in self.records)
+        text = _compact(self._summary() | {"records": []})
+        return _sha256(text.replace('"records":[]', f'"records":[{records}]', 1))
 
 
 def _skip_reason(q: int, p: int, disc: int) -> str | None:
@@ -237,22 +250,13 @@ def run_scan(config: LabConfig) -> ScanReport:
     if not report.ok:
         raise HypothesisFailure(report)
     good, skipped = classify_primes(config)
-    # The pool starts all its processes at the first submit, so a count past
-    # the primes or the usable cores would only fork idle processes.
+    # Each worker is a forked process, so a count past the primes or the
+    # usable cores would only fork idle processes.
     workers = min(config.workers, len(good), _usable_cores())
-
-    if workers > 1:
-        # Imported here, not at module level: only this branch uses the pool,
-        # and its modules add measurably to the start-up time and memory of
-        # every other command.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(good) // (4 * workers))
-            records = list(pool.map(partial(_scan_one, config), good, chunksize=chunk))
+    if workers > 1 and hasattr(os, "fork"):
+        records = _forked_sweep(config, good, workers)
     else:
         records = [_scan_one(config, q) for q in good]
-    # pool.map keeps the order of good, so records are in ascending q either way.
 
     # For a validated config the three orders must agree at every good prime;
     # anything else means a bug, not a finding.
@@ -268,6 +272,61 @@ def run_scan(config: LabConfig) -> ScanReport:
         weak_relation=weak,
         medium_impossibility=medium,
     )
+
+
+def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
+    """The records of good, in its order, from forked workers.
+
+    Worker w evaluates the stripe good[w::workers], so the costly large q
+    are shared out evenly, and pickles its records, or the exception that
+    stopped it, back through its own pipe. A worker that ends without an
+    answer is an InvariantViolation naming it and its signal. Every child
+    is reaped, the unfinished ones killed first when the sweep fails.
+    """
+    # Imported here, not at module level: only this branch uses them.
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe), in worker order
+    reaped = 0
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = [_scan_one(config, q) for q in good[w::workers]]
+                    except BaseException as exc:  # the parent raises it again
+                        result = exc
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(result))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        records = [None] * len(good)
+        for w, (pid, pipe) in enumerate(children):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code:
+                how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+                raise InvariantViolation(f"sweep worker {w} of {workers} ended without its records ({how})")
+            stripe = pickle.loads(data)
+            if isinstance(stripe, BaseException):
+                raise stripe
+            records[w::workers] = stripe
+        return records
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _usable_cores() -> int:

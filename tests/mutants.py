@@ -44,82 +44,90 @@ T_FINITE, T_QUOTIENT, T_ENDO = "test_finite.py", "test_quotient.py", "test_endo.
 T_ARITH, T_SCAN, T_SYMPY = "test_arith.py", "test_scan_cli.py", "test_sympy_oracles.py"
 
 MUTANTS = (
-    # killed_by: the degenerate cases of the Jacobian double-and-add.
+    # _jacobian_mul, the one double-and-add behind scalar_mul and killed_by:
+    # its degenerate cases.
     Mutant(
         FINITE,
-        "if s is None or n == 0:\n            return True",
-        "if s is None:\n            return True",
-        "killed_by: n == 0 runs no bit and reads s itself as the result",
+        "if n == 0:\n            return 1, 1, 0",
+        "if n is None:\n            return 1, 1, 0",
+        "_jacobian_mul: n == 0 runs no bit and reads s itself as the result",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "for bit in bin(abs(n))[3:]:",
         "for bit in bin(n)[3:]:",
-        "killed_by: a negative n reads the sign and 'b' as bits",
+        "_jacobian_mul: a negative n reads the sign and 'b' as bits",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "Z = 2 * Y * Z % q",
         "Z = (2 * Y * Z % q) or Z",
-        "killed_by: doubling a point with Y == 0 (2-torsion) stays finite",
+        "_jacobian_mul: doubling a point with Y == 0 (2-torsion) stays finite",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "if not Z:\n                    X, Y, Z = x, y, 1",
         "if not Z:\n                    X, Y, Z = x, y, 0",
-        "killed_by: the identity accumulator plus s stays the identity",
+        "_jacobian_mul: the identity accumulator plus s stays the identity",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "X, Y, Z = x, y, 1\n                    continue",
         "X, Y, Z = x, y, 1",
-        "killed_by: the identity accumulator plus s goes on to add s again",
+        "_jacobian_mul: the identity accumulator plus s goes on to add s again",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "if r:  # the accumulator is -s\n                        Z = 0",
         "if r:  # the accumulator is -s\n                        Z = Z",
-        "killed_by: H == 0, r != 0 (accumulator -s) leaves -s instead of the identity",
+        "_jacobian_mul: H == 0, r != 0 (accumulator -s) leaves -s instead of the identity",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "if r:  # the accumulator is -s",
         "if not r:  # the accumulator is -s",
-        "killed_by: H == 0 with r == 0 and r != 0 swapped",
+        "_jacobian_mul: H == 0 with r == 0 and r != 0 swapped",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "(X, Y), Z = self.add(s, s), 1",
         "(X, Y), Z = s, 1",
-        "killed_by: H == 0, r == 0 (accumulator s) gives s instead of 2s",
+        "_jacobian_mul: H == 0, r == 0 (accumulator s) gives s instead of 2s",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "M = (3 * X * X + a * ZZ * ZZ) % q",
         "M = 3 * X * X % q",
-        "killed_by: doubling ignores the curve's a",
+        "_jacobian_mul: doubling ignores the curve's a",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "H = (x * ZZ - X) % q",
         "H = (x * Z - X) % q",
-        "killed_by: mixed addition scales x by Z, not Z^2",
+        "_jacobian_mul: mixed addition scales x by Z, not Z^2",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "Y = (r * (V - X3) - Y * HHH) % q",
         "Y = (r * (V - X3) + Y * HHH) % q",
-        "killed_by: sign of the Y * H^3 term in mixed addition",
+        "_jacobian_mul: sign of the Y * H^3 term in mixed addition",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "return X * zz % q, Y * zz * zi % q",
+        "return X * zz % q, Y * zz % q",
+        "scalar_mul: Y taken back to affine by Z^-2, not Z^-3",
         (T_FINITE,),
     ),
     # point_order and the affine group law.
@@ -244,6 +252,21 @@ MUTANTS = (
         "rows = [[str(v).lower() for v in r] for r in report.records]",
         "rows = [[str(v) for v in r] for r in report.records]",
         "write_report: booleans as True/False in the CSV and the JSON",
+        (T_SCAN,),
+    ),
+    # The forked sweep.
+    Mutant(
+        SCAN,
+        "records[w::workers] = stripe",
+        "records[w * len(stripe) : (w + 1) * len(stripe)] = stripe",
+        "_forked_sweep: the stripes merged as contiguous blocks, not interleaved",
+        (T_SCAN,),
+    ),
+    Mutant(
+        SCAN,
+        "if isinstance(stripe, BaseException):\n                raise stripe",
+        "if isinstance(stripe, BaseException):\n                continue",
+        "_forked_sweep: an exception raised in a worker is dropped, not raised again",
         (T_SCAN,),
     ),
 )

@@ -274,3 +274,39 @@ def test_killed_by_matches_scalar_mul_and_walk(data):
         label="n",
     )
     assert curve.killed_by(n, s) is (curve.scalar_mul(n, s) is None) is (n % order == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scalar_mul_matches_repeated_add(data):
+    # scalar_mul runs the Jacobian core and add is affine, so the two share
+    # no formula. s is moved to a multiple of order 1, 2, 4 or odd when it
+    # has one; n * s is then (n mod ord) additions of s.
+    q = data.draw(st.sampled_from([q for q in primes_up_to(400) if q >= 5]), label="q")
+    if data.draw(st.booleans(), label="default curve"):
+        a, b = -21, -20
+    else:
+        a = data.draw(st.integers(0, q - 1), label="a")
+        b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    s = data.draw(st.sampled_from(all_points(curve)), label="s")
+    order = order_by_walk(curve.add, s)
+    odd = order
+    while odd % 2 == 0:
+        odd //= 2
+    target = data.draw(st.sampled_from([order, 1, 2, 4, odd]), label="order of s")
+    if order % target == 0:
+        s, order = curve.scalar_mul(order // target, s), target
+    n = data.draw(
+        st.one_of(
+            st.integers(-2 * order - 2, 2 * order + 2),
+            st.integers(-5, 5).map(lambda k: k * order),
+            st.integers(-(2**40), 2**40),
+        ),
+        label="n",
+    )
+    acc = None
+    for _ in range(n % order):
+        acc = curve.add(acc, s)
+    assert curve.scalar_mul(n, s) == acc

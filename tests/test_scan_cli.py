@@ -217,39 +217,30 @@ def test_scan_computes_each_order_of_r_once(monkeypatch):
 
 
 def test_scan_caps_the_pool_at_the_primes_and_cores(monkeypatch):
-    # The pool forks all its processes at once, so a huge workers count must
-    # be cut down first. A fake pool records its size and maps serially, so
-    # no process is started.
-    import concurrent.futures
+    # Each worker is a forked process, so a huge workers count must be cut
+    # down first. The forks are real; the parent counts them.
+    forks = []
+    fork = os.fork
 
-    sizes = []
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = small_config(bound=60, workers=10_000)
     assert run_scan(cfg).digest() == run_scan(cfg._replace(workers=1)).digest()
-    assert sizes == [3]
+    assert len(forks) == 3
     # Two good primes (5 and 7): two processes, not three.
     run_scan(small_config(bound=7, workers=10_000))
-    assert sizes == [3, 2]
+    assert len(forks) == 5
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # run_scan imports the pool only for workers > 1, the digests import
+    # run_scan imports pickle only for workers > 1, the digests import
     # hashlib when called, and nothing imports importlib.resources; no
     # value type is a dataclass, so no dataclass machinery loads either.
     # Only modules the import itself adds count: site may preload some.
@@ -265,13 +256,13 @@ def test_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "suppscan.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "hashlib", "importlib.resources"}
+    unwanted = {"dataclasses", "inspect", "hashlib", "importlib.resources", "multiprocessing", "pickle"}
     assert not loaded & unwanted
     assert not {m for m in loaded if m.startswith("concurrent")}
 
 
 def test_value_types_survive_pickling():
-    # The process pool pickles the config to every worker and each record back.
+    # Each forked worker pickles its records back to the parent.
     cfg = small_config(bound=30)
     record = run_scan(cfg).records[0]
     for value in (cfg, record):
@@ -333,6 +324,9 @@ def test_report_json_is_json_dumps_of_to_dict(tmp_path):
         digest = write_report(rep, csv_path, json_path)
         want = json.dumps(rep.to_dict() | {"report_digest": digest}, indent=2, sort_keys=True)
         assert json_path.read_text() == want + "\n"
+        # The digest splices its records into the summary too.
+        compact = json.dumps(rep.to_dict(include_elapsed=False), sort_keys=True, separators=(",", ":"))
+        assert digest == sha256(compact.encode()).hexdigest()
 
 
 def test_cli_scan_computes_the_report_digest_once(tmp_path, capsys, monkeypatch):
@@ -543,6 +537,67 @@ def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
 
 # Exit code and stderr of a scan that runs out of memory.
 OUT_OF_MEMORY = (2, "usage error: out of memory; try a smaller prime_bound or entry_bound\n")
+
+
+def scan_with_failing_worker(tmp_path, capsys, monkeypatch, fail):
+    """(exit code, stderr) of `scan` at prime_bound 400 with two forked
+    workers, where fail(q) runs before each prime in a worker process (never
+    in this one); afterwards no child of this process may be left."""
+    import suppscan.scan as scan_mod
+
+    parent, scan_one = os.getpid(), scan_mod._scan_one
+
+    def failing(config, q):
+        if os.getpid() != parent:
+            fail(q)
+        return scan_one(config, q)
+
+    monkeypatch.setattr(scan_mod, "_scan_one", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tmp_path.mkdir(exist_ok=True)
+    path = write_config(tmp_path, small_config(bound=400, workers=2))
+    json_path = tmp_path / "o.json"
+    argv = ["scan", "--config", path, "--out-csv", str(tmp_path / "o.csv"), "--out-json", str(json_path)]
+    code = cli_main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not json_path.exists()
+    return code, capsys.readouterr().err
+
+
+def test_cli_dead_sweep_worker_is_one_line(tmp_path, capsys, monkeypatch):
+    # A worker killed by a signal answers nothing: one line naming the
+    # worker and the signal, not a traceback.
+    import signal
+
+    def die_at_101(q):
+        if q == 101:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    worker = classify_primes(small_config(bound=400))[0].index(101) % 2
+    assert scan_with_failing_worker(tmp_path, capsys, monkeypatch, die_at_101) == (
+        3,
+        f"invariant violation: sweep worker {worker} of 2 ended without its records (killed by SIGKILL)\n",
+    )
+
+
+def test_cli_sweep_worker_exceptions_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
+    # An exception inside a worker is raised again in the parent, type and
+    # message intact, so cli_main's failure table applies as in a serial scan.
+    from suppscan.quotient import InvariantViolation
+
+    def violate_at_101(q):
+        if q == 101:
+            raise InvariantViolation("planted at q = 101")
+
+    def no_memory(q):
+        raise MemoryError
+
+    assert scan_with_failing_worker(tmp_path / "iv", capsys, monkeypatch, violate_at_101) == (
+        3,
+        "invariant violation: planted at q = 101\n",
+    )
+    assert scan_with_failing_worker(tmp_path / "oom", capsys, monkeypatch, no_memory) == OUT_OF_MEMORY
 
 
 def scan_in_capped_child(tmp_path, config, limit):
