@@ -1,10 +1,30 @@
 """Exact integer helpers: primality, sieves, factoring, divisors."""
 
+from bisect import bisect_right
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981  # Sorenson-Webster, Math. Comp. 86, 2017
+# psi_k, the least strong pseudoprime to the first k bases, for k = 1..12
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster; OEIS A014233); psi_13
+# is _MR_LIMIT. Below psi_k the first k bases prove primality. psi_7 = psi_8
+# and psi_9 = psi_10 = psi_11, so bisect_right skips a repeated value whole:
+# 341550071728321 passes the first 8 bases and needs 9.
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -20,7 +40,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

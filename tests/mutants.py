@@ -130,12 +130,26 @@ MUTANTS = (
         "scalar_mul: Y taken back to affine by Z^-2, not Z^-3",
         (T_FINITE,),
     ),
-    # point_order and the affine group law.
+    # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(
         FINITE,
-        "while n % f == 0 and self.killed_by(n // f, s):",
-        "if n % f == 0 and self.killed_by(n // f, s):",
-        "point_order: the strip removes one power of each prime only",
+        "while n > f and self.killed_by(n // f, s):",
+        "if n > f and self.killed_by(n // f, s):",
+        "_order_within: the strip removes one power of each prime only",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "for c, part, n_part in ((n_b, powers[:h], n_a),",
+        "for c, part, n_part in ((n_a, powers[:h], n_a),",
+        "_order_within: the head's part of the order read off n_A*s, not n_B*s",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "order *= 1 if self.killed_by(c, s) else n_part",
+        "order *= n_part",
+        "_order_within: a half that is one prime taken into the order unchecked",
         (T_FINITE,),
     ),
     Mutant(
@@ -145,11 +159,47 @@ MUTANTS = (
         "point_order: the annihilator of 4s taken back to s with the wrong factor",
         (T_FINITE,),
     ),
+    # _annihilator: two baby lanes and two giant lanes, one inversion a step.
     Mutant(
         FINITE,
         "return centre - j if y == walk[1] else centre + j",
         "return centre + j if y == walk[1] else centre - j",
         "_annihilator: the baby-step match with the sign of j swapped",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "up, down = self._add_pair(up, giant, down, down_giant)",
+        "up, down = self._add_pair(up, giant, down, giant)",
+        "_annihilator: the down lane steps by +giant",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if lo - m < centre <= hi + m:",
+        "if centre <= hi + m:",
+        "_annihilator: the down lane still probed once its window lies below lo",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if lo - m < centre <= hi + m:",
+        "if lo - m <= centre <= hi + m:",
+        "_annihilator: the window that ends at lo probed too, finding c < lo",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "giant = self.add(odd, odd) if m > 1 else two",
+        "giant = self.add(odd, two) if m > 1 else two",
+        "_annihilator: a giant step of (m + 2)*t, not 2m*t",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "lam = (y2 - y1) * d2 * inv % q\n                mu = (y4 - y3) * d1 * inv % q",
+        "lam = (y2 - y1) * d1 * inv % q\n                mu = (y4 - y3) * d2 * inv % q",
+        "_add_pair: the two lanes' denominators swapped in the shared inversion",
         (T_FINITE,),
     ),
     Mutant(
@@ -230,6 +280,27 @@ MUTANTS = (
         "if f * f > n:",
         "if f * f >= n:",
         "factorize: trial division stops before a square of a small prime",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "    2047,\n    1373653,",
+        "    1373653,",
+        "is_prime: the psi table shifted by one index, one base short everywhere",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "    341550071728321,\n    341550071728321,",
+        "    341550071728321,",
+        "is_prime: the repeated psi_7 = psi_8 dropped, so psi_8 gets 8 bases",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "_MR_BASES[: bisect_right(_MR_PSI, n) + 1]",
+        "_MR_BASES[: bisect_right(_MR_PSI, n)]",
+        "is_prime: k bases taken from the table's index without the + 1",
         (T_ARITH,),
     ),
     Mutant(

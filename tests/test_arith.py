@@ -45,6 +45,70 @@ def test_is_prime_at_the_bounds_of_its_witnesses():
         is_prime(3317044064679887385961981)
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases, k = 1..13
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math. Comp. 86, 2017;
+# OEIS A014233), written out here rather than read from suppscan.arith.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """The strong test to base a of an odd n > a: n - 1 = d * 2^s, d odd,
+    and a^d = 1 or a^(d * 2^r) = -1 (mod n) for some r < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_psi_table_is_composite_and_fools_its_bases():
+    sympy = pytest.importorskip("sympy")
+    for k, psi in enumerate(PSI, 1):
+        # A repeated value fools the bases of its last entry in the table too,
+        # and the base after those catches it.
+        last = k + PSI[k:].count(psi)
+        assert not sympy.isprime(psi), k
+        assert all(strong_probable_prime(psi, a) for a in BASES[:last]), k
+        if last < len(BASES):
+            assert not strong_probable_prime(psi, BASES[last]), k
+
+
+def test_is_prime_rejects_every_psi():
+    # psi_13 is the proved bound itself, where is_prime refuses to answer.
+    for k, psi in enumerate(PSI[:-1], 1):
+        assert is_prime(psi) is False, k
+    with pytest.raises(ValueError):
+        is_prime(PSI[-1])
+
+
+def test_is_prime_matches_sympy_around_each_psi_and_near_10_10():
+    sympy = pytest.importorskip("sympy")
+    near = [n for psi in PSI[:8] for n in range(psi - 200, psi + 201)]
+    for n in near + list(range(10**10, 10**10 + 20000)):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -218,6 +219,29 @@ def test_point_order_group_order_not_divisible_by_4():
     lo, hi = hasse_interval(997)
     assert all(curve.scalar_mul(4 * c, s) is not None for c in range(-(-lo // 4), hi // 4 + 1))
     assert curve.point_order(s) == 1057 == order_by_walk(curve.add, s)
+
+
+def test_annihilator_stays_within_its_windows():
+    # _annihilator(t, lo, hi) returns a c with c*t = 0, or None only when no
+    # multiple of the order lies in [lo, hi]. c is the order itself when that
+    # is at most m + 1 (m the baby-step count), else lo <= c <= hi + 2m, the
+    # last window overhanging hi by at most 2m. lo runs just above a multiple
+    # of the order, where a lane that went on probing below lo would find
+    # one; the widths vary how many windows the up lane has beyond the down
+    # lane's.
+    curve = FiniteCurve(997, -21, -20)
+    for s in all_points(curve)[1::97]:
+        order = order_by_walk(curve.add, s)
+        for width in range(0, 120, 7):
+            m = isqrt((width + 1) // 4) + 2  # at least the code's m
+            for lo in range(order + 1, order + 2 * m + 3):
+                hi = lo + width
+                c = curve._annihilator(s, lo, hi)
+                if c is None:
+                    assert all(n % order for n in range(lo, hi + 1)), (s, lo, hi)
+                else:
+                    assert c % order == 0, (s, lo, hi, c)
+                    assert lo <= c <= hi + 2 * m or c == order <= m + 1, (s, lo, hi, c)
 
 
 def test_killed_by_every_point_of_small_fields():

@@ -265,15 +265,26 @@ def test_evaluate_prime_group_operation_budget(monkeypatch):
     # one multiplication per trial made 47,074, and point_order's kill tests
     # by killed_by made 34,291. With scalar_mul on the same Jacobian core,
     # which calls add only in one rare case, the baby and giant steps of
-    # _annihilator make nearly all of the 1,905 left. A cheaper path still
-    # passes.
+    # _annihilator made nearly all of the 1,905 left. Those steps now run in
+    # two lanes whose additions share one inversion (_add_pair, 249 calls);
+    # add keeps the doublings, the baby lanes' last odd step and a lane step
+    # that meets a doubling (920 calls, _add_pair's included). A cheaper path
+    # still passes.
     config = default_config()._replace(prime_bound=2000)
     ctxs = [make_context(DEFAULT, R1, R2, 2, q) for q in classify_primes(config)[0]]
     assert len(ctxs) == 301
     calls = count_adds(monkeypatch)
+    pairs = []
+    add_pair = FiniteCurve._add_pair
+
+    def counted_pair(self, *points):
+        pairs.append(None)
+        return add_pair(self, *points)
+
+    monkeypatch.setattr(FiniteCurve, "_add_pair", counted_pair)
     for ctx in ctxs:
         evaluate_prime(ctx, R)
-    assert len(calls) <= 1_905
+    assert len(calls) <= 920 and len(pairs) <= 249
 
 
 def test_evaluate_prime_small():

@@ -17,7 +17,7 @@ from cli_cases import CASES, SEARCH_CURVE_5, Link
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
-from suppscan.finite import FiniteCurve
+from suppscan.finite import FiniteCurve, InvariantViolation
 from suppscan.rational import RationalCurve, RationalPoint
 from suppscan.scan import (
     CSV_HEADER,
@@ -415,11 +415,15 @@ def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path,
     assert cli_main(["scan", "--config", path, *out]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert re.fullmatch(
-        r"invariant violation: no annihilator of \(\d+, \d+\) in the Hasse interval at q = \d+; "
-        r"the group law is broken\n",
+    found = re.fullmatch(
+        r"invariant violation: no annihilator of (\(\d+, \d+\)) in the Hasse interval at q = (\d+); "
+        r"the group law is broken: (FiniteCurve\(\2, \d+, \d+\)\.point_order\(\1\))\n",
         err,
     )
+    assert found
+    # The message's own expression reproduces the failure at that q.
+    with pytest.raises(InvariantViolation, match=re.escape(err.split(": ", 1)[1].rstrip())):
+        eval(found[3], {"FiniteCurve": FiniteCurve})
 
 
 def test_report_digest_ignores_elapsed():

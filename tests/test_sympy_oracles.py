@@ -5,6 +5,7 @@ from itertools import takewhile
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.ntheory.elliptic_curve import EllipticCurve
@@ -83,6 +84,30 @@ def test_order_of_r_matches_sympy_at_every_good_prime_below_2000():
         A = P * (n // first)
         assert A.z != 0 and (A * first).z == 0, q
         assert all((P * (n // f)).z != 0 for f in rest), q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_point_order_matches_sympy_at_large_q(data):
+    # Random points on y^2 = (x - e1)(x - e2)(x - e3), e1 + e2 + e3 = 0, at
+    # primes q in [10^6, 10^12]: annihilators with several large prime
+    # factors, far past the walk oracle. n is the order of P iff n*P = O and
+    # (n/f)*P != O for each prime f | n, all in sympy's group law.
+    q = int(sympy.nextprime(data.draw(st.integers(10**6, 10**12 - 1000), label="start")))
+    e1 = data.draw(st.integers(0, q - 1), label="e1")
+    e2 = data.draw(st.integers(0, q - 1), label="e2")
+    e3 = -(e1 + e2) % q
+    assume(len({e1, e2, e3}) == 3)
+    a, b = (e1 * e2 + e2 * e3 + e3 * e1) % q, -e1 * e2 * e3 % q
+    x = data.draw(st.integers(0, q - 1), label="x")
+    while (y := sympy.sqrt_mod((x**3 + a * x + b) % q, q)) is None:
+        x = (x + 1) % q
+    n = FiniteCurve(q, a, b).point_order((x, y))
+    E = UncheckedCurve(a, b, modulus=q)
+    P = E(x, y)
+    assert EllipticCurve.__contains__(E, P), (q, a, b, x, y)
+    assert (P * n).z == 0, (q, a, b, x, y, n)
+    assert all((P * (n // f)).z != 0 for f in sympy.factorint(n)), (q, a, b, x, y, n)
 
 
 def test_primes_match_sympy_below_10_5():
