@@ -1,6 +1,7 @@
-"""Exact integer helpers: primality, sieves, factoring, divisors."""
+"""Exact integer helpers: primality, sieves, factoring, divisors, square roots mod p."""
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
@@ -131,6 +132,55 @@ def sorted_divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def sqrt_mod(a: int, q: int):
+    """A square root of a modulo the odd prime q, or None when a is not a
+    square mod q (Tonelli-Shanks: Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 1.5.1).
+
+    With q - 1 = 2^e * odd, one exponentiation gives r = a^((odd + 1)/2) and
+    t = a^odd, with r^2 = a*t and t in the 2-Sylow subgroup of F_q*. a is a
+    square iff t^(2^(e-1)) = 1 (Euler's criterion), e - 1 squarings past t.
+    Each step of the loop multiplies t by a square of the subgroup until
+    t = 1, and r by its root.
+    """
+    a %= q
+    if a == 0:
+        return 0
+    e = ((q - 1) & (1 - q)).bit_length() - 1
+    odd = (q - 1) >> e
+    w = pow(a, odd >> 1, q)
+    r = a * w % q
+    t = r * w % q
+    u = t
+    for _ in range(e - 1):
+        u = u * u % q
+    if u != 1:
+        return None
+    if t == 1:
+        return r
+    c, m = _two_sylow_generator(q, odd), e  # c has order 2^m, t order 2^i, i < m
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % q
+            i += 1
+        b = pow(c, 1 << (m - i - 1), q)
+        c = b * b % q
+        m, t, r = i, t * c % q, r * b % q
+    return r
+
+
+@lru_cache(maxsize=1)
+def _two_sylow_generator(q: int, odd: int) -> int:
+    """z^odd for the least non-square z mod q, q - 1 = 2^e * odd: a generator
+    of the 2-Sylow subgroup of F_q*. Kept for the last q, since sqrt_mod is
+    called at one q many times in a row."""
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    return pow(z, odd, q)
 
 
 def is_perfect_square(n: int) -> bool:

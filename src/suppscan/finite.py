@@ -13,9 +13,17 @@ no full point count is ever needed in the scanning path.
 
 from math import isqrt
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, sqrt_mod
 
 FinitePoint = tuple[int, int] | None
+
+# point_order reads its search window off the rational 2-torsion only above
+# this q. The 2-descent costs about a dozen modular exponentiations, and the
+# narrower search saves more than that only past here: with the window,
+# point_order took 1.04-1.06x its time without at q near 10^7, 0.97-0.99x
+# near 2*10^7, 0.90x near 5*10^7 and 0.78x near 10^10 (Python 3.11, 2-core
+# x86-64 host, 600 primes each).
+_WINDOW_MIN_Q = 2 * 10**7
 
 
 class InvariantViolation(RuntimeError):
@@ -161,30 +169,108 @@ class FiniteCurve:
                 X = X3
         return X, Y, Z
 
-    def point_order(self, s) -> int:
+    def point_order(self, s, two_torsion=None) -> int:
         """Exact order of s.
 
         Finds an annihilator N of s in (or just past) hasse_interval(q) by
         baby-step/giant-step, then takes the exact order out of N's factors
-        (_order_within); the exact order is unique, so which N is found does
-        not matter. The search first runs on t = 4*s over N/4: the scanned
-        curves have full rational 2-torsion, which injects into E(F_q), so
-        4 | #E(F_q) and an annihilator with 4 | N lies in the window. Only
-        when that finds nothing does the search rerun on s itself.
-        Cost is O(q^(1/4)) group operations.
+        (_order_within); the exact order is unique, so neither the N found
+        nor the window searched changes the result.
+
+        The window: the scanned curves have full rational 2-torsion, which
+        injects into E(F_q), so 4 | #E(F_q) and the search runs on t = 4*s
+        over N/4. Above q = _WINDOW_MIN_Q, the measured crossover, the
+        x-coordinates two_torsion = (e1, e2) of two points of order 2 narrow
+        it further: 2-descent gives a v with 2^v | #E(F_q) (_two_part). When
+        2^v is exactly the 2-part, #E = 2^v * c with c odd, and the search
+        runs on t = 2^v * s over odd c only; when v is a lower bound, over
+        every c. At or below the crossover, or without two_torsion, that
+        search is skipped. Two fallbacks follow a search that finds nothing:
+        the search on 4*s, then the search on s itself over the whole
+        interval. Cost is O(q^(1/4)) group operations.
         """
         if s is None:
             return 1
         q = self.q
         lo, hi = hasse_interval(q)
-        c = self._annihilator(self.scalar_mul(4, s), -(-lo // 4), hi // 4)
-        n = 4 * c if c else self._annihilator(s, lo, hi)
+        n = None
+        if two_torsion is not None and q > _WINDOW_MIN_Q:
+            v, exact = self._two_part(*two_torsion)
+            k = 1 << v
+            c = self._annihilator(self.scalar_mul(k, s), -(-lo // k), hi // k, odd_only=exact)
+            n = k * c if c else None
         if n is None:
+            c = self._annihilator(self.scalar_mul(4, s), -(-lo // 4), hi // 4)
+            n = 4 * c if c else self._annihilator(s, lo, hi)
+        if n is None:
+            args = f"{s}" if two_torsion is None else f"{s}, two_torsion={tuple(two_torsion)}"
             raise InvariantViolation(
-                f"no annihilator of {s} in the Hasse interval at q = {q}; "
-                f"the group law is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({s})"
+                f"no annihilator of {s} in the Hasse interval at q = {q}; the group law "
+                f"is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({args})"
             )
         return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()])
+
+    def _two_part(self, e1: int, e2: int):
+        """(v, exact) with 2^v | #E(F_q), exact when 2^v is the 2-part, for
+        the roots e1, e2 and e3 = -e1 - e2 of x^3 + a*x + b.
+
+        E(F_q)[2^inf] is Z/2^alpha x Z/2^beta with 1 <= alpha <= beta, and by
+        2-descent a point (x, y) lies in 2E(F_q) iff every x - e_i is a
+        square (Knapp, Elliptic Curves, Thm 4.2); for T_i = (e_i, 0) that
+        reads e_i - e_j square for both j != i. No T_i halves iff beta = 1:
+        v = 2. All three halve iff alpha >= 2: v >= 4, a lower bound.
+        Otherwise alpha = 1, and the one T_i that halves spans
+        2^(beta-1) * Z/2^beta. Its branch is walked up by halving, one level
+        a step, until no half of the point reached halves again: v = 1 + beta.
+        The halves of a point differ by 2-torsion, so some half halves iff
+        the half Q found or Q + T_j does, for a T_j that does not halve.
+        Raises ValueError unless e1 and e2 are two distinct roots.
+        """
+        q, a, b = self.q, self.a, self.b
+        roots = e1, e2, e3 = e1 % q, e2 % q, -(e1 + e2) % q
+        if e1 == e2 or (e1**3 + a * e1 + b) % q or (e2**3 + a * e2 + b) % q:
+            raise ValueError(f"{e1} and {e2} are not two roots of x^3 + {a}x + {b} mod {q}")
+        h = (q - 1) // 2
+        c12, c13, c23 = (1 if pow(d, h, q) == 1 else -1 for d in (e1 - e2, e1 - e3, e2 - e3))
+        eps = 1 if q % 4 == 1 else -1  # the character of -1: e_j - e_i = -(e_i - e_j)
+        halves = (c12 == c13 == 1, eps * c12 == c23 == 1, eps * c13 == eps * c23 == 1)
+        if not any(halves):
+            return 2, True
+        if all(halves):
+            return 4, False
+        i = halves.index(True)
+        ei, ej, ek = roots[i], roots[(i + 1) % 3], roots[(i + 2) % 3]  # T_j does not halve
+        v, point = 3, self._halve((ei, 0), ei, ej, ek)
+        while True:
+            half = self._halve(point, ei, ej, ek)
+            if half is None:
+                point = self.add(point, (ej, 0))
+                half = self._halve(point, ei, ej, ek)
+                if half is None:
+                    return v, True
+            v, point = v + 1, half
+
+    def _halve(self, point, ei: int, ej: int, ek: int):
+        """A Q with 2Q = point or 2Q = -point, or None when point is not in
+        2E(F_q); point is T_i = (e_i, 0) or not 2-torsion.
+
+        For square roots r of x - e with r_i*r_j*r_k = y (Knapp, Elliptic
+        Curves, proof of Thm 4.2), x(Q) = x + r_i*r_j + r_i*r_k + r_j*r_k.
+        Then x(Q) - e_i = (r_i + r_j)(r_i + r_k), and likewise for j and k,
+        so y(Q) = (r_i + r_j)(r_i + r_k)(r_j + r_k) up to its sign. r_i is
+        y/(r_j*r_k): two square roots a halving, and carrying y saves the
+        third.
+        """
+        q = self.q
+        x, y = point
+        rj = sqrt_mod(x - ej, q)
+        if rj is None:
+            return None
+        rk = sqrt_mod(x - ek, q)
+        if rk is None:
+            return None
+        ri = y * pow(rj * rk, -1, q) % q
+        return (x + ri * rj + ri * rk + rj * rk) % q, (ri + rj) * (ri + rk) * (rj + rk) % q
 
     def _order_within(self, s, n: int, powers) -> int:
         """Exact order of s, given an n with n*s = 0 and the prime powers of
@@ -219,62 +305,87 @@ class FiniteCurve:
                 order *= self._order_within(self.scalar_mul(c, s), n_part, part)
         return order
 
-    def _annihilator(self, t, lo: int, hi: int):
-        """Some c >= 1 with c*t = 0, or None if no c in [lo, hi] kills t. A
-        baby step that meets the identity gives the order of t itself; else c
-        comes from covering [lo, hi] with windows [centre - m, centre + m],
-        centres 2m apart from lo + m, so lo <= c <= hi + 2m.
+    def _annihilator(self, t, lo: int, hi: int, odd_only: bool = False):
+        """Some c >= 1 with c*t = 0, or None if no c in [lo, hi] kills t (no
+        odd c, with odd_only).
 
-        Baby steps j*t (j = 1..m) are keyed by x, so one lookup matches both
-        centre*t = j*t and centre*t = -j*t; y tells the sign apart. The baby
-        steps run as two lanes, odd j and even j, each adding 2t; the giant
-        walk runs as two lanes from the window that holds the middle of
-        [lo, hi], one up and one down, because #E(F_q) clusters near q + 1
-        (Sato-Tate, for curves without CM). The two additions of a step share
-        one inversion (_add_pair).
+        The walk runs over i in steps of u: c = i and u = t, or, with
+        odd_only, c = 2i + 1 and u = 2t, with i in [lo // 2, (hi - 1) // 2].
+        Write [lo', hi'] for the range of i. A match is i*u + offset*t = 0,
+        offset = 1 with odd_only and 0 without, so a c found is an
+        annihilator by construction. A baby step j*u that meets the identity
+        gives c = j, or 2j with odd_only. Else i comes from covering
+        [lo', hi'] with windows [centre - m, centre + m], centres 2m apart
+        from lo' + m, so lo' <= i <= hi' + 2m.
+
+        Baby steps j*u (j = 1..m) are keyed by x, so one lookup matches both
+        centre*u + offset*t = j*u and = -j*u; y tells the sign apart. The
+        baby steps run as two lanes, odd j and even j, each adding 2u; the
+        giant walk runs as two lanes from the window that holds the middle
+        of [lo', hi'], one up and one down, because #E(F_q) clusters near
+        q + 1 (Sato-Tate, for curves without CM). The two additions of a
+        step share one inversion (_add_pair).
         """
         if t is None:
             return 1
+        if odd_only:  # c = step*i + offset for the walk's i
+            step, offset, u, lo, hi = 2, 1, self.add(t, t), lo // 2, (hi - 1) // 2
+        else:
+            step, offset, u = 1, 0, t
+        if u is None:
+            return 2
         # m/2 baby pair steps and, for an annihilator at the mean Sato-Tate
         # distance from the middle, about (hi - lo) / (9.4m) giant pair steps:
         # least at m = sqrt(hi - lo) / 2.2, and flat there, sqrt(hi - lo) / 2
-        # costing 0.3 % more. m is odd, so that the odd lane ends at m*t, and
+        # costing 0.3 % more. m is odd, so that the odd lane ends at m*u, and
         # its double is the giant step: windows 2m apart share their ends.
         m = isqrt((hi - lo + 1) // 4) | 1
-        two = self.add(t, t)
+        two = self.add(u, u)
         if two is None:
-            return 2
+            return 2 * step
         baby = {}
-        odd, even, j = t, two, 1  # j*t and (j + 1)*t
+        odd, even, j = u, two, 1  # j*u and (j + 1)*u
+        if m >= 5:
+            # The first pair step would add 2u to 2u, a doubling that
+            # _add_pair hands to add: 3u and 4u come from add, and the
+            # paired loop starts at j = 3.
+            baby.setdefault(u[0], (1, u[1]))
+            baby.setdefault(two[0], (2, two[1]))
+            odd, even = self.add(u, two), self.add(two, two)
+            if even is None:
+                return 4 * step
+            if odd is None:
+                return 3 * step
+            j = 3
         while j < m:
             baby.setdefault(odd[0], (j, odd[1]))
             baby.setdefault(even[0], (j + 1, even[1]))
             if j + 3 <= m:  # the next even multiple is a baby step too
                 odd, even = self._add_pair(odd, two, even, two)
                 if even is None:
-                    return j + 3
+                    return (j + 3) * step
             else:
                 odd = self.add(odd, two)
             if odd is None:
-                return j + 2
+                return (j + 2) * step
             j += 2
         baby.setdefault(odd[0], (m, odd[1]))
         w = 2 * m
-        giant = self.add(odd, odd) if m > 1 else two  # w * t
+        giant = self.add(odd, odd) if m > 1 else two  # w * u
         down_giant = self.neg(giant)
         # Both lanes start at the window holding the middle of [lo, hi]; their
         # first step, up + giant and up - giant, shares the one denominator.
         up_centre = down_centre = lo + m + (hi - lo) // 2 // w * w
-        up = down = self.scalar_mul(up_centre, t)
+        up = down = self.scalar_mul(step * up_centre + offset, t)
         while up_centre - m <= hi or down_centre + m > lo:
             for centre, walk in ((up_centre, up), (down_centre, down)):
                 if lo - m < centre <= hi + m:  # meets [lo, hi]; not the window ending at lo
                     if walk is None:
-                        return centre
+                        return step * centre + offset
                     hit = baby.get(walk[0])
                     if hit is not None:
                         j, y = hit
-                        return centre - j if y == walk[1] else centre + j
+                        return step * (centre - j if y == walk[1] else centre + j) + offset
             up, down = self._add_pair(up, giant, down, down_giant)
             up_centre += w
             down_centre -= w

@@ -138,7 +138,10 @@ def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     """Orders of R, P = image (R, 0) and Q = image (R, R) at one prime."""
     start = time.perf_counter_ns()
     r = reduce_onto(R, ctx.curve)
-    ord_r = ctx.curve.point_order(r)
+    # At p = 2 the kernel generators are the rational 2-torsion points (e, 0),
+    # whose x-coordinates narrow point_order's search window.
+    two_torsion = (ctx.k1[0], ctx.k2[0]) if ctx.p == 2 else None
+    ord_r = ctx.curve.point_order(r, two_torsion)
     ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r)
     ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r)
     elapsed_us = (time.perf_counter_ns() - start) // 1000

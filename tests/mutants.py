@@ -162,8 +162,8 @@ MUTANTS = (
     # _annihilator: two baby lanes and two giant lanes, one inversion a step.
     Mutant(
         FINITE,
-        "return centre - j if y == walk[1] else centre + j",
-        "return centre + j if y == walk[1] else centre - j",
+        "(centre - j if y == walk[1] else centre + j)",
+        "(centre + j if y == walk[1] else centre - j)",
         "_annihilator: the baby-step match with the sign of j swapped",
         (T_FINITE,),
     ),
@@ -200,6 +200,35 @@ MUTANTS = (
         "lam = (y2 - y1) * d2 * inv % q\n                mu = (y4 - y3) * d1 * inv % q",
         "lam = (y2 - y1) * d1 * inv % q\n                mu = (y4 - y3) * d2 * inv % q",
         "_add_pair: the two lanes' denominators swapped in the shared inversion",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "            j = 3\n",
+        "            j = 1\n",
+        "_annihilator: the paired baby loop starts at j = 1 after 3u and 4u are built",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "up = down = self.scalar_mul(step * up_centre + offset, t)",
+        "up = down = self.scalar_mul(step * up_centre, t)",
+        "_annihilator: the odd-cofactor walk without its +t offset",
+        (T_FINITE,),
+    ),
+    # The 2-adic window: _two_part's 2-descent.
+    Mutant(
+        FINITE,
+        "eps * c12 == c23 == 1, eps * c13 == eps * c23 == 1)",
+        "c12 == c23 == 1, c13 == c23 == 1)",
+        "_two_part: T2 and T3 halve without the character of -1",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "return 4, False",
+        "return 4, True",
+        "_two_part: v = 4 taken as exact when all three T_i halve",
         (T_FINITE,),
     ),
     Mutant(
@@ -308,6 +337,13 @@ MUTANTS = (
         "for _ in range(s - 1):",
         "for _ in range(s - 2):",
         "is_prime: one squaring short in each Miller-Rabin round",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "b = pow(c, 1 << (m - i - 1), q)",
+        "b = pow(c, 1 << (m - i - 2), q)",
+        "sqrt_mod: the Tonelli-Shanks step exponent one short (runs only at q = 1 mod 4)",
         (T_ARITH,),
     ),
     # The report.

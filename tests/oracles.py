@@ -75,6 +75,31 @@ def count_points_brute(q, a, b):
     return 1 + len(affine_points_brute(q, a, b))
 
 
+def count_points_by_squares(q, a, b):
+    """#E(F_q) for y^2 = x^3 + ax + b as q + 1 + the sum of the quadratic
+    characters of x^3 + ax + b over x, read off a table of the squares."""
+    square = [False] * q
+    for y in range(1, q):
+        square[y * y % q] = True
+    total = q + 1
+    for x in range(q):
+        f = (x * x * x + a * x + b) % q
+        total += 0 if f == 0 else 1 if square[f] else -1
+    return total
+
+
+def split_curves(bound):
+    """(e1, e2, e3, a, b) for every y^2 = (x - e1)(x - e2)(x - e3) with
+    distinct integers e1 < e2 < e3, e1 + e2 + e3 = 0 and |e_i| <= bound."""
+    out = []
+    for e1 in range(-bound, bound + 1):
+        for e2 in range(e1 + 1, bound + 1):
+            e3 = -e1 - e2
+            if e2 < e3 <= bound:
+                out.append((e1, e2, e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3))
+    return out
+
+
 def all_points(curve):
     """Every point of a FiniteCurve, identity first, then affine points in
     lexicographic order; O(q) through a table of square roots."""

@@ -9,6 +9,7 @@ from suppscan.arith import (
     is_prime,
     primes_up_to,
     sorted_divisors,
+    sqrt_mod,
 )
 
 
@@ -186,3 +187,17 @@ def test_is_perfect_square():
     squares = {k * k for k in range(50)}
     for n in range(-5, 2000):
         assert is_perfect_square(n) == (n in squares)
+
+
+def test_sqrt_mod_brute_force_small_primes():
+    # Every residue at every odd prime below 300, among them 97, 193 and 257
+    # (q - 1 = 2^5 * 3, 2^6 * 3, 2^8), where Tonelli-Shanks runs its loop,
+    # and q = 3 mod 4, where it does not.
+    for q in primes_up_to(300)[1:]:
+        squares = {y * y % q for y in range(q)}
+        for a in range(-q, 2 * q):
+            r = sqrt_mod(a, q)
+            if a % q in squares:
+                assert r is not None and 0 <= r < q and r * r % q == a % q, (q, a, r)
+            else:
+                assert r is None, (q, a, r)

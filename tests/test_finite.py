@@ -2,11 +2,20 @@ import copy
 import pickle
 import random
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import affine_points_brute, all_points, count_points_brute, order_by_walk
+from oracles import (
+    affine_points_brute,
+    all_points,
+    count_points_brute,
+    count_points_by_squares,
+    order_by_walk,
+    split_curves,
+)
+from suppscan import finite
 from suppscan.arith import factorize, primes_up_to
 from suppscan.finite import FiniteCurve, hasse_interval
 
@@ -334,3 +343,89 @@ def test_scalar_mul_matches_repeated_add(data):
     for _ in range(n % order):
         acc = curve.add(acc, s)
     assert curve.scalar_mul(n, s) == acc
+
+
+def two_adic_valuation(n):
+    return (n & -n).bit_length() - 1
+
+
+def test_two_part_matches_point_counts():
+    # Every split curve with |e_i| <= 12 at every good prime below 300, the
+    # roots given in three orders so that each T_i is the one that halves;
+    # #E from a sum of quadratic characters, which shares nothing with the
+    # group law. exact: 2^v is the 2-part of #E; otherwise v = 4 <= v_2(#E).
+    seen = set()
+    for q in primes_up_to(300)[2:]:
+        for e1, e2, e3, a, b in split_curves(12):
+            if len({e1 % q, e2 % q, e3 % q}) < 3:
+                continue
+            v2 = two_adic_valuation(count_points_by_squares(q, a, b))
+            curve = FiniteCurve(q, a, b)
+            for roots in ((e1, e2), (e2, e3), (e3, e1)):
+                v, exact = curve._two_part(*roots)
+                assert (v == v2) if exact else (v == 4 <= v2), (q, roots, v, exact, v2)
+                seen.add((v if exact else "lower", q % 4))
+    # Each branch is met, at q = 1 and q = 3 mod 4, and the walk climbs. All
+    # three halve only at q = 1 mod 4: E[4] in E(F_q) puts i in F_q (Weil
+    # pairing).
+    assert {(2, 1), (2, 3), (3, 1), (3, 3), (4, 1), (4, 3), ("lower", 1)} <= seen
+    assert max(v for v, _ in seen if v != "lower") >= 8
+
+
+def test_two_part_rejects_non_roots():
+    curve = FiniteCurve(101, -21, -20)  # roots -4, -1, 5
+    assert curve._two_part(-4, -1) == curve._two_part(-1 + 101, 5)
+    for roots in ((-4, -4), (-4, 2), (0, 1)):
+        with pytest.raises(ValueError, match="not two roots"):
+            curve._two_part(*roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_windowed_point_order_random_split_curves(data):
+    # The window forced on at small q: random split curves and points,
+    # against the walk oracle, with the roots in a random order.
+    q = data.draw(st.sampled_from([q for q in primes_up_to(1999) if q >= 5]), label="q")
+    e1 = data.draw(st.integers(0, q - 1), label="e1")
+    e2 = data.draw(st.integers(0, q - 1), label="e2")
+    e3 = -(e1 + e2) % q
+    assume(len({e1, e2, e3}) == 3)
+    curve = FiniteCurve(q, e1 * e2 + e2 * e3 + e3 * e1, -e1 * e2 * e3)
+    roots = data.draw(st.sampled_from([(e1, e2), (e2, e3), (e3, e1), (e2, e1)]), label="roots")
+    points = st.lists(st.sampled_from(all_points(curve)), min_size=1, max_size=3)
+    with mock.patch.object(finite, "_WINDOW_MIN_Q", 0):
+        for s in data.draw(points, label="points"):
+            order = order_by_walk(curve.add, s)
+            assert curve.point_order(s, two_torsion=roots) == order, (q, roots, s)
+
+
+def test_window_is_read_only_above_the_crossover(monkeypatch):
+    # Bad roots are never looked at below the crossover, and are refused
+    # above it.
+    curve = FiniteCurve(101, -21, -20)
+    assert curve.point_order((0, 9), two_torsion=(0, 1)) == curve.point_order((0, 9)) == 8
+    monkeypatch.setattr(finite, "_WINDOW_MIN_Q", 100)
+    with pytest.raises(ValueError, match="not two roots"):
+        curve.point_order((0, 9), two_torsion=(0, 1))
+    assert curve.point_order((0, 9), two_torsion=(-4, -1)) == 8
+
+
+def test_odd_annihilator_stays_within_its_windows():
+    # _annihilator(t, lo, hi, odd_only=True) returns a c with c*t = 0, or None
+    # only when no odd multiple of the order lies in [lo, hi]. A giant-step
+    # match is odd and at least lo; a baby step that meets the identity
+    # gives an even c at most 2(m + 1), m the baby-step count.
+    curve = FiniteCurve(997, -21, -20)
+    for s in all_points(curve)[1::61]:
+        order = order_by_walk(curve.add, s)
+        for width in range(0, 160, 11):
+            m = isqrt((width // 2 + 1) // 4) + 2  # at least the code's m
+            for lo in range(order + 1, order + 4 * m + 5):
+                hi = lo + width
+                c = curve._annihilator(s, lo, hi, odd_only=True)
+                if c is None:
+                    assert all(n % order for n in range(lo | 1, hi + 1, 2)), (s, lo, hi)
+                else:
+                    assert c % order == 0, (s, lo, hi, c)
+                    giant = c % 2 and lo <= c <= hi + 4 * m
+                    assert giant or (c % 2 == 0 and c <= 2 * m + 2), (s, lo, hi, c)

@@ -18,6 +18,7 @@ from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
 from suppscan.finite import FiniteCurve, InvariantViolation
+from suppscan.quotient import evaluate_prime, make_context
 from suppscan.rational import RationalCurve, RationalPoint
 from suppscan.scan import (
     CSV_HEADER,
@@ -409,7 +410,9 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
 
 
 def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi: None)
+    # A scan at p = 2 passes the kernel's 2-torsion x-coordinates, and the
+    # repro line repeats them, so it takes the same path as the scan.
+    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi, odd_only=False: None)
     path = write_config(tmp_path, small_config(bound=50))
     out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     assert cli_main(["scan", "--config", path, *out]) == 3
@@ -417,13 +420,39 @@ def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path,
     assert "Traceback" not in err
     found = re.fullmatch(
         r"invariant violation: no annihilator of (\(\d+, \d+\)) in the Hasse interval at q = (\d+); "
-        r"the group law is broken: (FiniteCurve\(\2, \d+, \d+\)\.point_order\(\1\))\n",
+        r"the group law is broken: "
+        r"(FiniteCurve\(\2, \d+, \d+\)\.point_order\(\1, two_torsion=\(\d+, \d+\)\))\n",
         err,
     )
     assert found
     # The message's own expression reproduces the failure at that q.
     with pytest.raises(InvariantViolation, match=re.escape(err.split(": ", 1)[1].rstrip())):
         eval(found[3], {"FiniteCurve": FiniteCurve})
+
+
+def test_point_order_repro_line_takes_the_windowed_path(monkeypatch):
+    # Above the crossover the windowed search runs first; with every search
+    # failing, the repro line names two_torsion, and evaluating it calls the
+    # windowed search again.
+    calls = []
+
+    def no_annihilator(self, t, lo, hi, odd_only=False):
+        calls.append((lo, hi, odd_only))
+        return None
+
+    monkeypatch.setattr(FiniteCurve, "_annihilator", no_annihilator)
+    q = 10**10 + 19
+    ctx = make_context(RationalCurve(-21, -20), RationalPoint(-4, 0), RationalPoint(-1, 0), 2, q)
+    with pytest.raises(InvariantViolation) as raised:
+        evaluate_prime(ctx, RationalPoint(-3, 4))
+    message = str(raised.value)
+    expression = message.rsplit(": ", 1)[1]
+    assert expression.endswith(f", two_torsion=({ctx.k1[0]}, {ctx.k2[0]}))")
+    first = list(calls)
+    calls.clear()
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        eval(expression, {"FiniteCurve": FiniteCurve})
+    assert calls == first and len(first) == 3
 
 
 def test_report_digest_ignores_elapsed():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.ntheory.elliptic_curve import EllipticCurve
 
-from oracles import count_points_brute
-from suppscan.arith import factorize, is_prime, primes_up_to
+from oracles import count_points_brute, split_curves
+from suppscan.arith import factorize, is_prime, primes_up_to, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
 from suppscan.rational import reduce_onto
 from suppscan.scan import default_config, iter_good_primes
@@ -86,14 +86,40 @@ def test_order_of_r_matches_sympy_at_every_good_prime_below_2000():
         assert all((P * (n // f)).z != 0 for f in rest), q
 
 
+def prime_in_class(start, modulus, residue):
+    """The least prime q >= start with q = residue mod modulus."""
+    q = start + (residue - start) % modulus
+    while not sympy.isprime(q):
+        q += modulus
+    return q
+
+
+# (modulus, residue) classes of q: any prime; q = 3 mod 4, where
+# Tonelli-Shanks is one exponentiation; and q = 1 mod 2^k for k = 5 and 12,
+# where its loop runs up to k - 1 times.
+Q_CLASSES = ((1, 0), (4, 3), (32, 1), (4096, 1))
+
+
+def assert_sympy_order(q, a, b, point, n):
+    # n is the order of P iff n*P = O and (n/f)*P != O for each prime f | n,
+    # all in sympy's group law.
+    E = UncheckedCurve(a, b, modulus=q)
+    P = E(*point)
+    assert EllipticCurve.__contains__(E, P), (q, a, b, point)
+    assert (P * n).z == 0, (q, a, b, point, n)
+    assert all((P * (n // f)).z != 0 for f in sympy.factorint(n)), (q, a, b, point, n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_point_order_matches_sympy_at_large_q(data):
     # Random points on y^2 = (x - e1)(x - e2)(x - e3), e1 + e2 + e3 = 0, at
     # primes q in [10^6, 10^12]: annihilators with several large prime
-    # factors, far past the walk oracle. n is the order of P iff n*P = O and
-    # (n/f)*P != O for each prime f | n, all in sympy's group law.
-    q = int(sympy.nextprime(data.draw(st.integers(10**6, 10**12 - 1000), label="start")))
+    # factors, far past the walk oracle. The orders with and without the
+    # 2-torsion window agree; the window opens above finite._WINDOW_MIN_Q.
+    modulus, residue = data.draw(st.sampled_from(Q_CLASSES), label="class of q")
+    start = data.draw(st.integers(10**6, 10**12 - 10**6), label="start")
+    q = prime_in_class(start, modulus, residue)
     e1 = data.draw(st.integers(0, q - 1), label="e1")
     e2 = data.draw(st.integers(0, q - 1), label="e2")
     e3 = -(e1 + e2) % q
@@ -102,12 +128,47 @@ def test_point_order_matches_sympy_at_large_q(data):
     x = data.draw(st.integers(0, q - 1), label="x")
     while (y := sympy.sqrt_mod((x**3 + a * x + b) % q, q)) is None:
         x = (x + 1) % q
-    n = FiniteCurve(q, a, b).point_order((x, y))
-    E = UncheckedCurve(a, b, modulus=q)
-    P = E(x, y)
-    assert EllipticCurve.__contains__(E, P), (q, a, b, x, y)
-    assert (P * n).z == 0, (q, a, b, x, y, n)
-    assert all((P * (n // f)).z != 0 for f in sympy.factorint(n)), (q, a, b, x, y, n)
+    curve = FiniteCurve(q, a, b)
+    n = curve.point_order((x, y))
+    assert curve.point_order((x, y), two_torsion=(e1, e2)) == n, (q, e1, e2, x, y)
+    assert_sympy_order(q, a, b, (x, y), n)
+
+
+@pytest.mark.parametrize("modulus, residue", Q_CLASSES[1:])
+def test_windowed_point_order_matches_sympy_on_every_branch(modulus, residue):
+    # Split curves with small roots, each at the next prime past 10^11 in one
+    # class of q, until the 2-descent has met every branch it can: no T_i
+    # halves (v = 2), one does and its walk stops at once (v = 3) or climbs
+    # (v >= 5), and, at q = 1 mod 4 only, all three do. The orders with and
+    # without two_torsion agree, in sympy's group law.
+    want = {2, 3, 5} | ({"lower"} if residue == 1 else set())
+    met, q = set(), 10**11
+    for e1, e2, e3, a, b in split_curves(12):
+        q = prime_in_class(q + 1, modulus, residue)
+        curve = FiniteCurve(q, a, b)
+        v, exact = curve._two_part(e1, e2)
+        met.add(min(v, 5) if exact else "lower")
+        x = 1
+        while (y := sympy.sqrt_mod((x**3 + a * x + b) % q, q)) is None:
+            x += 1
+        n = curve.point_order((x, y), two_torsion=(e1, e2))
+        assert curve.point_order((x, y)) == n, (q, e1, e2, x, y)
+        assert_sympy_order(q, a, b, (x, y), n)
+        if want <= met:
+            break
+    assert want <= met, met
+
+
+def test_sqrt_mod_matches_sympy_at_large_q():
+    # sympy returns one root or None; ours is that root or its negative.
+    for modulus, residue in Q_CLASSES:
+        for start in (10**9, 10**12, 2**61):
+            q = prime_in_class(start, modulus, residue)
+            for a in (*range(-20, 21), *range(q - 5, q + 5), 3**50 % q, 7**41 % q, 10**9 + 7):
+                root = sympy.sqrt_mod(a, q)
+                r = sqrt_mod(a, q)
+                assert (r is None) is (root is None), (q, a)
+                assert root is None or r in (root, q - root), (q, a, r, root)
 
 
 def test_primes_match_sympy_below_10_5():
