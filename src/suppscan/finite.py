@@ -4,11 +4,13 @@ Points are None (the identity) or (x, y) tuples of canonical residues.
 add is the affine group law, one inversion per operation; _add_pair makes
 two affine additions with one shared inversion. Every scalar multiple comes
 from one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
-inverts its final Z once to return an affine point, and killed_by reads
-Z = 0 and inverts nothing. Orders come from a baby-step/giant-step
-annihilator search over the Hasse interval, whose steps run in pairs of
-lanes, followed by a recursive strip of the annihilator's prime powers, so
-no full point count is ever needed in the scanning path.
+inverts its final Z once to return an affine point, while killed_by reads
+Z = 0 and index_of_multiple compares the multiple with affine points
+projectively, so neither inverts anything. Orders come from a
+baby-step/giant-step annihilator search over the Hasse interval, whose
+steps run in pairs of lanes, followed by a recursive strip of the
+annihilator's prime powers, so no full point count is ever needed in the
+scanning path.
 """
 
 from math import isqrt
@@ -122,6 +124,25 @@ class FiniteCurve:
         """True iff n * s is the identity, for any integer n; nothing is
         inverted, so this is cheaper than testing scalar_mul(n, s) is None."""
         return s is None or not self._jacobian_mul(n, s)[2]
+
+    def index_of_multiple(self, n: int, s, points):
+        """The index of the first of points, affine or None, that equals
+        n * s, or None when none does; for any integer n.
+
+        Nothing is inverted: the Jacobian (X : Y : Z) = n * s is the identity
+        iff Z = 0, and equals an affine (x, y) iff X = x*Z^2 and Y = y*Z^3.
+        """
+        X, Y, Z = (1, 1, 0) if s is None else self._jacobian_mul(n, s)
+        if not Z:
+            return points.index(None) if None in points else None
+        q = self.q
+        if n < 0:
+            Y = -Y
+        ZZ = Z * Z % q
+        for i, t in enumerate(points):
+            if t is not None and (t[0] * ZZ - X) % q == 0 and (t[1] * ZZ * Z - Y) % q == 0:
+                return i
+        return None
 
     def _jacobian_mul(self, n: int, s):
         """|n| * s for an affine s (not the identity) as Jacobian (X, Y, Z).

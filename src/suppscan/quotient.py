@@ -59,6 +59,7 @@ class QuotientContext(_QuotientContextFields):
             t = curve.add(t, k2)
         self = super().__new__(cls, curve, k1, k2, p)
         self._kernel = tuple(pairs)
+        self._k1_multiples = tuple(s for s, _ in pairs)
         return self
 
     @classmethod
@@ -109,15 +110,38 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
     return quotient_is_zero(ctx, quotient_add(ctx, s, quotient_neg(ctx, t)))
 
 
+def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint) -> bool:
+    """True iff n * s is zero in the quotient: the value of
+    quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)), without an
+    inversion.
+
+    The points i * K1 are distinct, since K1 has exact order p, so at most
+    one i has n * rep1 = i * K1 (index_of_multiple). The pair is in the
+    kernel iff n * rep2 = i * K2 for that i: for P = (r, 0) iff i * K2 is
+    the identity, for Q = (r, r) iff i * K2 = i * K1, and otherwise one more
+    projective comparison decides.
+    """
+    curve = ctx.curve
+    i = curve.index_of_multiple(n, s.rep1, ctx._k1_multiples)
+    if i is None:
+        return False
+    k1, k2 = ctx._kernel[i]
+    if s.rep2 == s.rep1:
+        return k2 == k1
+    return curve.index_of_multiple(n, s.rep2, (k2,)) == 0
+
+
 def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int) -> int:
     """Smallest n >= 1 with n * s zero in the quotient, given the lcm m of
     the orders of s.rep1 and s.rep2.
 
     The order divides m, because m * s is 0 and so lies in the kernel. The
-    divisors of m are tested ascending, so the result is deterministic.
+    divisors of m are tested ascending, so the result is deterministic. Each
+    trial is one Jacobian multiple n * rep1 compared with the kernel
+    projectively (quotient_killed_by).
     """
     for n in sorted_divisors(m):
-        if quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)):
+        if quotient_killed_by(ctx, n, s):
             return n
     raise InvariantViolation(f"no annihilator among the divisors of m = {m}: m * s is not 0")
 

@@ -281,7 +281,9 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
     are shared out evenly, and pickles its records, or the exception that
     stopped it, back through its own pipe. A worker that ends without an
     answer is an InvariantViolation naming it and its signal. Every child
-    is reaped, the unfinished ones killed first when the sweep fails.
+    is reaped, the unfinished ones killed first when the sweep fails. A
+    worker whose parent has died, say by SIGTERM, exits before its next
+    prime: it checks os.getppid() between primes.
     """
     # Imported here, not at module level: only this branch uses them.
     import pickle
@@ -289,6 +291,7 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
 
     children = []  # (pid, read end of its pipe), in worker order
     reaped = 0
+    parent = os.getpid()
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -298,7 +301,11 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
                 try:
                     os.close(read_fd)
                     try:
-                        result = [_scan_one(config, q) for q in good[w::workers]]
+                        result = []
+                        for q in good[w::workers]:
+                            if os.getppid() != parent:
+                                os._exit(status)
+                            result.append(_scan_one(config, q))
                     except BaseException as exc:  # the parent raises it again
                         result = exc
                     with open(write_fd, "wb") as pipe:

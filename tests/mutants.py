@@ -130,6 +130,21 @@ MUTANTS = (
         "scalar_mul: Y taken back to affine by Z^-2, not Z^-3",
         (T_FINITE,),
     ),
+    # index_of_multiple: the projective comparison behind each quotient-order trial.
+    Mutant(
+        FINITE,
+        "(t[0] * ZZ - X) % q == 0 and (t[1] * ZZ * Z - Y) % q == 0:",
+        "(t[0] * ZZ - X) % q == 0:",
+        "index_of_multiple: y not compared, so -P matches P (visible at p = 3 only)",
+        (T_QUOTIENT, T_FINITE),
+    ),
+    Mutant(
+        FINITE,
+        "(t[1] * ZZ * Z - Y) % q == 0",
+        "(t[1] * ZZ - Y) % q == 0",
+        "index_of_multiple: y compared with y*Z^2, not y*Z^3 (visible at p = 3 only)",
+        (T_QUOTIENT, T_FINITE),
+    ),
     # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(
         FINITE,
@@ -269,6 +284,13 @@ MUTANTS = (
     ),
     Mutant(
         QUOTIENT,
+        "return k2 == k1",
+        "return True",
+        "quotient_killed_by: Q = (r, r) taken as zero whenever n * r is in <K1>",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
         "for n in sorted_divisors(m):",
         "for n in sorted_divisors(m)[1:]:",
         "quotient_order: an order of 1 is never found",
@@ -374,6 +396,13 @@ MUTANTS = (
         "if isinstance(stripe, BaseException):\n                raise stripe",
         "if isinstance(stripe, BaseException):\n                continue",
         "_forked_sweep: an exception raised in a worker is dropped, not raised again",
+        (T_SCAN,),
+    ),
+    Mutant(
+        SCAN,
+        "if os.getppid() != parent:",
+        "if os.getppid() == 0:",
+        "_forked_sweep: a worker runs its stripe on after its parent is gone",
         (T_SCAN,),
     ),
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_points, compose, first_relation_by_walk, order_by_walk, weak_relation_by_sweep
-from test_quotient import draw_split_context
+from test_quotient import draw_split_context, full_p_torsion_contexts
 from suppscan import endo
 from suppscan.arith import primes_up_to
 from suppscan.endo import (
@@ -21,9 +21,7 @@ from suppscan.endo import (
     relation_holds,
     verify_no_medium_relation,
 )
-from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
-    QuotientContext,
     QuotientPoint,
     evaluate_prime,
     make_context,
@@ -50,29 +48,6 @@ def contexts(n, start=5):
         if len(out) == n:
             return out
     raise AssertionError("not enough primes")
-
-
-def full_p_torsion_contexts(p):
-    """Synthetic contexts whose curves have all p-torsion rational: the
-    first such curve at each prime q = 1 (mod p), in increasing q."""
-    for q in primes_up_to(200):
-        if q < 5 or q % p != 1:
-            continue
-        for a, b in product(range(q), repeat=2):
-            if (4 * a**3 + 27 * b**2) % q == 0:
-                continue
-            curve = FiniteCurve(q, a, b)
-            pts = all_points(curve)
-            if len(pts) % p**2:
-                continue
-            tors = [s for s in pts if curve.scalar_mul(p, s) is None]
-            if len(tors) != p * p:
-                continue
-            k1 = tors[1]
-            span = {curve.scalar_mul(i, k1) for i in range(p)}
-            k2 = next(t for t in tors if t not in span)
-            yield QuotientContext(curve, k1, k2, p)
-            break
 
 
 def test_descends_examples():

@@ -311,6 +311,32 @@ def test_killed_by_matches_scalar_mul_and_walk(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_index_of_multiple_matches_repeated_add(data):
+    # The projective comparison against a list of affine points and the
+    # identity, which often holds n * s, -(n * s) (the same x) or both.
+    q = data.draw(st.sampled_from([q for q in primes_up_to(400) if q >= 5]), label="q")
+    a = data.draw(st.integers(0, q - 1), label="a")
+    b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    pts = all_points(curve)
+    s = data.draw(st.sampled_from(pts), label="s")
+    order = order_by_walk(curve.add, s)
+    n = data.draw(
+        st.one_of(st.integers(-2 * order - 2, 2 * order + 2), st.integers(-(2**40), 2**40)),
+        label="n",
+    )
+    acc = None
+    for _ in range(n % order):
+        acc = curve.add(acc, s)
+    near = st.sampled_from([acc, curve.neg(acc)])
+    points = data.draw(st.lists(near | st.sampled_from(pts), max_size=5), label="points")
+    expected = points.index(acc) if acc in points else None
+    assert curve.index_of_multiple(n, s, points) == expected, (curve, s, n, points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_scalar_mul_matches_repeated_add(data):
     # scalar_mul runs the Jacobian core and add is affine, so the two share
     # no formula. s is moved to a multiple of order 1, 2, 4 or odd when it

@@ -1,4 +1,6 @@
 import random
+from functools import cache
+from itertools import islice, product
 from math import lcm
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_points, coset_order_by_walk, order_by_walk
 from suppscan import quotient
-from suppscan.arith import is_prime, primes_up_to
+from suppscan.arith import is_prime, primes_up_to, sorted_divisors
 from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
     InvariantViolation,
@@ -17,6 +19,7 @@ from suppscan.quotient import (
     quotient_add,
     quotient_equal,
     quotient_is_zero,
+    quotient_killed_by,
     quotient_order,
     quotient_scalar_mul,
 )
@@ -139,9 +142,9 @@ def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
 
     def spy(ctx, n, s):
         tried.append(n)
-        return quotient_scalar_mul(ctx, n, s)
+        return quotient_killed_by(ctx, n, s)
 
-    monkeypatch.setattr(quotient, "quotient_scalar_mul", spy)
+    monkeypatch.setattr(quotient, "quotient_killed_by", spy)
     for q, ord_r in ((7, 6), (83, 24)):
         tried.clear()
         rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, q), R)
@@ -170,6 +173,67 @@ def draw_split_context(data, q_bound):
     assume(len({e1, e2, e3}) == 3)
     curve = FiniteCurve(q, e1 * e2 + e2 * e3 + e3 * e1, -e1 * e2 * e3)
     return QuotientContext(curve, (e1, 0), (e2, 0), 2)
+
+
+def full_p_torsion_contexts(p):
+    """Synthetic contexts whose curves have all p-torsion rational: the
+    first such curve at each prime q = 1 (mod p), in increasing q."""
+    for q in primes_up_to(200):
+        if q < 5 or q % p != 1:
+            continue
+        for a, b in product(range(q), repeat=2):
+            if (4 * a**3 + 27 * b**2) % q == 0:
+                continue
+            curve = FiniteCurve(q, a, b)
+            pts = all_points(curve)
+            if len(pts) % p**2:
+                continue
+            tors = [s for s in pts if curve.scalar_mul(p, s) is None]
+            if len(tors) != p * p:
+                continue
+            k1 = tors[1]
+            span = {curve.scalar_mul(i, k1) for i in range(p)}
+            k2 = next(t for t in tors if t not in span)
+            yield QuotientContext(curve, k1, k2, p)
+            break
+
+
+@cache
+def p3_contexts() -> tuple:
+    """Five contexts at p = 3, at q = 7 (F7_CTX) to 37."""
+    return tuple(islice(full_p_torsion_contexts(3), 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_killed_by_matches_kernel_lookup(data):
+    # The inversion-free trial against the affine multiple looked up in the
+    # kernel. For P and Q only the identity can match; at p = 2 every kernel
+    # point is (e, 0). So only general cosets at p = 3 see a y comparison
+    # dropped or scaled by Z^2 for Z^3. Without y, (i * K1, j * K2) reads as
+    # zero when j = -i, so the cosets include s in <K1> with t in <K2>.
+    if data.draw(st.booleans(), label="p = 3"):
+        ctx = data.draw(st.sampled_from(p3_contexts()), label="ctx")
+    else:
+        ctx = draw_split_context(data, 500)
+    curve = ctx.curve
+    pts = all_points(curve)
+    s = data.draw(st.sampled_from(pts), label="s")
+    coset = data.draw(st.sampled_from(["P", "Q", "general", "torsion"]), label="coset")
+    if coset == "torsion":
+        i, j = data.draw(st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1)), label="i, j")
+        s, t = ctx.kernel()[i][0], ctx.kernel()[j][1]
+    elif coset == "general":
+        t = data.draw(st.sampled_from(pts), label="t")
+    else:
+        t = None if coset == "P" else s
+    m = ctx.p * lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
+    n = data.draw(
+        st.one_of(st.sampled_from(sorted_divisors(m)), st.integers(-2 * m, 2 * m)), label="n"
+    )
+    pair = QuotientPoint(s, t)
+    expected = quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, pair))
+    assert quotient_killed_by(ctx, n, pair) is expected, (ctx, pair, n)
 
 
 @settings(max_examples=200, deadline=None)

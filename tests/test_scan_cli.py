@@ -633,6 +633,62 @@ def test_cli_sweep_worker_exceptions_keep_their_exit_codes(tmp_path, capsys, mon
     assert scan_with_failing_worker(tmp_path / "oom", capsys, monkeypatch, no_memory) == OUT_OF_MEMORY
 
 
+def proc_state(pid):
+    """(state, ppid) of a process, read from /proc; None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def running(pid) -> bool:
+    state = proc_state(pid)
+    return state is not None and state[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the process table in /proc")
+def test_sweep_workers_exit_when_the_parent_is_terminated():
+    # SIGTERM ends the parent without running its finally, so it cannot kill
+    # its workers; each sees its parent change and exits, within 2 s. The
+    # child reports 2 usable cores, so that it forks on any host.
+    import signal
+    import time
+
+    script = (
+        "from suppscan import scan\n"
+        "scan._usable_cores = lambda: 2\n"
+        "scan.run_scan(scan.default_config()._replace(prime_bound=10**6, workers=2))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert parent.poll() is None and time.monotonic() < deadline, "the sweep forked no workers"
+            time.sleep(0.05)
+            workers = [
+                int(d.name)
+                for d in Path("/proc").iterdir()
+                if d.name.isdigit() and (proc_state(d.name) or ("", 0))[1] == parent.pid
+            ]
+        parent.send_signal(signal.SIGTERM)
+        assert parent.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 2
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if running(pid)], workers
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def scan_in_capped_child(tmp_path, config, limit):
     """`scan` of config in a child process whose address space is capped at
     limit bytes; the reports would go to tmp_path."""
