@@ -6,7 +6,9 @@ two affine additions with one shared inversion. Every scalar multiple comes
 from one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
 inverts its final Z once to return an affine point, while killed_by reads
 Z = 0 and index_of_multiple compares the multiple with affine points
-projectively, so neither inverts anything. Orders come from a
+projectively, so neither inverts anything. For a long scalar
+index_of_multiple can instead sum a table of the point's doublings
+(doublings, _comb), by additions alone. Orders come from a
 baby-step/giant-step annihilator search over the Hasse interval, whose
 steps run in pairs of lanes, followed by a recursive strip of the
 annihilator's prime powers, so no full point count is ever needed in the
@@ -26,6 +28,19 @@ FinitePoint = tuple[int, int] | None
 # near 2*10^7, 0.90x near 5*10^7 and 0.78x near 10^10 (Python 3.11, 2-core
 # x86-64 host, 600 primes each).
 _WINDOW_MIN_Q = 2 * 10**7
+
+# evaluate_prime builds the table of r's doublings (doublings) for its
+# quotient-order trials only from this bit length of ord_R on. Per prime,
+# with the table against without (Python 3.11.7, shared 2-core x86-64 host;
+# best of 7 a prime over the good primes below 12,000, grouped by the bit
+# length of ord_R, and best of 5 over 150 good primes near 2^k), the table
+# took 1.16x the time at 2-3 bits, 1.06x at 5, 1.01-1.05x at 6, 0.99x at 7,
+# 0.95x at 8, 0.89x at 10, 0.78x at 13, and 0.77x, 0.70x and 0.60x near
+# q = 2^16, 2^26 and 2^33. It pays from 7 bits, but by at most 0.04 ms a
+# prime below 13: the crossover sits there, so that every prime q <= 2,000
+# and 97 % of the default config's below 10^4 keep the double-and-add, and
+# the table runs where it saves a fifth of a prime or more.
+_COMB_MIN_BITS = 13
 
 
 class InvariantViolation(RuntimeError):
@@ -125,14 +140,21 @@ class FiniteCurve:
         inverted, so this is cheaper than testing scalar_mul(n, s) is None."""
         return s is None or not self._jacobian_mul(n, s)[2]
 
-    def index_of_multiple(self, n: int, s, points):
+    def index_of_multiple(self, n: int, s, points, doublings=None):
         """The index of the first of points, affine or None, that equals
         n * s, or None when none does; for any integer n.
 
         Nothing is inverted: the Jacobian (X : Y : Z) = n * s is the identity
         iff Z = 0, and equals an affine (x, y) iff X = x*Z^2 and Y = y*Z^3.
+        With doublings, the table doublings(s, L), an n with |n| < 2^L is
+        summed from the table (_comb) instead of doubled and added.
         """
-        X, Y, Z = (1, 1, 0) if s is None else self._jacobian_mul(n, s)
+        if s is None:
+            X, Y, Z = 1, 1, 0
+        elif doublings is not None and abs(n).bit_length() <= len(doublings):
+            X, Y, Z = self._comb(abs(n), doublings) or self._jacobian_mul(n, s)
+        else:
+            X, Y, Z = self._jacobian_mul(n, s)
         if not Z:
             return points.index(None) if None in points else None
         q = self.q
@@ -188,6 +210,78 @@ class FiniteCurve:
                 Y = (r * (V - X3) - Y * HHH) % q
                 Z = Z * H % q
                 X = X3
+        return X, Y, Z
+
+    def doublings(self, s, length: int) -> tuple:
+        """The affine table (s, 2s, 4s, ..., 2^(length-1) * s) for a
+        length >= 1, the identity as None.
+
+        length - 1 Jacobian doublings, _jacobian_mul's, then one inversion
+        for all the Zs by Montgomery's trick (Math. Comp. 48, 1987): with
+        the prefix products P_j = Z_1 * ... * Z_j, P_0 = 1, and I = 1/P_j,
+        1/Z_j = I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry
+        down. Once a doubling meets the identity (s of 2-power order), every
+        later entry is the identity.
+        """
+        if s is None:
+            return (None,) * length
+        q, a = self.q, self.a
+        X, Y, Z = s[0], s[1], 1
+        jacobian, prefix = [], [1]  # 2^j * s at index j - 1, P_j at index j
+        for _ in range(length - 1):
+            YY = Y * Y % q
+            S = 4 * X * YY % q
+            ZZ = Z * Z % q
+            M = (3 * X * X + a * ZZ * ZZ) % q
+            X3 = (M * M - 2 * S) % q
+            Z = 2 * Y * Z % q
+            if not Z:
+                break
+            Y = (M * (S - X3) - 8 * YY * YY) % q
+            X = X3
+            jacobian.append((X, Y, Z))
+            prefix.append(prefix[-1] * Z % q)
+        table = [s] + [None] * (length - 1)
+        inv = pow(prefix[-1], -1, q)
+        for j in range(len(jacobian), 0, -1):
+            X, Y, Z = jacobian[j - 1]
+            zi = inv * prefix[j - 1] % q
+            inv = inv * Z % q
+            zz = zi * zi % q
+            table[j] = X * zz % q, Y * zz * zi % q
+        return tuple(table)
+
+    def _comb(self, n: int, table):
+        """n * s as Jacobian (X, Y, Z) for 0 <= n < 2^len(table), table =
+        doublings(s, len(table)): the sum of table[j] over the set bits j of
+        n, by mixed additions (_jacobian_mul's) and no doubling, a fixed-base
+        comb of one row (Lim-Lee, CRYPTO '94). None when a sum would double,
+        the running sum meeting table[j] itself.
+        """
+        q = self.q
+        X, Y, Z = 1, 1, 0
+        for t, bit in zip(table, bin(n)[:1:-1]):
+            if bit == "0" or t is None:
+                continue
+            x, y = t
+            if not Z:
+                X, Y, Z = x, y, 1
+                continue
+            ZZ = Z * Z % q
+            H = (x * ZZ - X) % q
+            r = (y * ZZ * Z - Y) % q
+            if not H:
+                if r:  # the running sum is -table[j]
+                    Z = 0
+                    continue
+                return None
+            HH = H * H % q
+            HHH = H * HH % q
+            V = X * HH % q
+            X3 = (r * r - HHH - 2 * V) % q
+            Y = (r * (V - X3) - Y * HHH) % q
+            Z = Z * H % q
+            X = X3
         return X, Y, Z
 
     def point_order(self, s, two_torsion=None) -> int:

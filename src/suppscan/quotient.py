@@ -9,7 +9,7 @@ import time
 from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
-from .finite import FiniteCurve, FinitePoint, InvariantViolation
+from .finite import _COMB_MIN_BITS, FiniteCurve, FinitePoint, InvariantViolation
 from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
 
 
@@ -110,10 +110,11 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
     return quotient_is_zero(ctx, quotient_add(ctx, s, quotient_neg(ctx, t)))
 
 
-def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint) -> bool:
+def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings=None) -> bool:
     """True iff n * s is zero in the quotient: the value of
     quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)), without an
-    inversion.
+    inversion. doublings, when given, is curve.doublings(s.rep1, L) with
+    |n| < 2^L, and n * rep1 is summed from it.
 
     The points i * K1 are distinct, since K1 has exact order p, so at most
     one i has n * rep1 = i * K1 (index_of_multiple). The pair is in the
@@ -122,7 +123,7 @@ def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint) -> bool:
     projective comparison decides.
     """
     curve = ctx.curve
-    i = curve.index_of_multiple(n, s.rep1, ctx._k1_multiples)
+    i = curve.index_of_multiple(n, s.rep1, ctx._k1_multiples, doublings)
     if i is None:
         return False
     k1, k2 = ctx._kernel[i]
@@ -131,19 +132,26 @@ def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint) -> bool:
     return curve.index_of_multiple(n, s.rep2, (k2,)) == 0
 
 
-def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int) -> int:
+def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int, doublings=None) -> int:
     """Smallest n >= 1 with n * s zero in the quotient, given the lcm m of
     the orders of s.rep1 and s.rep2.
 
     The order divides m, because m * s is 0 and so lies in the kernel. The
     divisors of m are tested ascending, so the result is deterministic. Each
     trial is one Jacobian multiple n * rep1 compared with the kernel
-    projectively (quotient_killed_by).
+    projectively (quotient_killed_by); with doublings, the table
+    curve.doublings(s.rep1, m.bit_length()), that multiple is a sum of
+    table entries, with no doubling.
     """
     for n in sorted_divisors(m):
-        if quotient_killed_by(ctx, n, s):
+        if quotient_killed_by(ctx, n, s, doublings):
             return n
-    raise InvariantViolation(f"no annihilator among the divisors of m = {m}: m * s is not 0")
+    curve = ctx.curve
+    raise InvariantViolation(
+        f"no annihilator of {tuple(s)} among the divisors of m = {m} at q = {curve.q}; "
+        f"m * s is not 0: quotient_order(QuotientContext(FiniteCurve({curve.q}, {curve.a}, "
+        f"{curve.b}), {ctx.k1}, {ctx.k2}, {ctx.p}), QuotientPoint{tuple(s)}, {m})"
+    )
 
 
 class PrimeRecord(NamedTuple):
@@ -166,8 +174,12 @@ def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     # whose x-coordinates narrow point_order's search window.
     two_torsion = (ctx.k1[0], ctx.k2[0]) if ctx.p == 2 else None
     ord_r = ctx.curve.point_order(r, two_torsion)
-    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r)
-    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r)
+    # Both sweeps multiply r by divisors of ord_R; from _COMB_MIN_BITS on they
+    # share one table of r's doublings.
+    bits = ord_r.bit_length()
+    doublings = ctx.curve.doublings(r, bits) if bits >= _COMB_MIN_BITS else None
+    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, doublings)
+    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, doublings)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     return PrimeRecord(
         q=ctx.curve.q,

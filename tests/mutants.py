@@ -62,8 +62,8 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "Z = 2 * Y * Z % q",
-        "Z = (2 * Y * Z % q) or Z",
+        "Z = 2 * Y * Z % q\n            Y = (M",
+        "Z = (2 * Y * Z % q) or Z\n            Y = (M",
         "_jacobian_mul: doubling a point with Y == 0 (2-torsion) stays finite",
         (T_FINITE,),
     ),
@@ -104,22 +104,22 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "M = (3 * X * X + a * ZZ * ZZ) % q",
-        "M = 3 * X * X % q",
+        "M = (3 * X * X + a * ZZ * ZZ) % q\n            X3 = (M * M - 2 * S) % q\n            Z = 2 * Y * Z % q\n            Y",
+        "M = 3 * X * X % q\n            X3 = (M * M - 2 * S) % q\n            Z = 2 * Y * Z % q\n            Y",
         "_jacobian_mul: doubling ignores the curve's a",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "H = (x * ZZ - X) % q",
-        "H = (x * Z - X) % q",
+        "                H = (x * ZZ - X) % q",
+        "                H = (x * Z - X) % q",
         "_jacobian_mul: mixed addition scales x by Z, not Z^2",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "Y = (r * (V - X3) - Y * HHH) % q",
-        "Y = (r * (V - X3) + Y * HHH) % q",
+        "                Y = (r * (V - X3) - Y * HHH) % q",
+        "                Y = (r * (V - X3) + Y * HHH) % q",
         "_jacobian_mul: sign of the Y * H^3 term in mixed addition",
         (T_FINITE,),
     ),
@@ -144,6 +144,56 @@ MUTANTS = (
         "(t[1] * ZZ - Y) % q == 0",
         "index_of_multiple: y compared with y*Z^2, not y*Z^3 (visible at p = 3 only)",
         (T_QUOTIENT, T_FINITE),
+    ),
+    # doublings and _comb: the table of a point's doublings and its sums.
+    Mutant(
+        FINITE,
+        "table[j] = X * zz % q, Y * zz * zi % q",
+        "table[j - 1] = X * zz % q, Y * zz * zi % q",
+        "doublings: 2^j * s stored at index j - 1",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "zi = inv * prefix[j - 1] % q",
+        "zi = inv * prefix[j] % q",
+        "doublings: 1/Z_j from the prefix product P_j, not P_(j-1)",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "Z = 2 * Y * Z % q\n            if not Z:",
+        "Z = (2 * Y * Z % q) or Z\n            if not Z:",
+        "doublings: doubling a point of order 2 stays finite, so no entry is the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if not Z:\n                X, Y, Z = x, y, 1\n                continue\n            ZZ",
+        "ZZ",
+        "_comb: the identity branch dropped, so the empty sum stays the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if r:  # the running sum is -table[j]\n                    Z = 0",
+        "if r:  # the running sum is -table[j]\n                    Z = Z",
+        "_comb: a sum that meets -table[j] stays finite instead of the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "\n            Y = (r * (V - X3) - Y * HHH) % q",
+        "\n            Y = (r * (V - X3) + Y * HHH) % q",
+        "_comb: sign of the Y * H^3 term in its mixed addition",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "abs(n).bit_length() <= len(doublings)",
+        "abs(n).bit_length() <= len(doublings) + 1",
+        "index_of_multiple: an n of 2^L drops its top bit past a table of length L",
+        (T_FINITE,),
     ),
     # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(

@@ -16,7 +16,7 @@ from oracles import (
     split_curves,
 )
 from suppscan import finite
-from suppscan.arith import factorize, primes_up_to
+from suppscan.arith import factorize, is_prime, primes_up_to, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
 
 # y^2 = x^3 - x over F_5: the fully hand-checked table
@@ -369,6 +369,82 @@ def test_scalar_mul_matches_repeated_add(data):
     for _ in range(n % order):
         acc = curve.add(acc, s)
     assert curve.scalar_mul(n, s) == acc
+
+
+def draw_curve_and_point(data, small: bool):
+    """(curve, s, order): a random curve at a prime q < 400 with a point and
+    its walked order moved to its 2-power part half the time, or at a prime
+    q in [10^3, 10^12] with a random affine point and order None."""
+    if small:
+        q = data.draw(st.sampled_from([q for q in primes_up_to(400) if q >= 5]), label="q")
+    else:
+        q = data.draw(st.integers(10**3, 10**12), label="start")
+        while not is_prime(q):
+            q += 1
+    a = data.draw(st.integers(0, q - 1), label="a")
+    b = data.draw(st.integers(0, q - 1), label="b")
+    assume((4 * a**3 + 27 * b**2) % q)
+    curve = FiniteCurve(q, a, b)
+    if not small:
+        x = data.draw(st.integers(0, q - 1), label="x")
+        while (y := sqrt_mod(x**3 + a * x + b, q)) is None:
+            x = (x + 1) % q
+        return curve, (x, y), None
+    s = data.draw(st.sampled_from(all_points(curve)), label="s")
+    order = order_by_walk(curve.add, s)
+    if data.draw(st.booleans(), label="2-power part"):
+        odd = order >> two_adic_valuation(order)
+        s, order = curve.scalar_mul(odd, s), order // odd
+    return curve, s, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_doublings_match_scalar_mul(data):
+    # T[j] = 2^j * s against the double-and-add, and at q < 400 against
+    # repeated affine additions; for s of order 2^k the table of length
+    # k + 1 ends in the identity and only there.
+    curve, s, order = draw_curve_and_point(data, data.draw(st.booleans(), label="q < 400"))
+    length = data.draw(st.integers(1, 48), label="length")
+    table = curve.doublings(s, length)
+    assert len(table) == length
+    assert all(t == curve.scalar_mul(2**j, s) for j, t in enumerate(table)), (curve, s)
+    if order is not None:
+        walk = [None]
+        for _ in range(order - 1):
+            walk.append(curve.add(walk[-1], s))
+        assert all(t == walk[2**j % order] for j, t in enumerate(table)), (curve, s)
+        if order & (order - 1) == 0 and order.bit_length() <= length:
+            k = order.bit_length() - 1
+            assert table[k] is None and (k == 0 or table[k - 1] is not None), (curve, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_comb_matches_double_and_add(data):
+    # index_of_multiple summing the table against the double-and-add, for n
+    # in [-2^L, 2^L] (+-2^L fall back): n = 0, and at q < 400 sums that
+    # meet -T[j] on the way (their prefix (n mod 2^j) * s is -2^j * s, so
+    # the sum returns to the identity and goes on) or T[j] (a doubling,
+    # which falls back).
+    small = data.draw(st.booleans(), label="q < 400")
+    curve, s, order = draw_curve_and_point(data, small)
+    length = data.draw(st.integers(1, 40), label="L")
+    table = curve.doublings(s, length)
+    top = 1 << length
+    ns = [st.integers(-top, top), st.sampled_from([0, top, -top])]
+    if small and order.bit_length() < length:
+        j = data.draw(st.integers(order.bit_length(), length - 1), label="j")
+        high = data.draw(st.integers(0, (top >> (j + 1)) - 1), label="bits above j")
+        for start in (-(1 << j) % order, (1 << j) % order):  # meets -T[j], T[j]
+            ns.append(st.just(start + (1 << j) + (high << (j + 1))))
+    n = data.draw(st.one_of(ns), label="n")
+    multiple = curve.scalar_mul(n, s)
+    near = st.sampled_from([multiple, curve.neg(multiple)])
+    points = data.draw(st.lists(near | st.sampled_from([None, s]), max_size=4), label="points")
+    expected = curve.index_of_multiple(n, s, points)
+    assert expected == (points.index(multiple) if multiple in points else None)
+    assert curve.index_of_multiple(n, s, points, table) == expected, (curve, s, n, points)
 
 
 def two_adic_valuation(n):

@@ -2,13 +2,14 @@ import random
 from functools import cache
 from itertools import islice, product
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_points, coset_order_by_walk, order_by_walk
 from suppscan import quotient
-from suppscan.arith import is_prime, primes_up_to, sorted_divisors
+from suppscan.arith import is_prime, primes_up_to, sorted_divisors, sqrt_mod
 from suppscan.finite import FiniteCurve
 from suppscan.quotient import (
     InvariantViolation,
@@ -138,18 +139,28 @@ def test_quotient_order_matches_walk_oracle():
 def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
     # ord_R = 2 * 3 at q = 7 and 2^3 * 3 at q = 83: the divisor 2^(a+1) of
     # 2 * ord_R lies below ord_R, yet no order in the quotient can take it.
+    # ord_R = 2 * 8311 at q = 99991 has 15 bits, past the crossover: both
+    # sweeps there sum n * r from the one table of r's doublings.
     tried = []
 
-    def spy(ctx, n, s):
-        tried.append(n)
-        return quotient_killed_by(ctx, n, s)
+    def spy(ctx, n, s, doublings=None):
+        tried.append((s, n, doublings))
+        return quotient_killed_by(ctx, n, s, doublings)
 
     monkeypatch.setattr(quotient, "quotient_killed_by", spy)
-    for q, ord_r in ((7, 6), (83, 24)):
+    assert 5 < quotient._COMB_MIN_BITS <= 15
+    for q, ord_r in ((7, 6), (83, 24), (99991, 16622)):
         tried.clear()
-        rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, q), R)
+        ctx = make_context(DEFAULT, R1, R2, 2, q)
+        rec = evaluate_prime(ctx, R)
         assert rec.ord_r == ord_r and rec.ord_p == rec.ord_q == ord_r
-        assert tried and all(ord_r % n == 0 for n in tried), (q, tried)
+        r = reduce_onto(R, ctx.curve)
+        table = ctx.curve.doublings(r, ord_r.bit_length()) if q == 99991 else None
+        for pair in (QuotientPoint(r, None), QuotientPoint(r, r)):
+            sweep = [n for s, n, _ in tried if s == pair]
+            assert sweep and all(ord_r % n == 0 for n in sweep), (q, pair, sweep)
+            assert sweep == sorted(set(sweep)), (q, pair, sweep)
+        assert all(doublings == table for _, _, doublings in tried), q
 
 
 def test_quotient_order_divides_p_lcm():
@@ -251,6 +262,57 @@ def test_quotient_order_random_split_curves(data):
         assert n == coset_order_by_walk(curve.add, ctx.kernel(), (s, t))
         m = lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
         assert n == m or n * ctx.p == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_prime_same_with_and_without_doublings(data):
+    # Random split curves at a prime q in [10^3, 10^9], r a random point:
+    # the table built at every prime against the double-and-add at every one.
+    q = data.draw(st.integers(10**3, 10**9), label="start")
+    while not is_prime(q):
+        q += 1
+    e1 = data.draw(st.integers(0, q - 1), label="e1")
+    e2 = data.draw(st.integers(0, q - 1), label="e2")
+    e3 = (-e1 - e2) % q
+    assume(len({e1, e2, e3}) == 3)
+    a, b = (e1 * e2 + e2 * e3 + e3 * e1) % q, -e1 * e2 * e3 % q
+    ctx = QuotientContext(FiniteCurve(q, a, b), (e1, 0), (e2, 0), 2)
+    x = data.draw(st.integers(0, q - 1), label="x")
+    while (y := sqrt_mod(x**3 + a * x + b, q)) is None:
+        x = (x + 1) % q
+    records = []
+    for bits in (0, 10**9):
+        with mock.patch.object(quotient, "_COMB_MIN_BITS", bits):
+            records.append(evaluate_prime(ctx, RationalPoint(x, y))._replace(elapsed_us=0))
+    assert records[0] == records[1], (ctx, x, y)
+
+
+def test_quotient_order_names_a_wrong_m():
+    # ord_R = 24 at q = 83, and no divisor of 16 is an order: the line names
+    # q, the pair and m, and its expression raises the same line again.
+    ctx = make_context(DEFAULT, R1, R2, 2, 83)
+    pair = QuotientPoint(reduce_onto(R, ctx.curve), None)
+    with pytest.raises(InvariantViolation) as info:
+        quotient_order(ctx, pair, 16)
+    line = str(info.value)
+    expression = (
+        "quotient_order(QuotientContext(FiniteCurve(83, 62, 63), (79, 0), (82, 0), 2), "
+        "QuotientPoint((80, 4), None), 16)"
+    )
+    assert line == (
+        "no annihilator of ((80, 4), None) among the divisors of m = 16 at q = 83; "
+        f"m * s is not 0: {expression}"
+    )
+    names = {
+        "quotient_order": quotient_order,
+        "QuotientContext": QuotientContext,
+        "FiniteCurve": FiniteCurve,
+        "QuotientPoint": QuotientPoint,
+    }
+    with pytest.raises(InvariantViolation) as again:
+        eval(expression, names)
+    assert str(again.value) == line
 
 
 @settings(max_examples=100, deadline=None)

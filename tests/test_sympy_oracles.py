@@ -134,6 +134,29 @@ def test_point_order_matches_sympy_at_large_q(data):
     assert_sympy_order(q, a, b, (x, y), n)
 
 
+def test_doublings_and_their_sums_match_sympy_near_10_10():
+    # The table of r's doublings at the first good prime past 10^10 on the
+    # default curve, each entry sympy's r doubled j times, and the sums of
+    # its entries at every divisor n of ord_R against sympy's n * r: the
+    # only divisor that gives the identity is ord_R itself.
+    cfg = default_config()
+    q = sympy.nextprime(10**10)
+    curve = cfg.curve.reduce(q)
+    r = reduce_onto(cfg.R, curve)
+    n = curve.point_order(r)
+    table = curve.doublings(r, n.bit_length())
+    E = UncheckedCurve(cfg.curve.a, cfg.curve.b, modulus=q)
+    T = E(*r)
+    for j, entry in enumerate(table):
+        assert entry == (int(T.x), int(T.y)), (q, j)
+        T = T + T
+    for d in sympy.divisors(n):
+        M = E(*r) * d
+        expected = None if M.z == 0 else (int(M.x), int(M.y))
+        assert curve.index_of_multiple(d, r, [expected], table) == 0, (q, d)
+        assert (expected is None) is (d == n), (q, d)
+
+
 @pytest.mark.parametrize("modulus, residue", Q_CLASSES[1:])
 def test_windowed_point_order_matches_sympy_on_every_branch(modulus, residue):
     # Split curves with small roots, each at the next prime past 10^11 in one
