@@ -2,17 +2,18 @@
 
 Points are None (the identity) or (x, y) tuples of canonical residues.
 add is the affine group law, one inversion per operation; _add_pair makes
-two affine additions with one shared inversion. Every scalar multiple comes
-from one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
+two affine additions with one shared inversion. Scalar multiples come from
+one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
 inverts its final Z once to return an affine point, while killed_by reads
 Z = 0 and index_of_multiple compares the multiple with affine points
-projectively, so neither inverts anything. For a long scalar
-index_of_multiple can instead sum a table of the point's doublings
-(doublings, _comb), by additions alone. Orders come from a
-baby-step/giant-step annihilator search over the Hasse interval, whose
-steps run in pairs of lanes, followed by a recursive strip of the
-annihilator's prime powers, so no full point count is ever needed in the
-scanning path.
+projectively, so neither inverts anything. At large q a point's multiples
+can instead come from one table of its doublings (doublings): _comb sums
+the entries at the signed digits of the scalar's non-adjacent form, by
+additions alone, and the table serves index_of_multiple and every multiple
+inside point_order. Orders come from a baby-step/giant-step annihilator
+search over the Hasse interval, whose steps run in pairs of lanes, followed
+by a recursive strip of the annihilator's prime powers, so no full point
+count is ever needed in the scanning path.
 """
 
 from math import isqrt
@@ -29,18 +30,19 @@ FinitePoint = tuple[int, int] | None
 # x86-64 host, 600 primes each).
 _WINDOW_MIN_Q = 2 * 10**7
 
-# evaluate_prime builds the table of r's doublings (doublings) for its
-# quotient-order trials only from this bit length of ord_R on. Per prime,
-# with the table against without (Python 3.11.7, shared 2-core x86-64 host;
-# best of 7 a prime over the good primes below 12,000, grouped by the bit
-# length of ord_R, and best of 5 over 150 good primes near 2^k), the table
-# took 1.16x the time at 2-3 bits, 1.06x at 5, 1.01-1.05x at 6, 0.99x at 7,
-# 0.95x at 8, 0.89x at 10, 0.78x at 13, and 0.77x, 0.70x and 0.60x near
-# q = 2^16, 2^26 and 2^33. It pays from 7 bits, but by at most 0.04 ms a
-# prime below 13: the crossover sits there, so that every prime q <= 2,000
-# and 97 % of the default config's below 10^4 keep the double-and-add, and
-# the table runs where it saves a fifth of a prime or more.
-_COMB_MIN_BITS = 13
+# evaluate_prime builds one table of r's doublings (doublings), which serves
+# point_order and both quotient-order sweeps, only from this bit length of
+# the Hasse bound on: ord_R is not known when the table is built, and every
+# multiple of r that it serves is at most about that bound. Per prime, with
+# the table against without (Python 3.11.7, shared 2-core x86-64 host; up to
+# 100 of the default config's good primes whose Hasse bound has b bits, each
+# timed both ways in turn, best of 7), the table took 0.96x the time at
+# b = 6, 0.86x at 8, 0.81x at 10, 0.75x at 12, 0.70x at 14, 0.67x at 15,
+# 0.63x at 16, 0.59x at 20, 0.56x at 28 and 0.45x at 34 (q near 1.2*10^10).
+# It pays at every size measured. The crossover sits at 15 bits so that
+# every q <= 10^4, whose Hasse bound has at most 14 bits, keeps the
+# double-and-add; lowering it is a measured change left for later.
+_COMB_MIN_BITS = 15
 
 
 class InvariantViolation(RuntimeError):
@@ -127,7 +129,10 @@ class FiniteCurve:
             return None
         if n < 0:
             n, s = -n, self.neg(s)
-        X, Y, Z = self._jacobian_mul(n, s)
+        return self._affine(*self._jacobian_mul(n, s))
+
+    def _affine(self, X: int, Y: int, Z: int):
+        """The affine point of Jacobian (X : Y : Z), one inversion."""
         if not Z:
             return None
         q = self.q
@@ -146,15 +151,15 @@ class FiniteCurve:
 
         Nothing is inverted: the Jacobian (X : Y : Z) = n * s is the identity
         iff Z = 0, and equals an affine (x, y) iff X = x*Z^2 and Y = y*Z^3.
-        With doublings, the table doublings(s, L), an n with |n| < 2^L is
-        summed from the table (_comb) instead of doubled and added.
+        With doublings, the table doublings(s, L), |n| * s comes from the
+        table (_table_mul) instead of a double-and-add.
         """
         if s is None:
             X, Y, Z = 1, 1, 0
-        elif doublings is not None and abs(n).bit_length() <= len(doublings):
-            X, Y, Z = self._comb(abs(n), doublings) or self._jacobian_mul(n, s)
-        else:
+        elif doublings is None:
             X, Y, Z = self._jacobian_mul(n, s)
+        else:
+            X, Y, Z = self._table_mul(abs(n), doublings)
         if not Z:
             return points.index(None) if None in points else None
         q = self.q
@@ -251,19 +256,45 @@ class FiniteCurve:
             table[j] = X * zz % q, Y * zz * zi % q
         return tuple(table)
 
+    def _table_mul(self, n: int, table):
+        """n * s as Jacobian (X, Y, Z) for n >= 0, table = doublings(s, L)
+        with s not the identity: summed from the table (_comb) when n's
+        non-adjacent form fits it, n < 2^(L - 1), and by the double-and-add
+        when it does not or when a sum would double."""
+        if n.bit_length() < len(table):
+            total = self._comb(n, table)
+            if total is not None:
+                return total
+        return self._jacobian_mul(n, table[0])
+
     def _comb(self, n: int, table):
-        """n * s as Jacobian (X, Y, Z) for 0 <= n < 2^len(table), table =
-        doublings(s, len(table)): the sum of table[j] over the set bits j of
-        n, by mixed additions (_jacobian_mul's) and no doubling, a fixed-base
-        comb of one row (Lim-Lee, CRYPTO '94). None when a sum would double,
-        the running sum meeting table[j] itself.
+        """n * s as Jacobian (X, Y, Z) for 0 <= n < 2^(len(table) - 1),
+        table = doublings(s, len(table)), by mixed additions (_jacobian_mul's)
+        and no doubling, a fixed-base comb of one row (Lim-Lee, CRYPTO '94).
+        None when a sum would double, the running sum meeting the entry it
+        adds.
+
+        The sum runs over the nonzero digits d_j = +-1 of n's non-adjacent
+        form (Morain-Olivos, RAIRO 24, 1990), about a third of its bits
+        where plain binary sets half; -table[j] is (x, q - y). With h = 3n,
+        the digit +1 sits at the bits where h has a 1 and n a 0, the digit
+        -1 where n has a 1 and h a 0, both one place lower, so the recoding
+        takes no loop.
         """
         q = self.q
+        h = 3 * n
+        pos, neg = (h & ~n) >> 1, (n & ~h) >> 1
+        digits = pos | neg
         X, Y, Z = 1, 1, 0
-        for t, bit in zip(table, bin(n)[:1:-1]):
-            if bit == "0" or t is None:
-                continue
+        while digits:
+            low = digits & -digits
+            digits ^= low
+            t = table[low.bit_length() - 1]
+            if t is None:  # 2^j * s is the identity, and so is every later entry
+                break
             x, y = t
+            if neg & low:
+                y = q - y
             if not Z:
                 X, Y, Z = x, y, 1
                 continue
@@ -284,7 +315,7 @@ class FiniteCurve:
             X = X3
         return X, Y, Z
 
-    def point_order(self, s, two_torsion=None) -> int:
+    def point_order(self, s, two_torsion=None, doublings=None) -> int:
         """Exact order of s.
 
         Finds an annihilator N of s in (or just past) hasse_interval(q) by
@@ -303,6 +334,12 @@ class FiniteCurve:
         search is skipped. Two fallbacks follow a search that finds nothing:
         the search on 4*s, then the search on s itself over the whole
         interval. Cost is O(q^(1/4)) group operations.
+
+        With doublings, the table self.doublings(s, L) for an L past the bit
+        length of the Hasse bound, every multiple of s comes from it: the
+        search point 2^v * s is its entry v, the point where each search's
+        walk starts is a sum of its entries (_table_mul), and so is each
+        kill test of the strip. The result does not depend on the table.
         """
         if s is None:
             return 1
@@ -312,18 +349,20 @@ class FiniteCurve:
         if two_torsion is not None and q > _WINDOW_MIN_Q:
             v, exact = self._two_part(*two_torsion)
             k = 1 << v
-            c = self._annihilator(self.scalar_mul(k, s), -(-lo // k), hi // k, odd_only=exact)
+            t = self.scalar_mul(k, s) if doublings is None else doublings[v]
+            c = self._annihilator(t, -(-lo // k), hi // k, exact, doublings=doublings, k=k)
             n = k * c if c else None
         if n is None:
-            c = self._annihilator(self.scalar_mul(4, s), -(-lo // 4), hi // 4)
-            n = 4 * c if c else self._annihilator(s, lo, hi)
+            t = self.scalar_mul(4, s) if doublings is None else doublings[2]
+            c = self._annihilator(t, -(-lo // 4), hi // 4, doublings=doublings, k=4)
+            n = 4 * c if c else self._annihilator(s, lo, hi, doublings=doublings)
         if n is None:
             args = f"{s}" if two_torsion is None else f"{s}, two_torsion={tuple(two_torsion)}"
             raise InvariantViolation(
                 f"no annihilator of {s} in the Hasse interval at q = {q}; the group law "
                 f"is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({args})"
             )
-        return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()])
+        return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()], doublings)
 
     def _two_part(self, e1: int, e2: int):
         """(v, exact) with 2^v | #E(F_q), exact when 2^v is the 2-part, for
@@ -387,9 +426,9 @@ class FiniteCurve:
         ri = y * pow(rj * rk, -1, q) % q
         return (x + ri * rj + ri * rk + rj * rk) % q, (ri + rj) * (ri + rk) * (rj + rk) % q
 
-    def _order_within(self, s, n: int, powers) -> int:
-        """Exact order of s, given an n with n*s = 0 and the prime powers of
-        n as (f, f^e) pairs, f ascending.
+    def _order_within(self, s, n: int, powers, doublings=None, mult: int = 1) -> int:
+        """Exact order of u = mult * s, given an n with n*u = 0 and the prime
+        powers of n as (f, f^e) pairs, f ascending.
 
         Recursive halving (Sutherland, Order computations in generic groups,
         MIT thesis, 2007, ch. 7): for n = n_A * n_B over the halves A, B of
@@ -398,13 +437,20 @@ class FiniteCurve:
         about log n bits in all. The halves are split by size: A is the
         longest head with n_A <= sqrt(n), but at least one prime power and
         not all, so that a large prime stands alone and ends its branch. A
-        single prime power is stripped while n/f kills s.
+        single prime power is stripped while n/f kills u.
+
+        Without doublings, u = s, and each level multiplies its point for
+        the next. With doublings, the table of s's doublings, u is never
+        formed: the level below gets mult * c, and a kill test c * u = 0
+        sums c * mult from the table. As u may then be the identity unseen,
+        that strip runs down to 1, not to f.
         """
         if s is None:
             return 1
         if len(powers) == 1:
             f = powers[0][0]
-            while n > f and self.killed_by(n // f, s):
+            floor = f if doublings is None else 1
+            while n > floor and self._kills(n // f, s, doublings, mult):
                 n //= f
             return n
         h, n_a = 1, powers[0][1]
@@ -415,14 +461,24 @@ class FiniteCurve:
         order = 1
         for c, part, n_part in ((n_b, powers[:h], n_a), (n_a, powers[h:], n_b)):
             if n_part == part[0][0]:  # one prime f: the f-part of the order is 1 or f
-                order *= 1 if self.killed_by(c, s) else n_part
-            else:
+                order *= 1 if self._kills(c, s, doublings, mult) else n_part
+            elif doublings is None:
                 order *= self._order_within(self.scalar_mul(c, s), n_part, part)
+            else:
+                order *= self._order_within(s, n_part, part, doublings, mult * c)
         return order
 
-    def _annihilator(self, t, lo: int, hi: int, odd_only: bool = False):
+    def _kills(self, c: int, s, doublings, mult: int) -> bool:
+        """True iff c * (mult * s) is the identity: killed_by without the
+        table, where mult is 1, and a sum of c * mult from it with one."""
+        if doublings is None:
+            return self.killed_by(c, s)
+        return not self._table_mul(c * mult, doublings)[2]
+
+    def _annihilator(self, t, lo: int, hi: int, odd_only: bool = False, doublings=None, k: int = 1):
         """Some c >= 1 with c*t = 0, or None if no c in [lo, hi] kills t (no
-        odd c, with odd_only).
+        odd c, with odd_only). With doublings, the table of an s with
+        t = k*s, the walk's first point is summed from the table.
 
         The walk runs over i in steps of u: c = i and u = t, or, with
         odd_only, c = 2i + 1 and u = 2t, with i in [lo // 2, (hi - 1) // 2].
@@ -491,7 +547,11 @@ class FiniteCurve:
         # Both lanes start at the window holding the middle of [lo, hi]; their
         # first step, up + giant and up - giant, shares the one denominator.
         up_centre = down_centre = lo + m + (hi - lo) // 2 // w * w
-        up = down = self.scalar_mul(step * up_centre + offset, t)
+        start = step * up_centre + offset
+        if doublings is None:
+            up = down = self.scalar_mul(start, t)
+        else:
+            up = down = self._affine(*self._table_mul(k * start, doublings))
         while up_centre - m <= hi or down_centre + m > lo:
             for centre, walk in ((up_centre, up), (down_centre, down)):
                 if lo - m < centre <= hi + m:  # meets [lo, hi]; not the window ending at lo

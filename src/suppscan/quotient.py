@@ -9,7 +9,7 @@ import time
 from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
-from .finite import _COMB_MIN_BITS, FiniteCurve, FinitePoint, InvariantViolation
+from .finite import _COMB_MIN_BITS, FiniteCurve, FinitePoint, InvariantViolation, hasse_interval
 from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
 
 
@@ -113,8 +113,8 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
 def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings=None) -> bool:
     """True iff n * s is zero in the quotient: the value of
     quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)), without an
-    inversion. doublings, when given, is curve.doublings(s.rep1, L) with
-    |n| < 2^L, and n * rep1 is summed from it.
+    inversion. doublings, when given, is curve.doublings(s.rep1, L), and
+    n * rep1 is summed from it (index_of_multiple).
 
     The points i * K1 are distinct, since K1 has exact order p, so at most
     one i has n * rep1 = i * K1 (index_of_multiple). The pair is in the
@@ -132,18 +132,21 @@ def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings
     return curve.index_of_multiple(n, s.rep2, (k2,)) == 0
 
 
-def quotient_order(ctx: QuotientContext, s: QuotientPoint, m: int, doublings=None) -> int:
+def quotient_order(
+    ctx: QuotientContext, s: QuotientPoint, m: int, doublings=None, divisors=None
+) -> int:
     """Smallest n >= 1 with n * s zero in the quotient, given the lcm m of
     the orders of s.rep1 and s.rep2.
 
     The order divides m, because m * s is 0 and so lies in the kernel. The
-    divisors of m are tested ascending, so the result is deterministic. Each
-    trial is one Jacobian multiple n * rep1 compared with the kernel
-    projectively (quotient_killed_by); with doublings, the table
-    curve.doublings(s.rep1, m.bit_length()), that multiple is a sum of
-    table entries, with no doubling.
+    divisors of m are tested ascending, so the result is deterministic;
+    divisors, when given, is sorted_divisors(m), so that callers with one m
+    factorize it once. Each trial is one Jacobian multiple n * rep1 compared
+    with the kernel projectively (quotient_killed_by); with doublings, the
+    table curve.doublings(s.rep1, L) for an L past m's bit length, that
+    multiple is a sum of table entries, with no doubling.
     """
-    for n in sorted_divisors(m):
+    for n in sorted_divisors(m) if divisors is None else divisors:
         if quotient_killed_by(ctx, n, s, doublings):
             return n
     curve = ctx.curve
@@ -169,20 +172,24 @@ class PrimeRecord(NamedTuple):
 def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     """Orders of R, P = image (R, 0) and Q = image (R, R) at one prime."""
     start = time.perf_counter_ns()
-    r = reduce_onto(R, ctx.curve)
+    curve = ctx.curve
+    r = reduce_onto(R, curve)
     # At p = 2 the kernel generators are the rational 2-torsion points (e, 0),
     # whose x-coordinates narrow point_order's search window.
     two_torsion = (ctx.k1[0], ctx.k2[0]) if ctx.p == 2 else None
-    ord_r = ctx.curve.point_order(r, two_torsion)
-    # Both sweeps multiply r by divisors of ord_R; from _COMB_MIN_BITS on they
-    # share one table of r's doublings.
-    bits = ord_r.bit_length()
-    doublings = ctx.curve.doublings(r, bits) if bits >= _COMB_MIN_BITS else None
-    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, doublings)
-    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, doublings)
+    # Every multiple of r below is at most about the Hasse bound, so its
+    # non-adjacent form has at most one digit more than the bound's bits. From
+    # _COMB_MIN_BITS such bits on, point_order and both sweeps sum those
+    # multiples from one table of r's doublings.
+    bits = hasse_interval(curve.q)[1].bit_length()
+    doublings = curve.doublings(r, bits + 1) if bits >= _COMB_MIN_BITS else None
+    ord_r = curve.point_order(r, two_torsion, doublings)
+    divisors = sorted_divisors(ord_r)
+    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, doublings, divisors)
+    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, doublings, divisors)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     return PrimeRecord(
-        q=ctx.curve.q,
+        q=curve.q,
         ord_r=ord_r,
         ord_p=ord_p,
         ord_q=ord_q,

@@ -190,16 +190,38 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "abs(n).bit_length() <= len(doublings)",
-        "abs(n).bit_length() <= len(doublings) + 1",
-        "index_of_multiple: an n of 2^L drops its top bit past a table of length L",
+        "if n.bit_length() < len(table):",
+        "if n.bit_length() <= len(table):",
+        "_table_mul: an n of L bits, whose NAF may have a digit at L, summed from a table of length L",
+        (T_FINITE,),
+    ),
+    # _comb's signed digits: the non-adjacent form read off n and 3n.
+    Mutant(
+        FINITE,
+        "pos, neg = (h & ~n) >> 1, (n & ~h) >> 1",
+        "pos, neg = h & ~n, n & ~h",
+        "_comb: the NAF masks without the >> 1, every digit one place too high",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "pos, neg = (h & ~n) >> 1, (n & ~h) >> 1",
+        "neg, pos = (h & ~n) >> 1, (n & ~h) >> 1",
+        "_comb: the positive and negative digit masks swapped",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if neg & low:\n                y = q - y",
+        "if neg & low:\n                y = y",
+        "_comb: a negative digit adds table[j], not -table[j]",
         (T_FINITE,),
     ),
     # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(
         FINITE,
-        "while n > f and self.killed_by(n // f, s):",
-        "if n > f and self.killed_by(n // f, s):",
+        "while n > floor and self._kills(n // f, s, doublings, mult):",
+        "if n > floor and self._kills(n // f, s, doublings, mult):",
         "_order_within: the strip removes one power of each prime only",
         (T_FINITE,),
     ),
@@ -212,7 +234,7 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "order *= 1 if self.killed_by(c, s) else n_part",
+        "order *= 1 if self._kills(c, s, doublings, mult) else n_part",
         "order *= n_part",
         "_order_within: a half that is one prime taken into the order unchecked",
         (T_FINITE,),
@@ -222,6 +244,35 @@ MUTANTS = (
         "n = 4 * c if c else",
         "n = 2 * c if c else",
         "point_order: the annihilator of 4s taken back to s with the wrong factor",
+        (T_FINITE,),
+    ),
+    # point_order from the table of s's doublings.
+    Mutant(
+        FINITE,
+        "else doublings[v]",
+        "else doublings[v - 1]",
+        "point_order: the search point 2^v * s read off the table as 2^(v-1) * s",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "self._table_mul(k * start, doublings)",
+        "self._table_mul(start, doublings)",
+        "_annihilator: the walk's first point summed without the factor k of t = k*s",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "self._table_mul(c * mult, doublings)",
+        "self._table_mul(c, doublings)",
+        "_order_within: a kill test below the top sums c, not c * mult, from the table",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "floor = f if doublings is None else 1",
+        "floor = f",
+        "_order_within: the table's strip stops at f, so an unseen identity gets order f",
         (T_FINITE,),
     ),
     # _annihilator: two baby lanes and two giant lanes, one inversion a step.
@@ -276,8 +327,8 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "up = down = self.scalar_mul(step * up_centre + offset, t)",
-        "up = down = self.scalar_mul(step * up_centre, t)",
+        "start = step * up_centre + offset",
+        "start = step * up_centre",
         "_annihilator: the odd-cofactor walk without its +t offset",
         (T_FINITE,),
     ),
@@ -341,9 +392,23 @@ MUTANTS = (
     ),
     Mutant(
         QUOTIENT,
-        "for n in sorted_divisors(m):",
-        "for n in sorted_divisors(m)[1:]:",
+        "for n in sorted_divisors(m) if divisors is None else divisors:",
+        "for n in (sorted_divisors(m) if divisors is None else divisors)[1:]:",
         "quotient_order: an order of 1 is never found",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "divisors = sorted_divisors(ord_r)",
+        "divisors = sorted_divisors(ord_r)[::-1]",
+        "evaluate_prime: the shared divisor list descending, so each sweep stops at ord_R",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "QuotientPoint(r, r), ord_r, doublings, divisors)",
+        "QuotientPoint(r, r), ord_r, doublings)",
+        "evaluate_prime: the sweep for Q factorizes ord_R again",
         (T_QUOTIENT,),
     ),
     # The relation search and the impossibility certificate.

@@ -114,6 +114,18 @@ def all_points(curve):
     return points
 
 
+def naf_digits(n):
+    """The non-adjacent form of n >= 0, lowest digit first, by the textbook
+    loop: an odd n takes the digit 2 - (n mod 4), which leaves n - d
+    divisible by 4, so no two nonzero digits are adjacent."""
+    digits = []
+    while n:
+        d = 2 - n % 4 if n % 2 else 0
+        digits.append(d)
+        n = (n - d) // 2
+    return digits
+
+
 def order_by_walk(add, s):
     """Order of s under the supplied addition, one step at a time."""
     n, t = 1, s

@@ -12,6 +12,7 @@ from oracles import (
     all_points,
     count_points_brute,
     count_points_by_squares,
+    naf_digits,
     order_by_walk,
     split_curves,
 )
@@ -125,7 +126,16 @@ def test_point_order_examples():
     assert F5.point_order((0, 0)) == 2
 
 
+def order_with_table(curve, s, two_torsion=None):
+    """point_order given the table that evaluate_prime builds: s's
+    doublings, one entry past the bit length of the Hasse bound."""
+    length = hasse_interval(curve.q)[1].bit_length() + 1
+    return curve.point_order(s, two_torsion, curve.doublings(s, length))
+
+
 def test_point_order_equals_naive_exhaustive_small_fields():
+    # With the table and without: 2-power orders, whose tables end in the
+    # identity, and curves where only the search on s itself succeeds.
     for q in (5, 7, 11, 13):
         for a in range(q):
             for b in range(q):
@@ -133,7 +143,8 @@ def test_point_order_equals_naive_exhaustive_small_fields():
                     continue
                 curve = FiniteCurve(q, a, b)
                 for s in all_points(curve):
-                    assert curve.point_order(s) == order_by_walk(curve.add, s), (q, a, b, s)
+                    order = order_by_walk(curve.add, s)
+                    assert curve.point_order(s) == order == order_with_table(curve, s), (q, a, b, s)
 
 
 def test_point_order_default_curve_reductions():
@@ -199,7 +210,8 @@ def test_point_order_random_curves(data):
     curve = FiniteCurve(q, a, b)
     pts = all_points(curve)
     for s in data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3), label="points"):
-        assert curve.point_order(s) == order_by_walk(curve.add, s), (q, a, b, s)
+        order = order_by_walk(curve.add, s)
+        assert curve.point_order(s) == order == order_with_table(curve, s), (q, a, b, s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,7 +239,7 @@ def test_point_order_group_order_not_divisible_by_4():
     assert len(all_points(curve)) == 1057
     lo, hi = hasse_interval(997)
     assert all(curve.scalar_mul(4 * c, s) is not None for c in range(-(-lo // 4), hi // 4 + 1))
-    assert curve.point_order(s) == 1057 == order_by_walk(curve.add, s)
+    assert curve.point_order(s) == 1057 == order_by_walk(curve.add, s) == order_with_table(curve, s)
 
 
 def test_annihilator_stays_within_its_windows():
@@ -423,21 +435,28 @@ def test_doublings_match_scalar_mul(data):
 @given(st.data())
 def test_comb_matches_double_and_add(data):
     # index_of_multiple summing the table against the double-and-add, for n
-    # in [-2^L, 2^L] (+-2^L fall back): n = 0, and at q < 400 sums that
-    # meet -T[j] on the way (their prefix (n mod 2^j) * s is -2^j * s, so
-    # the sum returns to the identity and goes on) or T[j] (a doubling,
-    # which falls back).
+    # in [-2^L, 2^L] (those of L bits or more fall back): n = 0, and at
+    # q < 400 sums that meet the negative of the entry they add, and so
+    # return to the identity and go on, or the entry itself, a doubling,
+    # which falls back.
+    # Such an n is n_low + d*2^j + H*2^(j+2) with 3*|n_low| < 2^j: its
+    # non-adjacent form is n_low's, whose digits stop below j - 1, then the
+    # digit d at j, then H's from j + 2, so the sum adds d*2^j*s to n_low*s.
     small = data.draw(st.booleans(), label="q < 400")
     curve, s, order = draw_curve_and_point(data, small)
     length = data.draw(st.integers(1, 40), label="L")
     table = curve.doublings(s, length)
     top = 1 << length
-    ns = [st.integers(-top, top), st.sampled_from([0, top, -top])]
-    if small and order.bit_length() < length:
-        j = data.draw(st.integers(order.bit_length(), length - 1), label="j")
-        high = data.draw(st.integers(0, (top >> (j + 1)) - 1), label="bits above j")
-        for start in (-(1 << j) % order, (1 << j) % order):  # meets -T[j], T[j]
-            ns.append(st.just(start + (1 << j) + (high << (j + 1))))
+    ns = [st.integers(-top, top), st.sampled_from([0, top - 1, top, -top])]
+    if small and order.bit_length() + 1 <= length - 2:
+        j = data.draw(st.integers(order.bit_length() + 1, length - 2), label="j")
+        d = data.draw(st.sampled_from([1, -1]), label="d")
+        high = data.draw(st.integers(0, (top >> (j + 2)) - 1), label="H")
+        for target in (-d << j, d << j):  # meets -(d*2^j*s), meets d*2^j*s
+            low = target % order
+            if 3 * low >= 1 << j:
+                low -= order
+            ns.append(st.just(low + (d << j) + (high << (j + 2))))
     n = data.draw(st.one_of(ns), label="n")
     multiple = curve.scalar_mul(n, s)
     near = st.sampled_from([multiple, curve.neg(multiple)])
@@ -445,6 +464,127 @@ def test_comb_matches_double_and_add(data):
     expected = curve.index_of_multiple(n, s, points)
     assert expected == (points.index(multiple) if multiple in points else None)
     assert curve.index_of_multiple(n, s, points, table) == expected, (curve, s, n, points)
+
+
+def test_signed_comb_against_the_naf_oracle_on_small_fields():
+    # Every point of the default curve at q = 37 and 53, points of 2-power
+    # order (whose tables end in the identity) among them, and every n below
+    # 2^(L-1), L = 4 + the bit length of the order. Walking the oracle's
+    # non-adjacent form of n through the multiples of s mod its order, _comb
+    # returns None exactly where the running sum meets the entry it adds, a
+    # doubling, and otherwise n*s; _table_mul always returns n*s. Both
+    # degenerate sums, the doubling and the return to the identity with
+    # digits still to come, are met.
+    seen = set()
+    for q in (37, 53):
+        curve = FiniteCurve(q, -21, -20)
+        for s in all_points(curve)[1:]:
+            order = order_by_walk(curve.add, s)
+            length = order.bit_length() + 4
+            table = curve.doublings(s, length)
+            for n in range(1 << (length - 1)):
+                digits = naf_digits(n)
+                assert len(digits) <= length and sum(d << j for j, d in enumerate(digits)) == n
+                running, doubles = 0, False
+                for j, d in enumerate(digits):
+                    entry = (d << j) % order
+                    if not entry:  # d = 0, or 2^j * s is the identity
+                        continue
+                    if running == entry:
+                        doubles = True
+                        break
+                    running = (running + entry) % order
+                    if not running and any(digits[j + 1 :]):
+                        seen.add("identity on the way")
+                total = curve._comb(n, table)
+                multiple = curve.scalar_mul(n, s)
+                if doubles:
+                    seen.add("doubling")
+                    assert total is None, (q, s, n)
+                else:
+                    assert curve._affine(*total) == multiple, (q, s, n)
+                assert curve._affine(*curve._table_mul(n, table)) == multiple, (q, s, n)
+    assert seen == {"doubling", "identity on the way"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_mul_matches_scalar_mul(data):
+    # _table_mul against scalar_mul, at q < 400 (points of 2-power order
+    # half the time) or at q in [10^3, 10^12], for n over [0, 2^L): an n of
+    # L bits falls back to the double-and-add. n = 2^L - 1 is one: its
+    # non-adjacent form 2^L - 1 has a digit at L, one past the table. From
+    # the table one entry longer _comb sums it, unless the sum would double
+    # (a point of small order, even at large q).
+    small = data.draw(st.booleans(), label="q < 400")
+    curve, s, order = draw_curve_and_point(data, small)
+    assume(s is not None)  # index_of_multiple answers the identity first
+    length = data.draw(st.integers(1, 48), label="L")
+    table = curve.doublings(s, length)
+    top = 1 << length
+    n = data.draw(st.integers(0, top - 1) | st.sampled_from([0, top - 1, top // 2 - 1]), label="n")
+    assert curve._affine(*curve._table_mul(n, table)) == curve.scalar_mul(n, s), (curve, s, n)
+    total = curve._comb(top - 1, curve.doublings(s, length + 1))
+    if total is not None:
+        assert curve._affine(*total) == curve.scalar_mul(top - 1, s), (curve, s, length)
+
+
+def draw_split_curve_point(data, lo, hi):
+    """(curve, (e1, e2), s): y^2 = (x - e1)(x - e2)(x - e3) at a prime q in
+    [lo, hi] and a random affine point of it."""
+    q = data.draw(st.integers(lo, hi), label="start")
+    while not is_prime(q):
+        q += 1
+    e1 = data.draw(st.integers(0, q - 1), label="e1")
+    e2 = data.draw(st.integers(0, q - 1), label="e2")
+    e3 = -(e1 + e2) % q
+    assume(len({e1, e2, e3}) == 3)
+    a, b = (e1 * e2 + e2 * e3 + e3 * e1) % q, -e1 * e2 * e3 % q
+    x = data.draw(st.integers(0, q - 1), label="x")
+    while (y := sqrt_mod(x**3 + a * x + b, q)) is None:
+        x = (x + 1) % q
+    return FiniteCurve(q, a, b), (e1, e2), (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_point_order_same_with_and_without_doublings(data):
+    # Random split curves at a prime q in [10^3, 10^12] and random points,
+    # times a small cofactor so that parts of the strip meet an identity
+    # that the table's path never forms: with two_torsion and without,
+    # point_order with the table finds the order that it finds without.
+    # The window opens above 2 * 10^7.
+    curve, roots, s = draw_split_curve_point(data, 10**3, 10**12)
+    s = curve.scalar_mul(data.draw(st.integers(1, 48), label="cofactor"), s)
+    for two_torsion in (None, roots):
+        order = curve.point_order(s, two_torsion)
+        assert order_with_table(curve, s, two_torsion) == order, (curve, s, two_torsion)
+
+
+def test_point_order_with_doublings_runs_the_same_searches(monkeypatch):
+    # The table changes how the searches' points are formed, not the
+    # searches: every _annihilator call, its point and its result included,
+    # is the same with the table as without it. At the first primes past
+    # 10^10 the windowed search on 2^v * s succeeds; at 10^6 + 3 the window
+    # is shut and the search on 4 * s does.
+    calls = []
+    annihilator = FiniteCurve._annihilator
+
+    def spy(self, t, lo, hi, odd_only=False, **table):
+        calls.append((t, lo, hi, odd_only, annihilator(self, t, lo, hi, odd_only, **table)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(FiniteCurve, "_annihilator", spy)
+    for q in (10**10 + 19, 10**10 + 33, 10**6 + 3):
+        # The default curve, its 2-torsion roots -4 and -1, and R = (-3, 4).
+        curve, s = FiniteCurve(q, -21, -20), (-3 % q, 4)
+        searches = []
+        for table in (False, True):
+            calls.clear()
+            order = order_with_table(curve, s, (-4, -1)) if table else curve.point_order(s, (-4, -1))
+            searches.append((order, list(calls)))
+        assert searches[0] == searches[1], q
+        assert len(searches[0][1]) == 1 and searches[0][1][0][-1], q
 
 
 def two_adic_valuation(n):
@@ -499,6 +639,7 @@ def test_windowed_point_order_random_split_curves(data):
         for s in data.draw(points, label="points"):
             order = order_by_walk(curve.add, s)
             assert curve.point_order(s, two_torsion=roots) == order, (q, roots, s)
+            assert order_with_table(curve, s, roots) == order, (q, roots, s)
 
 
 def test_window_is_read_only_above_the_crossover(monkeypatch):

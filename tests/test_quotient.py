@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import all_points, coset_order_by_walk, order_by_walk
 from suppscan import quotient
 from suppscan.arith import is_prime, primes_up_to, sorted_divisors, sqrt_mod
-from suppscan.finite import FiniteCurve
+from suppscan.finite import FiniteCurve, hasse_interval
 from suppscan.quotient import (
     InvariantViolation,
     QuotientContext,
@@ -139,27 +139,37 @@ def test_quotient_order_matches_walk_oracle():
 def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
     # ord_R = 2 * 3 at q = 7 and 2^3 * 3 at q = 83: the divisor 2^(a+1) of
     # 2 * ord_R lies below ord_R, yet no order in the quotient can take it.
-    # ord_R = 2 * 8311 at q = 99991 has 15 bits, past the crossover: both
-    # sweeps there sum n * r from the one table of r's doublings.
-    tried = []
+    # At q = 99991 (ord_R = 2 * 8311) the Hasse bound has 17 bits, past the
+    # crossover: both sweeps there sum n * r from the one table of r's
+    # doublings, one entry longer than the bound's bits. Every q <= 10^4
+    # stays below the crossover. Each sweep tries the divisors of ord_R in
+    # ascending order up to its order, from one divisor list for both.
+    tried, listed = [], []
 
     def spy(ctx, n, s, doublings=None):
         tried.append((s, n, doublings))
         return quotient_killed_by(ctx, n, s, doublings)
 
+    def spy_divisors(m):
+        listed.append(m)
+        return sorted_divisors(m)
+
     monkeypatch.setattr(quotient, "quotient_killed_by", spy)
-    assert 5 < quotient._COMB_MIN_BITS <= 15
+    monkeypatch.setattr(quotient, "sorted_divisors", spy_divisors)
+    hasse_bits = [hasse_interval(q)[1].bit_length() for q in (10**4, 99991)]
+    assert hasse_bits[0] < quotient._COMB_MIN_BITS <= hasse_bits[1] == 17
     for q, ord_r in ((7, 6), (83, 24), (99991, 16622)):
         tried.clear()
+        listed.clear()
         ctx = make_context(DEFAULT, R1, R2, 2, q)
         rec = evaluate_prime(ctx, R)
         assert rec.ord_r == ord_r and rec.ord_p == rec.ord_q == ord_r
+        assert listed == [ord_r], q
         r = reduce_onto(R, ctx.curve)
-        table = ctx.curve.doublings(r, ord_r.bit_length()) if q == 99991 else None
+        table = ctx.curve.doublings(r, 18) if q == 99991 else None
         for pair in (QuotientPoint(r, None), QuotientPoint(r, r)):
             sweep = [n for s, n, _ in tried if s == pair]
-            assert sweep and all(ord_r % n == 0 for n in sweep), (q, pair, sweep)
-            assert sweep == sorted(set(sweep)), (q, pair, sweep)
+            assert sweep == sorted_divisors(ord_r), (q, pair, sweep)
         assert all(doublings == table for _, _, doublings in tried), q
 
 
@@ -268,7 +278,9 @@ def test_quotient_order_random_split_curves(data):
 @given(st.data())
 def test_evaluate_prime_same_with_and_without_doublings(data):
     # Random split curves at a prime q in [10^3, 10^9], r a random point:
-    # the table built at every prime against the double-and-add at every one.
+    # the table built at every prime, for point_order (its windowed search
+    # above 2 * 10^7 included) and both sweeps, against the double-and-add
+    # at every one.
     q = data.draw(st.integers(10**3, 10**9), label="start")
     while not is_prime(q):
         q += 1
@@ -286,6 +298,59 @@ def test_evaluate_prime_same_with_and_without_doublings(data):
         with mock.patch.object(quotient, "_COMB_MIN_BITS", bits):
             records.append(evaluate_prime(ctx, RationalPoint(x, y))._replace(elapsed_us=0))
     assert records[0] == records[1], (ctx, x, y)
+
+
+def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
+    # The last good prime of the default config whose Hasse bound has fewer
+    # than _COMB_MIN_BITS bits keeps the double-and-add. The first past it
+    # builds one table of r's doublings, one entry past the bound's bits,
+    # and point_order and both sweeps read that table. At both primes the
+    # orders are the walk oracles' and the other path's.
+    tables, given = [], []
+    doublings, point_order = FiniteCurve.doublings, FiniteCurve.point_order
+
+    def spy_doublings(self, s, length):
+        tables.append((length, doublings(self, s, length)))
+        return tables[-1][1]
+
+    def spy_order(self, s, two_torsion=None, table=None):
+        given.append(("point_order", table))
+        return point_order(self, s, two_torsion, table)
+
+    def spy_trial(ctx, n, s, table=None):
+        given.append(("trial", table))
+        return quotient_killed_by(ctx, n, s, table)
+
+    monkeypatch.setattr(FiniteCurve, "doublings", spy_doublings)
+    monkeypatch.setattr(FiniteCurve, "point_order", spy_order)
+    monkeypatch.setattr(quotient, "quotient_killed_by", spy_trial)
+    ctxs = {}
+    for q in primes_up_to(17000):
+        bits = hasse_interval(q)[1].bit_length()
+        if q > 15000 and (bits < quotient._COMB_MIN_BITS or bits not in ctxs):
+            try:
+                ctxs[bits] = make_context(DEFAULT, R1, R2, 2, q)
+            except ValueError:
+                pass
+    assert sorted(ctxs) == [14, 15] == [quotient._COMB_MIN_BITS - 1, quotient._COMB_MIN_BITS]
+    for bits, ctx in sorted(ctxs.items()):
+        tables.clear()
+        given.clear()
+        rec = evaluate_prime(ctx, R)
+        table = tables[0][1] if tables else None
+        assert [length for length, _ in tables] == ([16] if bits == 15 else []), ctx.curve.q
+        assert given[0] == ("point_order", table) and len(given) > 2, ctx.curve.q
+        assert all(t is table for _, t in given), ctx.curve.q
+        curve, r = ctx.curve, reduce_onto(R, ctx.curve)
+        walked = (
+            order_by_walk(curve.add, r),
+            coset_order_by_walk(curve.add, ctx.kernel(), (r, None)),
+            coset_order_by_walk(curve.add, ctx.kernel(), (r, r)),
+        )
+        assert (rec.ord_r, rec.ord_p, rec.ord_q) == walked, ctx.curve.q
+        other_path = 0 if bits < quotient._COMB_MIN_BITS else 10**9
+        with mock.patch.object(quotient, "_COMB_MIN_BITS", other_path):
+            assert evaluate_prime(ctx, R)._replace(elapsed_us=0) == rec._replace(elapsed_us=0)
 
 
 def test_quotient_order_names_a_wrong_m():

@@ -412,7 +412,7 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
 def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
     # A scan at p = 2 passes the kernel's 2-torsion x-coordinates, and the
     # repro line repeats them, so it takes the same path as the scan.
-    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi, odd_only=False: None)
+    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi, odd_only=False, **table: None)
     path = write_config(tmp_path, small_config(bound=50))
     out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     assert cli_main(["scan", "--config", path, *out]) == 3
@@ -436,7 +436,7 @@ def test_point_order_repro_line_takes_the_windowed_path(monkeypatch):
     # windowed search again.
     calls = []
 
-    def no_annihilator(self, t, lo, hi, odd_only=False):
+    def no_annihilator(self, t, lo, hi, odd_only=False, **table):
         calls.append((lo, hi, odd_only))
         return None
 

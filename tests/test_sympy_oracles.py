@@ -1,6 +1,7 @@
 """The arithmetic against sympy, whose group law, primality test and
 factorization share no code with the package or with tests/oracles.py."""
 
+import random
 from itertools import takewhile
 from math import gcd
 
@@ -135,26 +136,35 @@ def test_point_order_matches_sympy_at_large_q(data):
 
 
 def test_doublings_and_their_sums_match_sympy_near_10_10():
-    # The table of r's doublings at the first good prime past 10^10 on the
-    # default curve, each entry sympy's r doubled j times, and the sums of
-    # its entries at every divisor n of ord_R against sympy's n * r: the
-    # only divisor that gives the identity is ord_R itself.
+    # The table of r's doublings that evaluate_prime builds at the first good
+    # prime past 10^10 on the default config, one entry past the Hasse
+    # bound's bits, each entry sympy's r doubled j times. point_order given
+    # the table finds sympy's order of r. The signed sums of the table's
+    # entries against sympy's n * r: at every divisor n of ord_R, where only
+    # ord_R itself gives the identity, and at scalars up to the longest the
+    # table sums, runs of ones (negative digits) among them.
     cfg = default_config()
     q = sympy.nextprime(10**10)
     curve = cfg.curve.reduce(q)
     r = reduce_onto(cfg.R, curve)
-    n = curve.point_order(r)
-    table = curve.doublings(r, n.bit_length())
+    length = hasse_interval(q)[1].bit_length() + 1
+    table = curve.doublings(r, length)
+    n = curve.point_order(r, (cfg.R1.x % q, cfg.R2.x % q), table)
+    assert n == curve.point_order(r)
+    assert_sympy_order(q, cfg.curve.a % q, cfg.curve.b % q, r, n)
     E = UncheckedCurve(cfg.curve.a, cfg.curve.b, modulus=q)
     T = E(*r)
     for j, entry in enumerate(table):
         assert entry == (int(T.x), int(T.y)), (q, j)
         T = T + T
-    for d in sympy.divisors(n):
+    top = 1 << (length - 1)
+    rng = random.Random(10)
+    scalars = [top - 1, top // 3, 0b1110111011110111, *(rng.randrange(top) for _ in range(20))]
+    for d in sympy.divisors(n) + scalars:
         M = E(*r) * d
         expected = None if M.z == 0 else (int(M.x), int(M.y))
         assert curve.index_of_multiple(d, r, [expected], table) == 0, (q, d)
-        assert (expected is None) is (d == n), (q, d)
+        assert (expected is None) is (d % n == 0), (q, d)
 
 
 @pytest.mark.parametrize("modulus, residue", Q_CLASSES[1:])
