@@ -10,7 +10,9 @@ projectively, so neither inverts anything. At large q a point's multiples
 can instead come from one table of its doublings (doublings): _comb sums
 the entries at the signed digits of the scalar's non-adjacent form, by
 additions alone, and the table serves index_of_multiple and every multiple
-inside point_order. Orders come from a baby-step/giant-step annihilator
+inside point_order. The table keeps each sum it has made (_table_mul), so a
+multiple asked for twice, say by both quotient-order sweeps of one prime,
+is summed once. Orders come from a baby-step/giant-step annihilator
 search over the Hasse interval, whose steps run in pairs of lanes, followed
 by a recursive strip of the annihilator's prime powers, so no full point
 count is ever needed in the scanning path.
@@ -53,6 +55,18 @@ def hasse_interval(q: int):
     """[q + 1 - w, q + 1 + w], w = floor(2*sqrt(q)): where #E(F_q) lies."""
     w = isqrt(4 * q)
     return q + 1 - w, q + 1 + w
+
+
+class _Doublings(tuple):
+    """A table of a point's doublings (FiniteCurve.doublings) with sums, a
+    dict of the Jacobian multiples _table_mul has made from it, keyed by
+    the nonnegative scalar. Each table has its own dict, which lives and
+    dies with it."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self.sums = {}
+        return self
 
 
 class FiniteCurve:
@@ -219,7 +233,8 @@ class FiniteCurve:
 
     def doublings(self, s, length: int) -> tuple:
         """The affine table (s, 2s, 4s, ..., 2^(length-1) * s) for a
-        length >= 1, the identity as None.
+        length >= 1, the identity as None: a tuple that also keeps, in its
+        attribute sums, every multiple of s that _table_mul sums from it.
 
         length - 1 Jacobian doublings, _jacobian_mul's, then one inversion
         for all the Zs by Montgomery's trick (Math. Comp. 48, 1987): with
@@ -229,7 +244,7 @@ class FiniteCurve:
         later entry is the identity.
         """
         if s is None:
-            return (None,) * length
+            return _Doublings((None,) * length)
         q, a = self.q, self.a
         X, Y, Z = s[0], s[1], 1
         jacobian, prefix = [], [1]  # 2^j * s at index j - 1, P_j at index j
@@ -254,18 +269,28 @@ class FiniteCurve:
             inv = inv * Z % q
             zz = zi * zi % q
             table[j] = X * zz % q, Y * zz * zi % q
-        return tuple(table)
+        return _Doublings(table)
 
     def _table_mul(self, n: int, table):
         """n * s as Jacobian (X, Y, Z) for n >= 0, table = doublings(s, L)
         with s not the identity: summed from the table (_comb) when n's
         non-adjacent form fits it, n < 2^(L - 1), and by the double-and-add
-        when it does not or when a sum would double."""
-        if n.bit_length() < len(table):
-            total = self._comb(n, table)
-            if total is not None:
-                return total
-        return self._jacobian_mul(n, table[0])
+        when it does not or when a sum would double.
+
+        Each result, however it was made, is kept in table.sums under n and
+        read back from there when n comes again: point_order's walk starts
+        and kill tests and both quotient-order sweeps of a prime share one
+        table, and the sweep for Q asks for the multiples the sweep for P
+        has just made.
+        """
+        total = table.sums.get(n)
+        if total is None:
+            if n.bit_length() < len(table):
+                total = self._comb(n, table)
+            if total is None:
+                total = self._jacobian_mul(n, table[0])
+            table.sums[n] = total
+        return total
 
     def _comb(self, n: int, table):
         """n * s as Jacobian (X, Y, Z) for 0 <= n < 2^(len(table) - 1),

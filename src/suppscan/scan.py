@@ -23,6 +23,7 @@ from .rational import (
     HypothesisReport,
     RationalCurve,
     RationalPoint,
+    reduce_onto,
     search_curve,
     validate_hypotheses,
 )
@@ -258,12 +259,7 @@ def run_scan(config: LabConfig) -> ScanReport:
     else:
         records = [_scan_one(config, q) for q in good]
 
-    # For a validated config the three orders must agree at every good prime;
-    # anything else means a bug, not a finding.
-    unequal = [r.q for r in records if not r.ord_p == r.ord_q == r.ord_r]
-    if unequal:
-        raise InvariantViolation(f"order equality broke at q in {unequal[:5]}")
-
+    _check_order_equality(config, records)
     weak, medium = _relation_certificates(config, records)
     return ScanReport(
         config_digest=config.digest(),
@@ -271,6 +267,41 @@ def run_scan(config: LabConfig) -> ScanReport:
         primes_skipped=tuple(skipped),
         weak_relation=weak,
         medium_impossibility=medium,
+    )
+
+
+def _check_order_equality(config: LabConfig, records) -> None:
+    """Raise InvariantViolation unless ord_R = ord_P = ord_Q in every record.
+
+    For a validated config the three orders agree at every good prime, so
+    anything else means a bug, not a finding. The message names, for each
+    of the first five such q, the orders, the reduced curve, r, K1 and K2,
+    and ends with a python -c line that evaluates those primes through
+    make_context and evaluate_prime and raises the same message again.
+    """
+    unequal = [r for r in records if not r.ord_p == r.ord_q == r.ord_r][:5]
+    if not unequal:
+        return
+    found = []
+    for rec in unequal:
+        ctx = make_context(config.curve, config.R1, config.R2, config.p, rec.q)
+        r = reduce_onto(config.R, ctx.curve)
+        found.append(
+            f"q = {rec.q}: ord_R = {rec.ord_r}, ord_P = {rec.ord_p}, ord_Q = {rec.ord_q} on "
+            f"{ctx.curve!r}, r = {r}, K1 = {ctx.k1}, K2 = {ctx.k2}"
+        )
+    qs = [rec.q for rec in unequal]
+    config_args = f"{config.curve!r}, {config.R!r}, {config.R1!r}, {config.R2!r}, {config.p}"
+    repro = (
+        "from suppscan.quotient import evaluate_prime, make_context; "
+        "from suppscan.rational import RationalCurve, RationalPoint; "
+        "from suppscan.scan import LabConfig, _check_order_equality; "
+        f"c = LabConfig({config_args}); "
+        "_check_order_equality(c, [evaluate_prime(make_context(c.curve, c.R1, c.R2, c.p, q), c.R) "
+        f"for q in {qs}])"
+    )
+    raise InvariantViolation(
+        f"order equality broke at q in {qs}: {'; '.join(found)}; to reproduce: python -c \"{repro}\""
     )
 
 

@@ -195,6 +195,35 @@ MUTANTS = (
         "_table_mul: an n of L bits, whose NAF may have a digit at L, summed from a table of length L",
         (T_FINITE,),
     ),
+    # The sums each table keeps (_Doublings.sums, filled by _table_mul).
+    Mutant(
+        FINITE,
+        "def __new__(cls, entries):\n        self = super().__new__(cls, entries)\n        self.sums = {}",
+        "def __new__(cls, entries, sums={}):\n        self = super().__new__(cls, entries)\n        self.sums = sums",
+        "_Doublings: one dict of sums shared by every table, of every point and curve",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "total = table.sums.get(n)\n        if total is None:",
+        "total = table.sums.get(n >> 1)\n        if total is None:",
+        "_table_mul: a sum looked up under n >> 1, not n",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "table.sums[n] = total",
+        "table.sums[n + 1] = total",
+        "_table_mul: a sum kept under n + 1, not the n that was summed",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "total = table.sums.get(n)",
+        "total = None",
+        "_table_mul: the kept sums never read, so each repeated n is summed again",
+        (T_FINITE, T_QUOTIENT),
+    ),
     # _comb's signed digits: the non-adjacent form read off n and 3n.
     Mutant(
         FINITE,
@@ -496,6 +525,14 @@ MUTANTS = (
         "rows = [[str(v).lower() for v in r] for r in report.records]",
         "rows = [[str(v) for v in r] for r in report.records]",
         "write_report: booleans as True/False in the CSV and the JSON",
+        (T_SCAN,),
+    ),
+    # The per-prime check of ord_R = ord_P = ord_Q.
+    Mutant(
+        SCAN,
+        "if not r.ord_p == r.ord_q == r.ord_r",
+        "if not r.ord_p == r.ord_r",
+        "_check_order_equality: an ord_Q that differs from ord_R and ord_P passes",
         (T_SCAN,),
     ),
     # The forked sweep.

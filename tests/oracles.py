@@ -10,7 +10,7 @@ from math import gcd, isqrt
 
 from suppscan.endo import KIND_WEAK_FOUND, KIND_WEAK_NOT_FOUND, EndoMatrix, apply
 from suppscan.quotient import QuotientPoint, quotient_equal, quotient_scalar_mul
-from suppscan.rational import RationalPoint, rational_add, reduce_coordinates, reduce_onto
+from suppscan.rational import RationalCurve, RationalPoint, rational_add, reduce_coordinates, reduce_onto
 
 
 def rational_scalar_mul(curve, n, s):
@@ -24,6 +24,18 @@ def rational_scalar_mul(curve, n, s):
         s = rational_add(curve, s, s)
         n >>= 1
     return acc
+
+
+def isomorphic_config(config, u):
+    """config on the model y^2 = x^3 + u^4*a*x + u^6*b, every point (x, y)
+    mapped to (u^2*x, u^3*y): the same curve over every F_q with q not
+    dividing u, so every record and certificate must come out the same."""
+
+    def scaled(s):
+        return RationalPoint(u * u * s.x, u**3 * s.y, s.z)
+
+    curve = RationalCurve(u**4 * config.curve.a, u**6 * config.curve.b)
+    return config._replace(curve=curve, R=scaled(config.R), R1=scaled(config.R1), R2=scaled(config.R2))
 
 
 def reduce_point(curve, point, q):

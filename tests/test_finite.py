@@ -529,6 +529,67 @@ def test_table_mul_matches_scalar_mul(data):
         assert curve._affine(*total) == curve.scalar_mul(top - 1, s), (curve, s, length)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_mul_keeps_each_tables_sums(data):
+    # Two tables, on two curves or on two points of one curve, and a random
+    # interleaving of scalars from one small pool, so that a scalar comes
+    # again on its own table and on the other: every answer is scalar_mul's,
+    # whether it was summed (_comb), fell back (n of L bits, or a sum that
+    # would double, at q < 400) or was kept from an earlier call.
+    small = data.draw(st.booleans(), label="q < 400")
+    curve, s, _ = draw_curve_and_point(data, small)
+    if not data.draw(st.booleans(), label="one curve"):
+        other = draw_curve_and_point(data, small)[:2]
+    elif small:
+        other = curve, data.draw(st.sampled_from(all_points(curve)), label="t")
+    else:
+        other = curve, curve.scalar_mul(data.draw(st.integers(2, 99), label="k"), s)
+    pairs = [(curve, s), other]
+    assume(all(t is not None for _, t in pairs))
+    length = data.draw(st.integers(1, 40), label="L")
+    tables = [c.doublings(t, length) for c, t in pairs]
+    top = 1 << length
+    scalars = st.integers(0, top - 1) | st.sampled_from([0, 1, top // 2 - 1, top - 1])
+    pool = data.draw(st.lists(scalars, min_size=1, max_size=6), label="pool")
+    calls = data.draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(pool)), max_size=24), label="calls")
+    for i, n in calls + [(i, n) for n in pool for i in (0, 1)]:
+        (c, t), table = pairs[i], tables[i]
+        assert c._affine(*c._table_mul(n, table)) == c.scalar_mul(n, t), (c, t, n, i)
+
+
+def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
+    # Two tables of the default curve at q = 47: s of order 28 and t of order
+    # 4, whose table ends in the identity. Every n below 2^L on both, twice,
+    # in turns: each table keeps exactly the scalars asked of it, each under
+    # its own n, and _comb or the double-and-add runs once per table and
+    # scalar. The identity's table is of the same kind.
+    curve = FiniteCurve(47, -21, -20)
+    orders = {u: order_by_walk(curve.add, u) for u in all_points(curve)[1:]}
+    s, t = (next(u for u, order in orders.items() if order == k) for k in (28, 4))
+    made = []
+    comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
+    monkeypatch.setattr(FiniteCurve, "_comb", lambda self, n, table: made.append(n) or comb(self, n, table))
+    monkeypatch.setattr(
+        FiniteCurve, "_jacobian_mul", lambda self, n, u: made.append(n) or jacobian_mul(self, n, u)
+    )
+    length = 7
+    tables = {s: curve.doublings(s, length), t: curve.doublings(t, length)}
+    for again in (False, True):
+        for n in range(1 << length):
+            for u, table in tables.items():
+                made.clear()
+                total = curve._table_mul(n, table)
+                assert not made if again else set(made) == {n}, (u, n, made)
+                assert total is table.sums[n], (u, n)
+                assert curve._affine(*total) == curve.scalar_mul(n, u), (u, n)
+    for u, table in tables.items():
+        assert sorted(table.sums) == list(range(1 << length)), u
+    identity = curve.doublings(None, length)
+    assert type(identity) is type(tables[s]) and identity == (None,) * length
+    assert identity.sums == {} and identity.sums is not tables[s].sums
+
+
 def draw_split_curve_point(data, lo, hi):
     """(curve, (e1, e2), s): y^2 = (x - e1)(x - e2)(x - e3) at a prime q in
     [lo, hi] and a random affine point of it."""

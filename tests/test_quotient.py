@@ -1,13 +1,13 @@
 import random
 from functools import cache
 from itertools import islice, product
-from math import lcm
+from math import lcm, prod
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_points, coset_order_by_walk, order_by_walk
+from oracles import all_points, coset_order_by_walk, isomorphic_config, order_by_walk
 from suppscan import quotient
 from suppscan.arith import is_prime, primes_up_to, sorted_divisors, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
@@ -300,6 +300,28 @@ def test_evaluate_prime_same_with_and_without_doublings(data):
     assert records[0] == records[1], (ctx, x, y)
 
 
+@settings(max_examples=90, deadline=None)
+@given(st.data())
+def test_evaluate_prime_same_on_an_isomorphic_model(data):
+    # The default config against its model scaled by u, a product of small
+    # primes, at a good prime q not dividing u: below 10^4 (no table), near
+    # 10^6 (the table, no window) or near 10^10 (the table and the window).
+    # The 2-torsion roots and r change mod q unless u^2 = 1 mod q; the
+    # records must not.
+    u = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4).map(prod), label="u")
+    config = default_config()
+    model = isomorphic_config(config, u)
+    lo, hi = data.draw(st.sampled_from([(5, 10**4), (10**6, 10**6 + 10**4), (10**10, 10**10 + 10**6)]))
+    q = data.draw(st.integers(lo, hi), label="start")
+    while not (is_prime(q) and q > 3 and u % q and config.curve.discriminant() % q):
+        q += 1
+    records = []
+    for cfg in (config, model):
+        ctx = make_context(cfg.curve, cfg.R1, cfg.R2, cfg.p, q)
+        records.append(evaluate_prime(ctx, cfg.R)._replace(elapsed_us=0))
+    assert records[0] == records[1], (u, q)
+
+
 def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
     # The last good prime of the default config whose Hasse bound has fewer
     # than _COMB_MIN_BITS bits keeps the double-and-add. The first past it
@@ -351,6 +373,37 @@ def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
         other_path = 0 if bits < quotient._COMB_MIN_BITS else 10**9
         with mock.patch.object(quotient, "_COMB_MIN_BITS", other_path):
             assert evaluate_prime(ctx, R)._replace(elapsed_us=0) == rec._replace(elapsed_us=0)
+
+
+def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
+    # At q = 10^10 + 19 point_order's walk starts and kill tests and both
+    # sweeps ask the one table of r's doublings for multiples of r, some of
+    # them more than once. _comb runs once per distinct scalar, and the
+    # sweep for Q, which asks for the multiples that the sweep for P has
+    # just made, runs none.
+    sweep, asked, summed = [None], [], []
+    order, table_mul, comb = quotient.quotient_order, FiniteCurve._table_mul, FiniteCurve._comb
+
+    def spy_order(ctx, s, m, doublings=None, divisors=None):
+        sweep[0] = "Q" if s.rep2 is not None else "P"
+        return order(ctx, s, m, doublings, divisors)
+
+    def spy_table_mul(self, n, table):
+        asked.append(n)
+        return table_mul(self, n, table)
+
+    def spy_comb(self, n, table):
+        summed.append((sweep[0], n))
+        return comb(self, n, table)
+
+    monkeypatch.setattr(quotient, "quotient_order", spy_order)
+    monkeypatch.setattr(FiniteCurve, "_table_mul", spy_table_mul)
+    monkeypatch.setattr(FiniteCurve, "_comb", spy_comb)
+    rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 10**10 + 19), R)
+    assert rec.ord_r == rec.ord_p == rec.ord_q
+    assert len(asked) > len(set(asked))
+    assert sorted(n for _, n in summed) == sorted(set(asked))
+    assert [n for s, n in summed if s == "Q"] == [] and any(s == "P" for s, _ in summed)
 
 
 def test_quotient_order_names_a_wrong_m():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_cases import CASES, SEARCH_CURVE_5, Link
+from oracles import isomorphic_config
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
@@ -306,6 +307,28 @@ def test_report_bytes_of_a_small_default_scan(tmp_path):
     )
 
 
+def test_scan_same_report_on_an_isomorphic_model(tmp_path):
+    # The default config at 10^4 and its model y^2 = x^3 + 6^4*a*x + 6^6*b
+    # with every point (x, y) taken to (36x, 216y): the same curve at every
+    # q > 3, and 2 and 3 are skipped either way. So the whole report is the
+    # same, elapsed_us aside, skipped primes and certificates included, but
+    # for the config's digest and with it the report's.
+    reports = []
+    for i, cfg in enumerate((default_config(), isomorphic_config(default_config(), 6))):
+        path, csv_path, json_path = (tmp_path / f"{i}.{ext}" for ext in ("config", "csv", "json"))
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main(["scan", "--config", str(path), "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+        report = json.loads(json_path.read_text())
+        for record in report["records"]:
+            del record["elapsed_us"]
+        digests = [report.pop(key) for key in ("config_digest", "report_digest")]
+        reports.append((report, strip_elapsed(csv_path.read_text()), digests))
+    (report, csv_rows, digests), (other, other_rows, other_digests) = reports
+    assert report["primes_scanned"] == 1227 and report["weak_relation"]["k"] == 2
+    assert report == other and csv_rows == other_rows
+    assert all(a != b for a, b in zip(digests, other_digests))
+
+
 def test_report_json_is_json_dumps_of_to_dict(tmp_path):
     # write_report formats the records itself; the bytes are still those of
     # json.dumps with indent 2: no records, records with both booleans, and
@@ -407,6 +430,42 @@ def test_cli_scan_invariant_violation_exit_code(tmp_path, monkeypatch):
     path = write_config(tmp_path, small_config(bound=50))
     out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     assert cli_main(["scan", "--config", path, *out]) == 3
+
+
+def test_cli_unequal_orders_name_each_prime_and_a_repro_line(tmp_path, capsys, monkeypatch):
+    # evaluate_prime stubbed to halve ord_Q at q = 7, 13 and 29: the line
+    # names each such q's orders, reduced curve, r, K1 and K2, and ends with
+    # a python -c line that, run with the same stub, raises the same line.
+    import suppscan.quotient as quotient_mod
+    import suppscan.scan as scan_mod
+
+    def unequal(ctx, R):
+        rec = evaluate_prime(ctx, R)
+        return rec._replace(ord_q=rec.ord_r // 2) if rec.q in (7, 13, 29) else rec
+
+    monkeypatch.setattr(scan_mod, "evaluate_prime", unequal)
+    monkeypatch.setattr(quotient_mod, "evaluate_prime", unequal)
+    cfg = small_config(bound=50)
+    path = write_config(tmp_path, cfg)
+    out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
+    assert cli_main(["scan", "--config", path, *out]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    message, repro = err.removeprefix("invariant violation: ").rstrip().split("; to reproduce: ")
+    assert message.startswith("order equality broke at q in [7, 13, 29]: q = 7: ")
+    for q in (7, 13, 29):
+        ctx = make_context(cfg.curve, cfg.R1, cfg.R2, cfg.p, q)
+        rec = evaluate_prime(ctx, cfg.R)
+        r = (cfg.R.x % q, cfg.R.y % q)
+        assert (
+            f"q = {q}: ord_R = {rec.ord_r}, ord_P = {rec.ord_p}, ord_Q = {rec.ord_r // 2} on "
+            f"FiniteCurve(q={q}, a={ctx.curve.a}, b={ctx.curve.b}), r = {r}, K1 = {ctx.k1}, K2 = {ctx.k2}"
+        ) in message
+    argv = shlex.split(repro)
+    assert argv[:2] == ["python", "-c"] and len(argv) == 3
+    with pytest.raises(InvariantViolation) as raised:
+        exec(argv[2], {})
+    assert f"invariant violation: {raised.value}\n" == err
 
 
 def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
