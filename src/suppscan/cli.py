@@ -183,15 +183,23 @@ def _cmd_endo_check(args) -> int:
     p = config.p
     qs = list(islice(iter_good_primes(config), args.primes))
     residues = [EndoMatrix(*entries) for entries in product(range(p), repeat=4)]
-    mismatches = 0
+    mismatches, first = 0, None
     for q in qs:
         ctx = make_context(config.curve, config.R1, config.R2, p, q)
-        agree = sum(kernel_preserved(m, ctx) == descends(m, p) for m in residues)
-        print(f"q={q}: {agree}/{len(residues)} residue matrices agree")
-        mismatches += len(residues) - agree
+        wrong = [m for m in residues if kernel_preserved(m, ctx) != descends(m, p)]
+        print(f"q={q}: {len(residues) - len(wrong)}/{len(residues)} residue matrices agree")
+        mismatches += len(wrong)
+        if wrong and first is None:
+            first = q, wrong
     if mismatches:
+        q, wrong = first
+        shown = ", ".join(
+            f"{m.rows()} (descends {descends(m, p)}, kernel preserved {not descends(m, p)})"
+            for m in wrong[:3]
+        )
         raise InvariantViolation(
-            f"descent criterion and kernel preservation disagree on {mismatches} residue matrices"
+            f"descent criterion and kernel preservation disagree on {mismatches} residue matrices; "
+            f"first at q = {q}, on {len(wrong)}, among them {shown}"
         )
     print(f"descent criterion and kernel preservation agree at all {len(qs)} primes")
     return EXIT_OK

@@ -12,10 +12,11 @@ the entries at the signed digits of the scalar's non-adjacent form, by
 additions alone, and the table serves index_of_multiple and every multiple
 inside point_order. The table keeps each sum it has made (_table_mul), so a
 multiple asked for twice, say by both quotient-order sweeps of one prime,
-is summed once. Orders come from a baby-step/giant-step annihilator
-search over the Hasse interval, whose steps run in pairs of lanes, followed
-by a recursive strip of the annihilator's prime powers, so no full point
-count is ever needed in the scanning path.
+is summed once, and an even multiple whose half is kept is that half
+doubled (_double), not a sum. Orders come from a baby-step/giant-step
+annihilator search over the Hasse interval, whose steps run in pairs of
+lanes, followed by a recursive strip of the annihilator's prime powers, so
+no full point count is ever needed in the scanning path.
 """
 
 from math import isqrt
@@ -236,29 +237,21 @@ class FiniteCurve:
         length >= 1, the identity as None: a tuple that also keeps, in its
         attribute sums, every multiple of s that _table_mul sums from it.
 
-        length - 1 Jacobian doublings, _jacobian_mul's, then one inversion
-        for all the Zs by Montgomery's trick (Math. Comp. 48, 1987): with
-        the prefix products P_j = Z_1 * ... * Z_j, P_0 = 1, and I = 1/P_j,
-        1/Z_j = I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry
-        down. Once a doubling meets the identity (s of 2-power order), every
+        length - 1 Jacobian doublings (_double), then one inversion for all
+        the Zs by Montgomery's trick (Math. Comp. 48, 1987): with the prefix
+        products P_j = Z_1 * ... * Z_j, P_0 = 1, and I = 1/P_j, 1/Z_j =
+        I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry down. Once a doubling meets the identity (s of 2-power order), every
         later entry is the identity.
         """
         if s is None:
             return _Doublings((None,) * length)
-        q, a = self.q, self.a
+        q = self.q
         X, Y, Z = s[0], s[1], 1
         jacobian, prefix = [], [1]  # 2^j * s at index j - 1, P_j at index j
         for _ in range(length - 1):
-            YY = Y * Y % q
-            S = 4 * X * YY % q
-            ZZ = Z * Z % q
-            M = (3 * X * X + a * ZZ * ZZ) % q
-            X3 = (M * M - 2 * S) % q
-            Z = 2 * Y * Z % q
+            X, Y, Z = self._double(X, Y, Z)
             if not Z:
                 break
-            Y = (M * (S - X3) - 8 * YY * YY) % q
-            X = X3
             jacobian.append((X, Y, Z))
             prefix.append(prefix[-1] * Z % q)
         table = [s] + [None] * (length - 1)
@@ -271,21 +264,39 @@ class FiniteCurve:
             table[j] = X * zz % q, Y * zz * zi % q
         return _Doublings(table)
 
+    def _double(self, X: int, Y: int, Z: int):
+        """2 * (X : Y : Z) in Jacobian coordinates, the doubling of
+        _jacobian_mul; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion."""
+        q = self.q
+        YY = Y * Y % q
+        S = 4 * X * YY % q
+        ZZ = Z * Z % q
+        M = (3 * X * X + self.a * ZZ * ZZ) % q
+        X3 = (M * M - 2 * S) % q
+        return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
+
     def _table_mul(self, n: int, table):
         """n * s as Jacobian (X, Y, Z) for n >= 0, table = doublings(s, L)
-        with s not the identity: summed from the table (_comb) when n's
-        non-adjacent form fits it, n < 2^(L - 1), and by the double-and-add
-        when it does not or when a sum would double.
+        with s not the identity: one doubling (_double) of (n/2) * s when n
+        is even and that half is kept, else summed from the table (_comb)
+        when n's non-adjacent form fits it, n < 2^(L - 1), and by the
+        double-and-add when it does not or when a sum would double.
 
         Each result, however it was made, is kept in table.sums under n and
         read back from there when n comes again: point_order's walk starts
         and kill tests and both quotient-order sweeps of a prime share one
         table, and the sweep for Q asks for the multiples the sweep for P
-        has just made.
+        has just made. The sweep for P tries the divisors of ord_R
+        ascending, so the half of each even one is kept by then, and only
+        its odd divisors are summed. A half that is the identity or of order
+        2 doubles to Z = 0, the identity, with no branch of its own.
         """
         total = table.sums.get(n)
         if total is None:
-            if n.bit_length() < len(table):
+            half = None if n & 1 else table.sums.get(n >> 1)
+            if half is not None:
+                total = self._double(*half)
+            elif n.bit_length() < len(table):
                 total = self._comb(n, table)
             if total is None:
                 total = self._jacobian_mul(n, table[0])

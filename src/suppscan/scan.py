@@ -311,10 +311,11 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
     Worker w evaluates the stripe good[w::workers], so the costly large q
     are shared out evenly, and pickles its records, or the exception that
     stopped it, back through its own pipe. A worker that ends without an
-    answer is an InvariantViolation naming it and its signal. Every child
-    is reaped, the unfinished ones killed first when the sweep fails. A
-    worker whose parent has died, say by SIGTERM, exits before its next
-    prime: it checks os.getppid() between primes.
+    answer is an InvariantViolation naming it, its signal and the first and
+    last q of its stripe. Every child is reaped, the unfinished ones killed
+    first when the sweep fails. A worker whose parent has died, say by
+    SIGTERM, exits before its next prime: it checks os.getppid() between
+    primes.
     """
     # Imported here, not at module level: only this branch uses them.
     import pickle
@@ -353,7 +354,11 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
             reaped += 1
             if code:
                 how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-                raise InvariantViolation(f"sweep worker {w} of {workers} ended without its records ({how})")
+                qs = good[w::workers]
+                raise InvariantViolation(
+                    f"sweep worker {w} of {workers} ended without its records ({how}); "
+                    f"its stripe runs from q = {qs[0]} to q = {qs[-1]}"
+                )
             stripe = pickle.loads(data)
             if isinstance(stripe, BaseException):
                 raise stripe

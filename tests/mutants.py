@@ -162,9 +162,16 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "Z = 2 * Y * Z % q\n            if not Z:",
-        "Z = (2 * Y * Z % q) or Z\n            if not Z:",
-        "doublings: doubling a point of order 2 stays finite, so no entry is the identity",
+        "8 * YY * YY) % q, 2 * Y * Z % q",
+        "8 * YY * YY) % q, (2 * Y * Z % q) or Z",
+        "_double: doubling a point of order 2 stays finite, so no entry of doublings is the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "8 * YY * YY) % q, 2 * Y * Z % q",
+        "8 * YY * YY) % q, Y * Z % q",
+        "_double: the doubled Z without its factor 2",
         (T_FINITE,),
     ),
     Mutant(
@@ -222,6 +229,28 @@ MUTANTS = (
         "total = table.sums.get(n)",
         "total = None",
         "_table_mul: the kept sums never read, so each repeated n is summed again",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    # An even n whose half is kept: one doubling of that half (_table_mul).
+    Mutant(
+        FINITE,
+        "half = None if n & 1 else table.sums.get(n >> 1)",
+        "half = table.sums.get(n >> 1)",
+        "_table_mul: the parity guard dropped, so an odd n is doubled from n >> 1",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "else table.sums.get(n >> 1)",
+        "else table.sums.get(n >> 2)",
+        "_table_mul: the half of an even n read as n >> 2",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "table.sums[n] = total",
+        "if half is None:\n                table.sums[n] = total",
+        "_table_mul: a sum doubled from a kept half is not kept itself",
         (T_FINITE, T_QUOTIENT),
     ),
     # _comb's signed digits: the non-adjacent form read off n and 3n.

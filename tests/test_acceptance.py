@@ -21,7 +21,7 @@ from suppscan.endo import (
     relation_holds,
     verify_no_medium_relation,
 )
-from suppscan.finite import FiniteCurve, hasse_interval
+from suppscan.finite import _COMB_MIN_BITS, FiniteCurve, hasse_interval
 from suppscan.quotient import InvariantViolation, evaluate_prime, make_context
 from suppscan.rational import (
     CurveSearchError,
@@ -34,6 +34,9 @@ from suppscan.scan import LabConfig, default_config, run_scan, write_report
 # report_digest of the default config (prime_bound 10^4). A change that alters
 # the report on purpose records the old and the new digest in CHANGES.md.
 DEFAULT_REPORT_DIGEST = "68e227260ca8d6cf6b8e7366cdaf47ceb74605525c4c11f91b8544edcf0d281b"
+# The same at prime_bound 10^5, the one pinned scan that reaches the table of
+# r's doublings (finite._COMB_MIN_BITS): no q <= 10^4 does.
+DEFAULT_REPORT_DIGEST_10_5 = "206babbb3a9fd595f769c29e1f31ee17d71df53a5d03156b282f2dbd7699d4f1"
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -256,6 +259,22 @@ def test_criterion_7_determinism(tmp_path, full_scan):
         and d1 == d8 == DEFAULT_REPORT_DIGEST
         and report1.digest() == report8.digest(),
         f"digest {d1}",
+    )
+
+
+def test_criterion_7_digest_at_10_5():
+    cfg = default_config()._replace(prime_bound=10**5, workers=1)
+    start = time.perf_counter()
+    report = run_scan(cfg)
+    elapsed = time.perf_counter() - start
+    table = [r.q for r in report.records if hasse_interval(r.q)[1].bit_length() >= _COMB_MIN_BITS]
+    _report(
+        7,
+        "the default report at prime_bound 10^5, whose primes from 16,129 on sum "
+        "multiples of r from the table of r's doublings, has the pinned digest",
+        report.digest() == DEFAULT_REPORT_DIGEST_10_5
+        and (len(report.records), len(table)) == (9590, 7715),
+        f"digest {report.digest()}, {elapsed:.1f}s",
     )
 
 

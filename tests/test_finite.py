@@ -560,10 +560,13 @@ def test_table_mul_keeps_each_tables_sums(data):
 
 def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
     # Two tables of the default curve at q = 47: s of order 28 and t of order
-    # 4, whose table ends in the identity. Every n below 2^L on both, twice,
-    # in turns: each table keeps exactly the scalars asked of it, each under
-    # its own n, and _comb or the double-and-add runs once per table and
-    # scalar. The identity's table is of the same kind.
+    # 4, whose table ends in the identity. Every n below 2^L on both, in one
+    # shuffled order and then again, in turns: each table keeps exactly the
+    # scalars asked of it, each under its own n. A scalar is made once per
+    # table: an even n whose half is kept is that half doubled, with no
+    # _comb and no double-and-add; any other n runs _comb, and the
+    # double-and-add after it when it falls back. The identity's table is
+    # of the same kind.
     curve = FiniteCurve(47, -21, -20)
     orders = {u: order_by_walk(curve.add, u) for u in all_points(curve)[1:]}
     s, t = (next(u for u, order in orders.items() if order == k) for k in (28, 4))
@@ -575,19 +578,60 @@ def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
     )
     length = 7
     tables = {s: curve.doublings(s, length), t: curve.doublings(t, length)}
+    scalars = list(range(1 << length))
+    random.Random(7).shuffle(scalars)
+    kinds = set()
     for again in (False, True):
-        for n in range(1 << length):
+        for n in scalars:
             for u, table in tables.items():
                 made.clear()
+                doubled = not n & 1 and n >> 1 in table.sums
                 total = curve._table_mul(n, table)
-                assert not made if again else set(made) == {n}, (u, n, made)
+                if again or doubled:
+                    assert not made, (u, n, made)
+                else:
+                    assert set(made) == {n}, (u, n, made)
+                if not again:
+                    kinds.add((n & 1, doubled))
                 assert total is table.sums[n], (u, n)
                 assert curve._affine(*total) == curve.scalar_mul(n, u), (u, n)
+    assert kinds == {(1, False), (0, False), (0, True)}  # even n made both ways
     for u, table in tables.items():
         assert sorted(table.sums) == list(range(1 << length)), u
     identity = curve.doublings(None, length)
     assert type(identity) is type(tables[s]) and identity == (None,) * length
     assert identity.sums == {} and identity.sums is not tables[s].sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_mul_doubles_kept_halves(data):
+    # Chains n, 2n, 4n, ... on one table, interleaved with fresh scalars, at
+    # q < 400 (points of 2-power order half the time, and so of order 2, whose
+    # halves double to the identity) or at q in [10^3, 10^12]: every answer
+    # is scalar_mul's, whether it was a doubling of a kept half, a sum, a
+    # fallback or kept from an earlier call, and it is kept under its n.
+    small = data.draw(st.booleans(), label="q < 400")
+    curve, s, _ = draw_curve_and_point(data, small)
+    two_torsion = [u for u in all_points(curve)[1:] if u[1] == 0] if small else []
+    if two_torsion and data.draw(st.booleans(), label="order 2"):
+        s = data.draw(st.sampled_from(two_torsion), label="s of order 2")
+    assume(s is not None)
+    length = data.draw(st.integers(1, 44), label="L")
+    table = curve.doublings(s, length)
+    top = 1 << length
+    scalars = st.integers(0, top - 1) | st.sampled_from([0, 1, 2, top // 2 - 1, top - 1])
+    calls = []
+    for start in data.draw(st.lists(scalars, min_size=1, max_size=4), label="starts"):
+        links = data.draw(st.integers(1, 6), label="links")
+        calls += [start << k for k in range(links)]
+    fresh = data.draw(st.lists(scalars, max_size=8), label="fresh")
+    for n in fresh:
+        calls.insert(data.draw(st.integers(0, len(calls)), label="at"), n)
+    for n in calls:
+        total = curve._table_mul(n, table)
+        assert total is table.sums[n], (curve, s, n)
+        assert curve._affine(*total) == curve.scalar_mul(n, s), (curve, s, n, calls)
 
 
 def draw_split_curve_point(data, lo, hi):

@@ -375,35 +375,81 @@ def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
             assert evaluate_prime(ctx, R)._replace(elapsed_us=0) == rec._replace(elapsed_us=0)
 
 
-def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
-    # At q = 10^10 + 19 point_order's walk starts and kill tests and both
-    # sweeps ask the one table of r's doublings for multiples of r, some of
-    # them more than once. _comb runs once per distinct scalar, and the
-    # sweep for Q, which asks for the multiples that the sweep for P has
-    # just made, runs none.
-    sweep, asked, summed = [None], [], []
-    order, table_mul, comb = quotient.quotient_order, FiniteCurve._table_mul, FiniteCurve._comb
+def spy_on_the_table(monkeypatch):
+    """Spy on evaluate_prime's table of r's doublings: a list of
+    (sweep, n, kept, halved, made) per _table_mul call, where sweep is "P"
+    or "Q" inside a quotient-order sweep and None before them, kept and
+    halved say whether n itself or, for an even n, its half was in the
+    table's sums before the call, and made lists the (kind, n) of each
+    _comb ("comb") and _jacobian_mul ("jac") call the call made."""
+    sweep, calls, made = [None], [], []
+    order, table_mul = quotient.quotient_order, FiniteCurve._table_mul
+    comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
 
     def spy_order(ctx, s, m, doublings=None, divisors=None):
         sweep[0] = "Q" if s.rep2 is not None else "P"
         return order(ctx, s, m, doublings, divisors)
 
     def spy_table_mul(self, n, table):
-        asked.append(n)
-        return table_mul(self, n, table)
+        kept, halved = n in table.sums, not n & 1 and n >> 1 in table.sums
+        before = len(made)
+        total = table_mul(self, n, table)
+        calls.append((sweep[0], n, kept, halved, made[before:]))
+        return total
 
     def spy_comb(self, n, table):
-        summed.append((sweep[0], n))
+        made.append(("comb", n))
         return comb(self, n, table)
+
+    def spy_jacobian_mul(self, n, s):
+        made.append(("jac", n))
+        return jacobian_mul(self, n, s)
 
     monkeypatch.setattr(quotient, "quotient_order", spy_order)
     monkeypatch.setattr(FiniteCurve, "_table_mul", spy_table_mul)
     monkeypatch.setattr(FiniteCurve, "_comb", spy_comb)
+    monkeypatch.setattr(FiniteCurve, "_jacobian_mul", spy_jacobian_mul)
+    return calls
+
+
+def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
+    # At q = 10^10 + 19 point_order's walk starts and kill tests and both
+    # sweeps ask the one table of r's doublings for multiples of r, some of
+    # them more than once. A scalar is summed (_comb, then the double-and-add
+    # if that falls back) only when it is neither kept nor an even n whose
+    # half is kept, and then once; those others run neither. The sweep for
+    # Q, which asks for the multiples that the sweep for P has just made,
+    # sums none.
+    calls = spy_on_the_table(monkeypatch)
     rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 10**10 + 19), R)
     assert rec.ord_r == rec.ord_p == rec.ord_q
+    asked = [n for _, n, _, _, _ in calls]
     assert len(asked) > len(set(asked))
-    assert sorted(n for _, n in summed) == sorted(set(asked))
-    assert [n for s, n in summed if s == "Q"] == [] and any(s == "P" for s, _ in summed)
+    summed = []
+    for sweep, n, kept, halved, made in calls:
+        if kept or halved:
+            assert made == [], (sweep, n, made)
+        else:
+            assert made[0] == ("comb", n) and set(made) <= {("comb", n), ("jac", n)}, (sweep, n, made)
+            summed.append(n)
+    # Each distinct scalar is made once, summed or doubled.
+    doubled = [n for _, n, kept, halved, _ in calls if halved and not kept]
+    assert doubled and sorted(summed + doubled) == sorted(set(asked))
+    assert not any(made for s, _, _, _, made in calls if s == "Q")
+    assert any(s == "P" and made for s, _, _, _, made in calls)
+
+
+def test_sweep_for_p_sums_only_odd_multiples(monkeypatch):
+    # The sweep for P tries the divisors of ord_R ascending, so when it
+    # reaches an even divisor its half is kept, and that multiple is one
+    # doubling: _comb runs there on odd divisors alone, while even ones are
+    # tried too.
+    calls = spy_on_the_table(monkeypatch)
+    rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 10**10 + 19), R)
+    sweep = [(n, made) for s, n, _, _, made in calls if s == "P"]
+    assert rec.ord_p % 2 == 0 and any(n % 2 == 0 for n, _ in sweep)
+    combed = [n for _, made in sweep for kind, n in made if kind == "comb"]
+    assert combed and all(n % 2 for n in combed), combed
 
 
 def test_quotient_order_names_a_wrong_m():

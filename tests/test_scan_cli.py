@@ -659,18 +659,23 @@ def scan_with_failing_worker(tmp_path, capsys, monkeypatch, fail):
 
 def test_cli_dead_sweep_worker_is_one_line(tmp_path, capsys, monkeypatch):
     # A worker killed by a signal answers nothing: one line naming the
-    # worker and the signal, not a traceback.
+    # worker, the signal and the first and last q of the worker's stripe,
+    # not a traceback.
     import signal
 
     def die_at_101(q):
         if q == 101:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    worker = classify_primes(small_config(bound=400))[0].index(101) % 2
+    good = classify_primes(small_config(bound=400))[0]
+    worker = good.index(101) % 2
+    stripe = good[worker::2]
     assert scan_with_failing_worker(tmp_path, capsys, monkeypatch, die_at_101) == (
         3,
-        f"invariant violation: sweep worker {worker} of 2 ended without its records (killed by SIGKILL)\n",
+        f"invariant violation: sweep worker {worker} of 2 ended without its records (killed by SIGKILL); "
+        f"its stripe runs from q = {stripe[0]} to q = {stripe[-1]}\n",
     )
+    assert stripe[0] < 101 < stripe[-1]
 
 
 def test_cli_sweep_worker_exceptions_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
@@ -799,14 +804,33 @@ def test_cli_no_relation_tests_primality_once(monkeypatch):
 
 
 def test_cli_endo_check_mismatch_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
-    # Kernel preservation that holds for every matrix disagrees with descent
-    # on the 14 residue matrices mod 2 that do not descend.
-    monkeypatch.setattr("suppscan.cli.kernel_preserved", lambda m, ctx: True)
+    # Kernel preservation that follows descent at the first prime and then
+    # holds for every matrix disagrees with descent from the second prime
+    # on, on the 14 residue matrices mod 2 that do not descend: the line
+    # names that prime and three of its matrices. Preservation that fails
+    # for every matrix disagrees at the first prime, on the 2 that descend.
+    from suppscan.endo import descends
+
     path = write_config(tmp_path, small_config())
-    assert cli_main(["endo-check", "--config", path, "--primes", "3"]) == 3
-    captured = capsys.readouterr()
-    out = captured.out.splitlines()
-    assert len(out) == 3 and all(re.fullmatch(r"q=\d+: 2/16 residue matrices agree", line) for line in out)
-    assert captured.err == (
-        "invariant violation: descent criterion and kernel preservation disagree on 42 residue matrices\n"
+    first, second, _ = islice(iter_good_primes(small_config()), 3)
+    stubs = (
+        lambda m, ctx: descends(m, 2) if ctx.curve.q == first else True,
+        lambda m, ctx: False,
     )
+    agreeing = ([16, 2, 2], [14, 14, 14])
+    lines = (
+        f"disagree on 28 residue matrices; first at q = {second}, on 14, among them "
+        "[[0, 0], [0, 1]] (descends False, kernel preserved True), "
+        "[[0, 0], [1, 0]] (descends False, kernel preserved True), "
+        "[[0, 0], [1, 1]] (descends False, kernel preserved True)",
+        f"disagree on 6 residue matrices; first at q = {first}, on 2, among them "
+        "[[0, 0], [0, 0]] (descends True, kernel preserved False), "
+        "[[1, 0], [0, 1]] (descends True, kernel preserved False)",
+    )
+    for stub, agree, line in zip(stubs, agreeing, lines):
+        monkeypatch.setattr("suppscan.cli.kernel_preserved", stub)
+        assert cli_main(["endo-check", "--config", path, "--primes", "3"]) == 3
+        captured = capsys.readouterr()
+        counts = [re.fullmatch(r"q=\d+: (\d+)/16 residue matrices agree", s) for s in captured.out.splitlines()]
+        assert [int(c[1]) for c in counts] == agree
+        assert captured.err == f"invariant violation: descent criterion and kernel preservation {line}\n"
