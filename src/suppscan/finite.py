@@ -4,19 +4,19 @@ Points are None (the identity) or (x, y) tuples of canonical residues.
 add is the affine group law, one inversion per operation; _add_pair makes
 two affine additions with one shared inversion. Scalar multiples come from
 one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
-inverts its final Z once to return an affine point, while killed_by reads
-Z = 0 and index_of_multiple compares the multiple with affine points
-projectively, so neither inverts anything. At large q a point's multiples
-can instead come from one table of its doublings (doublings): _comb sums
-the entries at the signed digits of the scalar's non-adjacent form, by
-additions alone, and the table serves index_of_multiple and every multiple
-inside point_order. The table keeps each sum it has made (_table_mul), so a
-multiple asked for twice, say by both quotient-order sweeps of one prime,
-is summed once, and an even multiple whose half is kept is that half
-doubled (_double), not a sum. Orders come from a baby-step/giant-step
-annihilator search over the Hasse interval, whose steps run in pairs of
-lanes, followed by a recursive strip of the annihilator's prime powers, so
-no full point count is ever needed in the scanning path.
+inverts its final Z once to return an affine point, while index_of_multiple
+compares the multiple with affine points projectively, inverting nothing.
+At large q a point's multiples can instead come from one table of its
+doublings (table_of): _comb sums the entries at the signed digits of the
+scalar's non-adjacent form, by additions alone. _multiple alone picks the
+table or the double-and-add for every multiple inside index_of_multiple and
+point_order. The table keeps each sum it has made, so a multiple asked for
+twice, say by both quotient-order sweeps of one prime, is summed once, and
+an even multiple whose half is kept is that half doubled (_double), not a
+sum. Orders come from a baby-step/giant-step annihilator search over the
+Hasse interval, whose steps run in pairs of lanes, followed by a recursive
+strip of the annihilator's prime powers, so no full point count is ever
+needed in the scanning path.
 """
 
 from math import isqrt
@@ -33,7 +33,7 @@ FinitePoint = tuple[int, int] | None
 # x86-64 host, 600 primes each).
 _WINDOW_MIN_Q = 2 * 10**7
 
-# evaluate_prime builds one table of r's doublings (doublings), which serves
+# FiniteCurve.table_of builds a point's table of doublings, which serves
 # point_order and both quotient-order sweeps, only from this bit length of
 # the Hasse bound on: ord_R is not known when the table is built, and every
 # multiple of r that it serves is at most about that bound. Per prime, with
@@ -42,9 +42,10 @@ _WINDOW_MIN_Q = 2 * 10**7
 # timed both ways in turn, best of 7), the table took 0.96x the time at
 # b = 6, 0.86x at 8, 0.81x at 10, 0.75x at 12, 0.70x at 14, 0.67x at 15,
 # 0.63x at 16, 0.59x at 20, 0.56x at 28 and 0.45x at 34 (q near 1.2*10^10).
-# It pays at every size measured. The crossover sits at 15 bits so that
-# every q <= 10^4, whose Hasse bound has at most 14 bits, keeps the
-# double-and-add; lowering it is a measured change left for later.
+# It pays at every size measured. It stays at 15 bits, so that every
+# q <= 10^4 keeps the double-and-add, only because a faster scan makes more
+# benchmark passes and so reads a higher peak_rss_mib: lowering it waits for
+# that memory fix (ROADMAP item 1(a)).
 _COMB_MIN_BITS = 15
 
 
@@ -60,7 +61,7 @@ def hasse_interval(q: int):
 
 class _Doublings(tuple):
     """A table of a point's doublings (FiniteCurve.doublings) with sums, a
-    dict of the Jacobian multiples _table_mul has made from it, keyed by
+    dict of the Jacobian multiples _multiple has made from it, keyed by
     the nonnegative scalar. Each table has its own dict, which lives and
     dies with it."""
 
@@ -155,26 +156,15 @@ class FiniteCurve:
         zz = zi * zi % q
         return X * zz % q, Y * zz * zi % q
 
-    def killed_by(self, n: int, s) -> bool:
-        """True iff n * s is the identity, for any integer n; nothing is
-        inverted, so this is cheaper than testing scalar_mul(n, s) is None."""
-        return s is None or not self._jacobian_mul(n, s)[2]
-
-    def index_of_multiple(self, n: int, s, points, doublings=None):
+    def index_of_multiple(self, n: int, s, points, table=None):
         """The index of the first of points, affine or None, that equals
-        n * s, or None when none does; for any integer n.
+        n * s, or None when none does; for any integer n, and s's table or
+        None (_multiple). With points = (None,), 0 says n kills s.
 
         Nothing is inverted: the Jacobian (X : Y : Z) = n * s is the identity
         iff Z = 0, and equals an affine (x, y) iff X = x*Z^2 and Y = y*Z^3.
-        With doublings, the table doublings(s, L), |n| * s comes from the
-        table (_table_mul) instead of a double-and-add.
         """
-        if s is None:
-            X, Y, Z = 1, 1, 0
-        elif doublings is None:
-            X, Y, Z = self._jacobian_mul(n, s)
-        else:
-            X, Y, Z = self._table_mul(abs(n), doublings)
+        X, Y, Z = (1, 1, 0) if s is None else self._multiple(abs(n), s, table)
         if not Z:
             return points.index(None) if None in points else None
         q = self.q
@@ -187,20 +177,20 @@ class FiniteCurve:
         return None
 
     def _jacobian_mul(self, n: int, s):
-        """|n| * s for an affine s (not the identity) as Jacobian (X, Y, Z).
+        """n * s for n >= 0 and an affine s (not the identity) as Jacobian
+        (X, Y, Z): the double-and-add behind scalar_mul and _multiple.
 
         Left-to-right double-and-add, (X : Y : Z) standing for (X/Z^2, Y/Z^3)
         and Z = 0 for the identity, with mixed additions of the affine s
         (Cohen-Frey, Handbook of Elliptic and Hyperelliptic Curve
-        Cryptography, ch. 13). The sign of n is the caller's: a multiple is
-        the identity iff its negative is.
+        Cryptography, ch. 13).
         """
         if n == 0:
             return 1, 1, 0
         q, a = self.q, self.a
         x, y = s
         X, Y, Z = x, y, 1
-        for bit in bin(abs(n))[3:]:
+        for bit in bin(n)[3:]:
             # Doubling; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion.
             YY = Y * Y % q
             S = 4 * X * YY % q
@@ -232,16 +222,24 @@ class FiniteCurve:
                 X = X3
         return X, Y, Z
 
+    def table_of(self, s):
+        """doublings(s, L), L one past the Hasse bound's bit length, which
+        fits every multiple of s asked for at this q; None (the
+        double-and-add) while that bound has fewer than _COMB_MIN_BITS bits."""
+        bits = hasse_interval(self.q)[1].bit_length()
+        return self.doublings(s, bits + 1) if bits >= _COMB_MIN_BITS else None
+
     def doublings(self, s, length: int) -> tuple:
         """The affine table (s, 2s, 4s, ..., 2^(length-1) * s) for a
         length >= 1, the identity as None: a tuple that also keeps, in its
-        attribute sums, every multiple of s that _table_mul sums from it.
+        attribute sums, every multiple of s that _multiple makes from it.
 
         length - 1 Jacobian doublings (_double), then one inversion for all
         the Zs by Montgomery's trick (Math. Comp. 48, 1987): with the prefix
         products P_j = Z_1 * ... * Z_j, P_0 = 1, and I = 1/P_j, 1/Z_j =
-        I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry down. Once a doubling meets the identity (s of 2-power order), every
-        later entry is the identity.
+        I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry down. Once
+        a doubling meets the identity (s of 2-power order), every later
+        entry is the identity.
         """
         if s is None:
             return _Doublings((None,) * length)
@@ -275,22 +273,26 @@ class FiniteCurve:
         X3 = (M * M - 2 * S) % q
         return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
 
-    def _table_mul(self, n: int, table):
-        """n * s as Jacobian (X, Y, Z) for n >= 0, table = doublings(s, L)
-        with s not the identity: one doubling (_double) of (n/2) * s when n
-        is even and that half is kept, else summed from the table (_comb)
-        when n's non-adjacent form fits it, n < 2^(L - 1), and by the
-        double-and-add when it does not or when a sum would double.
+    def _multiple(self, n: int, s, table):
+        """n * s as Jacobian (X, Y, Z) for n >= 0, s affine and not the
+        identity, and s's table doublings(s, L) or None: every multiple of s
+        is made here. Without a table, the double-and-add (_jacobian_mul).
+        With one, a doubling (_double) of (n/2) * s when n is even and that
+        half is kept, else a sum of table entries (_comb) when n's
+        non-adjacent form fits, n < 2^(L - 1), else (or when a sum would
+        double) the double-and-add.
 
-        Each result, however it was made, is kept in table.sums under n and
-        read back from there when n comes again: point_order's walk starts
-        and kill tests and both quotient-order sweeps of a prime share one
-        table, and the sweep for Q asks for the multiples the sweep for P
-        has just made. The sweep for P tries the divisors of ord_R
-        ascending, so the half of each even one is kept by then, and only
-        its odd divisors are summed. A half that is the identity or of order
-        2 doubles to Z = 0, the identity, with no branch of its own.
+        Each result is kept in table.sums under n and read back when n comes
+        again: point_order's searches and strip and both quotient-order
+        sweeps of a prime share one table, and the sweep for Q asks for the
+        multiples the sweep for P has just made. The sweep for P tries the
+        divisors of ord_R ascending, so the half of each even one is kept by
+        then, and only its odd divisors are summed. A half that is the
+        identity or of order 2 doubles to Z = 0, the identity, with no
+        branch of its own.
         """
+        if table is None:
+            return self._jacobian_mul(n, s)
         total = table.sums.get(n)
         if total is None:
             half = None if n & 1 else table.sums.get(n >> 1)
@@ -299,7 +301,7 @@ class FiniteCurve:
             elif n.bit_length() < len(table):
                 total = self._comb(n, table)
             if total is None:
-                total = self._jacobian_mul(n, table[0])
+                total = self._jacobian_mul(n, s)
             table.sums[n] = total
         return total
 
@@ -351,7 +353,7 @@ class FiniteCurve:
             X = X3
         return X, Y, Z
 
-    def point_order(self, s, two_torsion=None, doublings=None) -> int:
+    def point_order(self, s, two_torsion=None, table=None) -> int:
         """Exact order of s.
 
         Finds an annihilator N of s in (or just past) hasse_interval(q) by
@@ -371,11 +373,9 @@ class FiniteCurve:
         the search on 4*s, then the search on s itself over the whole
         interval. Cost is O(q^(1/4)) group operations.
 
-        With doublings, the table self.doublings(s, L) for an L past the bit
-        length of the Hasse bound, every multiple of s comes from it: the
-        search point 2^v * s is its entry v, the point where each search's
-        walk starts is a sum of its entries (_table_mul), and so is each
-        kill test of the strip. The result does not depend on the table.
+        Each search's point k*s, its walk's first point and each kill test
+        of the strip are made by _multiple with table, s's table_of or None;
+        the result does not depend on the table.
         """
         if s is None:
             return 1
@@ -385,20 +385,18 @@ class FiniteCurve:
         if two_torsion is not None and q > _WINDOW_MIN_Q:
             v, exact = self._two_part(*two_torsion)
             k = 1 << v
-            t = self.scalar_mul(k, s) if doublings is None else doublings[v]
-            c = self._annihilator(t, -(-lo // k), hi // k, exact, doublings=doublings, k=k)
+            c = self._annihilator(s, k, -(-lo // k), hi // k, exact, table)
             n = k * c if c else None
         if n is None:
-            t = self.scalar_mul(4, s) if doublings is None else doublings[2]
-            c = self._annihilator(t, -(-lo // 4), hi // 4, doublings=doublings, k=4)
-            n = 4 * c if c else self._annihilator(s, lo, hi, doublings=doublings)
+            c = self._annihilator(s, 4, -(-lo // 4), hi // 4, False, table)
+            n = 4 * c if c else self._annihilator(s, 1, lo, hi, False, table)
         if n is None:
             args = f"{s}" if two_torsion is None else f"{s}, two_torsion={tuple(two_torsion)}"
             raise InvariantViolation(
                 f"no annihilator of {s} in the Hasse interval at q = {q}; the group law "
                 f"is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({args})"
             )
-        return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()], doublings)
+        return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()], table)
 
     def _two_part(self, e1: int, e2: int):
         """(v, exact) with 2^v | #E(F_q), exact when 2^v is the 2-part, for
@@ -462,7 +460,7 @@ class FiniteCurve:
         ri = y * pow(rj * rk, -1, q) % q
         return (x + ri * rj + ri * rk + rj * rk) % q, (ri + rj) * (ri + rk) * (rj + rk) % q
 
-    def _order_within(self, s, n: int, powers, doublings=None, mult: int = 1) -> int:
+    def _order_within(self, s, n: int, powers, table=None, mult: int = 1) -> int:
         """Exact order of u = mult * s, given an n with n*u = 0 and the prime
         powers of n as (f, f^e) pairs, f ascending.
 
@@ -475,18 +473,18 @@ class FiniteCurve:
         not all, so that a large prime stands alone and ends its branch. A
         single prime power is stripped while n/f kills u.
 
-        Without doublings, u = s, and each level multiplies its point for
-        the next. With doublings, the table of s's doublings, u is never
-        formed: the level below gets mult * c, and a kill test c * u = 0
-        sums c * mult from the table. As u may then be the identity unseen,
-        that strip runs down to 1, not to f.
+        Without a table, u = s, and each level multiplies its point for the
+        next. With s's table of doublings, u is never formed: the level
+        below gets mult * c, and a kill test c * u = 0 makes c * mult
+        (_multiple). As u may then be the identity unseen, that strip runs
+        down to 1, not to f.
         """
         if s is None:
             return 1
         if len(powers) == 1:
             f = powers[0][0]
-            floor = f if doublings is None else 1
-            while n > floor and self._kills(n // f, s, doublings, mult):
+            floor = f if table is None else 1
+            while n > floor and not self._multiple(n // f * mult, s, table)[2]:
                 n //= f
             return n
         h, n_a = 1, powers[0][1]
@@ -497,24 +495,17 @@ class FiniteCurve:
         order = 1
         for c, part, n_part in ((n_b, powers[:h], n_a), (n_a, powers[h:], n_b)):
             if n_part == part[0][0]:  # one prime f: the f-part of the order is 1 or f
-                order *= 1 if self._kills(c, s, doublings, mult) else n_part
-            elif doublings is None:
+                order *= n_part if self._multiple(c * mult, s, table)[2] else 1
+            elif table is None:
                 order *= self._order_within(self.scalar_mul(c, s), n_part, part)
             else:
-                order *= self._order_within(s, n_part, part, doublings, mult * c)
+                order *= self._order_within(s, n_part, part, table, mult * c)
         return order
 
-    def _kills(self, c: int, s, doublings, mult: int) -> bool:
-        """True iff c * (mult * s) is the identity: killed_by without the
-        table, where mult is 1, and a sum of c * mult from it with one."""
-        if doublings is None:
-            return self.killed_by(c, s)
-        return not self._table_mul(c * mult, doublings)[2]
-
-    def _annihilator(self, t, lo: int, hi: int, odd_only: bool = False, doublings=None, k: int = 1):
-        """Some c >= 1 with c*t = 0, or None if no c in [lo, hi] kills t (no
-        odd c, with odd_only). With doublings, the table of an s with
-        t = k*s, the walk's first point is summed from the table.
+    def _annihilator(self, s, k: int, lo: int, hi: int, odd_only: bool, table):
+        """Some c >= 1 with c*t = 0 for t = k*s, or None if no c in [lo, hi]
+        kills t (no odd c, with odd_only). t and the walk's first point are
+        multiples of s made by _multiple, from s's table or None.
 
         The walk runs over i in steps of u: c = i and u = t, or, with
         odd_only, c = 2i + 1 and u = 2t, with i in [lo // 2, (hi - 1) // 2].
@@ -533,6 +524,7 @@ class FiniteCurve:
         q + 1 (Sato-Tate, for curves without CM). The two additions of a
         step share one inversion (_add_pair).
         """
+        t = self._affine(*self._multiple(k, s, table))
         if t is None:
             return 1
         if odd_only:  # c = step*i + offset for the walk's i
@@ -584,10 +576,7 @@ class FiniteCurve:
         # first step, up + giant and up - giant, shares the one denominator.
         up_centre = down_centre = lo + m + (hi - lo) // 2 // w * w
         start = step * up_centre + offset
-        if doublings is None:
-            up = down = self.scalar_mul(start, t)
-        else:
-            up = down = self._affine(*self._table_mul(k * start, doublings))
+        up = down = self._affine(*self._multiple(k * start, s, table))
         while up_centre - m <= hi or down_centre + m > lo:
             for centre, walk in ((up_centre, up), (down_centre, down)):
                 if lo - m < centre <= hi + m:  # meets [lo, hi]; not the window ending at lo

@@ -9,7 +9,7 @@ import time
 from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
-from .finite import _COMB_MIN_BITS, FiniteCurve, FinitePoint, InvariantViolation, hasse_interval
+from .finite import FiniteCurve, FinitePoint, InvariantViolation
 from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
 
 
@@ -110,11 +110,11 @@ def quotient_equal(ctx: QuotientContext, s: QuotientPoint, t: QuotientPoint) -> 
     return quotient_is_zero(ctx, quotient_add(ctx, s, quotient_neg(ctx, t)))
 
 
-def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings=None) -> bool:
+def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, table=None) -> bool:
     """True iff n * s is zero in the quotient: the value of
     quotient_is_zero(ctx, quotient_scalar_mul(ctx, n, s)), without an
-    inversion. doublings, when given, is curve.doublings(s.rep1, L), and
-    n * rep1 is summed from it (index_of_multiple).
+    inversion. table is rep1's table of doublings (curve.table_of) or
+    None, and n * rep1 is made with it (index_of_multiple).
 
     The points i * K1 are distinct, since K1 has exact order p, so at most
     one i has n * rep1 = i * K1 (index_of_multiple). The pair is in the
@@ -123,7 +123,7 @@ def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings
     projective comparison decides.
     """
     curve = ctx.curve
-    i = curve.index_of_multiple(n, s.rep1, ctx._k1_multiples, doublings)
+    i = curve.index_of_multiple(n, s.rep1, ctx._k1_multiples, table)
     if i is None:
         return False
     k1, k2 = ctx._kernel[i]
@@ -133,7 +133,7 @@ def quotient_killed_by(ctx: QuotientContext, n: int, s: QuotientPoint, doublings
 
 
 def quotient_order(
-    ctx: QuotientContext, s: QuotientPoint, m: int, doublings=None, divisors=None
+    ctx: QuotientContext, s: QuotientPoint, m: int, table=None, divisors=None
 ) -> int:
     """Smallest n >= 1 with n * s zero in the quotient, given the lcm m of
     the orders of s.rep1 and s.rep2.
@@ -142,12 +142,11 @@ def quotient_order(
     divisors of m are tested ascending, so the result is deterministic;
     divisors, when given, is sorted_divisors(m), so that callers with one m
     factorize it once. Each trial is one Jacobian multiple n * rep1 compared
-    with the kernel projectively (quotient_killed_by); with doublings, the
-    table curve.doublings(s.rep1, L) for an L past m's bit length, that
-    multiple is a sum of table entries, with no doubling.
+    with the kernel projectively (quotient_killed_by), made with table,
+    rep1's table of doublings (curve.table_of) or None.
     """
     for n in sorted_divisors(m) if divisors is None else divisors:
-        if quotient_killed_by(ctx, n, s, doublings):
+        if quotient_killed_by(ctx, n, s, table):
             return n
     curve = ctx.curve
     raise InvariantViolation(
@@ -177,16 +176,13 @@ def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     # At p = 2 the kernel generators are the rational 2-torsion points (e, 0),
     # whose x-coordinates narrow point_order's search window.
     two_torsion = (ctx.k1[0], ctx.k2[0]) if ctx.p == 2 else None
-    # Every multiple of r below is at most about the Hasse bound, so its
-    # non-adjacent form has at most one digit more than the bound's bits. From
-    # _COMB_MIN_BITS such bits on, point_order and both sweeps sum those
-    # multiples from one table of r's doublings.
-    bits = hasse_interval(curve.q)[1].bit_length()
-    doublings = curve.doublings(r, bits + 1) if bits >= _COMB_MIN_BITS else None
-    ord_r = curve.point_order(r, two_torsion, doublings)
+    # point_order and both sweeps make every multiple of r with one table of
+    # r's doublings at large q, and by the double-and-add below it.
+    table = curve.table_of(r)
+    ord_r = curve.point_order(r, two_torsion, table)
     divisors = sorted_divisors(ord_r)
-    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, doublings, divisors)
-    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, doublings, divisors)
+    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, table, divisors)
+    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, table, divisors)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     return PrimeRecord(
         q=curve.q,

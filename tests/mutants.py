@@ -44,7 +44,7 @@ T_FINITE, T_QUOTIENT, T_ENDO = "test_finite.py", "test_quotient.py", "test_endo.
 T_ARITH, T_SCAN, T_SYMPY = "test_arith.py", "test_scan_cli.py", "test_sympy_oracles.py"
 
 MUTANTS = (
-    # _jacobian_mul, the one double-and-add behind scalar_mul and killed_by:
+    # _jacobian_mul, the one double-and-add behind scalar_mul and _multiple:
     # its degenerate cases.
     Mutant(
         FINITE,
@@ -55,9 +55,9 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "for bit in bin(abs(n))[3:]:",
-        "for bit in bin(n)[3:]:",
-        "_jacobian_mul: a negative n reads the sign and 'b' as bits",
+        "else self._multiple(abs(n), s, table)",
+        "else self._multiple(n, s, table)",
+        "index_of_multiple: a negative n passed on, so the double-and-add reads the sign and 'b' as bits",
         (T_FINITE,),
     ),
     Mutant(
@@ -199,10 +199,10 @@ MUTANTS = (
         FINITE,
         "if n.bit_length() < len(table):",
         "if n.bit_length() <= len(table):",
-        "_table_mul: an n of L bits, whose NAF may have a digit at L, summed from a table of length L",
+        "_multiple: an n of L bits, whose NAF may have a digit at L, summed from a table of length L",
         (T_FINITE,),
     ),
-    # The sums each table keeps (_Doublings.sums, filled by _table_mul).
+    # The sums each table keeps (_Doublings.sums, filled by _multiple).
     Mutant(
         FINITE,
         "def __new__(cls, entries):\n        self = super().__new__(cls, entries)\n        self.sums = {}",
@@ -214,43 +214,43 @@ MUTANTS = (
         FINITE,
         "total = table.sums.get(n)\n        if total is None:",
         "total = table.sums.get(n >> 1)\n        if total is None:",
-        "_table_mul: a sum looked up under n >> 1, not n",
+        "_multiple: a sum looked up under n >> 1, not n",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "table.sums[n] = total",
         "table.sums[n + 1] = total",
-        "_table_mul: a sum kept under n + 1, not the n that was summed",
+        "_multiple: a sum kept under n + 1, not the n that was summed",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "total = table.sums.get(n)",
         "total = None",
-        "_table_mul: the kept sums never read, so each repeated n is summed again",
+        "_multiple: the kept sums never read, so each repeated n is summed again",
         (T_FINITE, T_QUOTIENT),
     ),
-    # An even n whose half is kept: one doubling of that half (_table_mul).
+    # An even n whose half is kept: one doubling of that half (_multiple).
     Mutant(
         FINITE,
         "half = None if n & 1 else table.sums.get(n >> 1)",
         "half = table.sums.get(n >> 1)",
-        "_table_mul: the parity guard dropped, so an odd n is doubled from n >> 1",
+        "_multiple: the parity guard dropped, so an odd n is doubled from n >> 1",
         (T_FINITE, T_QUOTIENT),
     ),
     Mutant(
         FINITE,
         "else table.sums.get(n >> 1)",
         "else table.sums.get(n >> 2)",
-        "_table_mul: the half of an even n read as n >> 2",
+        "_multiple: the half of an even n read as n >> 2",
         (T_FINITE, T_QUOTIENT),
     ),
     Mutant(
         FINITE,
         "table.sums[n] = total",
         "if half is None:\n                table.sums[n] = total",
-        "_table_mul: a sum doubled from a kept half is not kept itself",
+        "_multiple: a sum doubled from a kept half is not kept itself",
         (T_FINITE, T_QUOTIENT),
     ),
     # _comb's signed digits: the non-adjacent form read off n and 3n.
@@ -278,8 +278,8 @@ MUTANTS = (
     # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(
         FINITE,
-        "while n > floor and self._kills(n // f, s, doublings, mult):",
-        "if n > floor and self._kills(n // f, s, doublings, mult):",
+        "while n > floor and not self._multiple(n // f * mult, s, table)[2]:",
+        "if n > floor and not self._multiple(n // f * mult, s, table)[2]:",
         "_order_within: the strip removes one power of each prime only",
         (T_FINITE,),
     ),
@@ -292,7 +292,7 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "order *= 1 if self._kills(c, s, doublings, mult) else n_part",
+        "order *= n_part if self._multiple(c * mult, s, table)[2] else 1",
         "order *= n_part",
         "_order_within: a half that is one prime taken into the order unchecked",
         (T_FINITE,),
@@ -304,31 +304,45 @@ MUTANTS = (
         "point_order: the annihilator of 4s taken back to s with the wrong factor",
         (T_FINITE,),
     ),
-    # point_order from the table of s's doublings.
+    # Every multiple of s from one dispatcher (_multiple), with s's table or None.
     Mutant(
         FINITE,
-        "else doublings[v]",
-        "else doublings[v - 1]",
-        "point_order: the search point 2^v * s read off the table as 2^(v-1) * s",
+        "if table is None:\n            return self._jacobian_mul(n, s)",
+        "return self._jacobian_mul(n, s)",
+        "_multiple: a given table ignored, every multiple by the double-and-add (same output, no sums)",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "t = self._affine(*self._multiple(k, s, table))",
+        "t = self._affine(*self._multiple(k >> 1, s, table))",
+        "_annihilator: the search point 2^v * s formed as 2^(v-1) * s",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "self._table_mul(k * start, doublings)",
-        "self._table_mul(start, doublings)",
-        "_annihilator: the walk's first point summed without the factor k of t = k*s",
+        "self._multiple(k * start, s, table)",
+        "self._multiple(start, s, table)",
+        "_annihilator: the walk's first point made without the factor k of t = k*s",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "self._table_mul(c * mult, doublings)",
-        "self._table_mul(c, doublings)",
-        "_order_within: a kill test below the top sums c, not c * mult, from the table",
+        "self._multiple(c * mult, s, table)",
+        "self._multiple(c, s, table)",
+        "_order_within: a one-prime kill test below the top makes c, not c * mult, from the table",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "floor = f if doublings is None else 1",
+        "self._multiple(n // f * mult, s, table)",
+        "self._multiple(n // f, s, table)",
+        "_order_within: a strip's kill test below the top makes n/f, not n/f * mult, from the table",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "floor = f if table is None else 1",
         "floor = f",
         "_order_within: the table's strip stops at f, so an unseen identity gets order f",
         (T_FINITE,),
@@ -464,8 +478,8 @@ MUTANTS = (
     ),
     Mutant(
         QUOTIENT,
-        "QuotientPoint(r, r), ord_r, doublings, divisors)",
-        "QuotientPoint(r, r), ord_r, doublings)",
+        "QuotientPoint(r, r), ord_r, table, divisors)",
+        "QuotientPoint(r, r), ord_r, table)",
         "evaluate_prime: the sweep for Q factorizes ord_R again",
         (T_QUOTIENT,),
     ),

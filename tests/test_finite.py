@@ -243,13 +243,13 @@ def test_point_order_group_order_not_divisible_by_4():
 
 
 def test_annihilator_stays_within_its_windows():
-    # _annihilator(t, lo, hi) returns a c with c*t = 0, or None only when no
-    # multiple of the order lies in [lo, hi]. c is the order itself when that
-    # is at most m + 1 (m the baby-step count), else lo <= c <= hi + 2m, the
-    # last window overhanging hi by at most 2m. lo runs just above a multiple
-    # of the order, where a lane that went on probing below lo would find
-    # one; the widths vary how many windows the up lane has beyond the down
-    # lane's.
+    # _annihilator(s, 1, lo, hi, False, None) returns a c with c*t = 0 (t = s),
+    # or None only when no multiple of the order lies in [lo, hi]. c is the
+    # order itself when that is at most m + 1 (m the baby-step count), else
+    # lo <= c <= hi + 2m, the last window overhanging hi by at most 2m. lo
+    # runs just above a multiple of the order, where a lane that went on
+    # probing below lo would find one; the widths vary how many windows the
+    # up lane has beyond the down lane's.
     curve = FiniteCurve(997, -21, -20)
     for s in all_points(curve)[1::97]:
         order = order_by_walk(curve.add, s)
@@ -257,7 +257,7 @@ def test_annihilator_stays_within_its_windows():
             m = isqrt((width + 1) // 4) + 2  # at least the code's m
             for lo in range(order + 1, order + 2 * m + 3):
                 hi = lo + width
-                c = curve._annihilator(s, lo, hi)
+                c = curve._annihilator(s, 1, lo, hi, False, None)
                 if c is None:
                     assert all(n % order for n in range(lo, hi + 1)), (s, lo, hi)
                 else:
@@ -278,7 +278,8 @@ def test_killed_by_every_point_of_small_fields():
                 for s in all_points(curve):
                     order = order_by_walk(curve.add, s)
                     for n in range(-2 * order - 1, 2 * order + 2):
-                        assert curve.killed_by(n, s) is (n % order == 0), (q, a, b, s, n)
+                        killed = curve.index_of_multiple(n, s, (None,)) == 0
+                        assert killed is (n % order == 0), (q, a, b, s, n)
 
 
 def test_killed_by_large_fields():
@@ -288,7 +289,8 @@ def test_killed_by_large_fields():
         assert curve.contains(s)
         n = curve.point_order(s)
         for m in (n, -n, 2 * n, n + 1, n - 1, *(n // f for f in factorize(n))):
-            assert curve.killed_by(m, s) is (curve.scalar_mul(m, s) is None) is (m % n == 0), (q, m)
+            killed = curve.index_of_multiple(m, s, (None,)) == 0
+            assert killed is (curve.scalar_mul(m, s) is None) is (m % n == 0), (q, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,7 +320,8 @@ def test_killed_by_matches_scalar_mul_and_walk(data):
         ),
         label="n",
     )
-    assert curve.killed_by(n, s) is (curve.scalar_mul(n, s) is None) is (n % order == 0)
+    killed = curve.index_of_multiple(n, s, (None,)) == 0
+    assert killed is (curve.scalar_mul(n, s) is None) is (n % order == 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,7 +475,7 @@ def test_signed_comb_against_the_naf_oracle_on_small_fields():
     # 2^(L-1), L = 4 + the bit length of the order. Walking the oracle's
     # non-adjacent form of n through the multiples of s mod its order, _comb
     # returns None exactly where the running sum meets the entry it adds, a
-    # doubling, and otherwise n*s; _table_mul always returns n*s. Both
+    # doubling, and otherwise n*s; _multiple always returns n*s. Both
     # degenerate sums, the doubling and the return to the identity with
     # digits still to come, are met.
     seen = set()
@@ -503,19 +506,19 @@ def test_signed_comb_against_the_naf_oracle_on_small_fields():
                     assert total is None, (q, s, n)
                 else:
                     assert curve._affine(*total) == multiple, (q, s, n)
-                assert curve._affine(*curve._table_mul(n, table)) == multiple, (q, s, n)
+                assert curve._affine(*curve._multiple(n, s, table)) == multiple, (q, s, n)
     assert seen == {"doubling", "identity on the way"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_table_mul_matches_scalar_mul(data):
-    # _table_mul against scalar_mul, at q < 400 (points of 2-power order
-    # half the time) or at q in [10^3, 10^12], for n over [0, 2^L): an n of
-    # L bits falls back to the double-and-add. n = 2^L - 1 is one: its
-    # non-adjacent form 2^L - 1 has a digit at L, one past the table. From
-    # the table one entry longer _comb sums it, unless the sum would double
-    # (a point of small order, even at large q).
+    # _multiple with the table against scalar_mul, at q < 400 (points of
+    # 2-power order half the time) or at q in [10^3, 10^12], for n over
+    # [0, 2^L): an n of L bits falls back to the double-and-add. n = 2^L - 1
+    # is one: its non-adjacent form 2^L - 1 has a digit at L, one past the
+    # table. From the table one entry longer _comb sums it, unless the sum
+    # would double (a point of small order, even at large q).
     small = data.draw(st.booleans(), label="q < 400")
     curve, s, order = draw_curve_and_point(data, small)
     assume(s is not None)  # index_of_multiple answers the identity first
@@ -523,7 +526,7 @@ def test_table_mul_matches_scalar_mul(data):
     table = curve.doublings(s, length)
     top = 1 << length
     n = data.draw(st.integers(0, top - 1) | st.sampled_from([0, top - 1, top // 2 - 1]), label="n")
-    assert curve._affine(*curve._table_mul(n, table)) == curve.scalar_mul(n, s), (curve, s, n)
+    assert curve._affine(*curve._multiple(n, s, table)) == curve.scalar_mul(n, s), (curve, s, n)
     total = curve._comb(top - 1, curve.doublings(s, length + 1))
     if total is not None:
         assert curve._affine(*total) == curve.scalar_mul(top - 1, s), (curve, s, length)
@@ -555,7 +558,7 @@ def test_table_mul_keeps_each_tables_sums(data):
     calls = data.draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(pool)), max_size=24), label="calls")
     for i, n in calls + [(i, n) for n in pool for i in (0, 1)]:
         (c, t), table = pairs[i], tables[i]
-        assert c._affine(*c._table_mul(n, table)) == c.scalar_mul(n, t), (c, t, n, i)
+        assert c._affine(*c._multiple(n, t, table)) == c.scalar_mul(n, t), (c, t, n, i)
 
 
 def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
@@ -586,7 +589,7 @@ def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
             for u, table in tables.items():
                 made.clear()
                 doubled = not n & 1 and n >> 1 in table.sums
-                total = curve._table_mul(n, table)
+                total = curve._multiple(n, u, table)
                 if again or doubled:
                     assert not made, (u, n, made)
                 else:
@@ -629,7 +632,7 @@ def test_table_mul_doubles_kept_halves(data):
     for n in fresh:
         calls.insert(data.draw(st.integers(0, len(calls)), label="at"), n)
     for n in calls:
-        total = curve._table_mul(n, table)
+        total = curve._multiple(n, s, table)
         assert total is table.sums[n], (curve, s, n)
         assert curve._affine(*total) == curve.scalar_mul(n, s), (curve, s, n, calls)
 
@@ -675,8 +678,8 @@ def test_point_order_with_doublings_runs_the_same_searches(monkeypatch):
     calls = []
     annihilator = FiniteCurve._annihilator
 
-    def spy(self, t, lo, hi, odd_only=False, **table):
-        calls.append((t, lo, hi, odd_only, annihilator(self, t, lo, hi, odd_only, **table)))
+    def spy(self, s, k, lo, hi, odd_only, table):
+        calls.append((s, k, lo, hi, odd_only, annihilator(self, s, k, lo, hi, odd_only, table)))
         return calls[-1][-1]
 
     monkeypatch.setattr(FiniteCurve, "_annihilator", spy)
@@ -759,7 +762,7 @@ def test_window_is_read_only_above_the_crossover(monkeypatch):
 
 
 def test_odd_annihilator_stays_within_its_windows():
-    # _annihilator(t, lo, hi, odd_only=True) returns a c with c*t = 0, or None
+    # _annihilator(s, 1, lo, hi, True, None) returns a c with c*t = 0, or None
     # only when no odd multiple of the order lies in [lo, hi]. A giant-step
     # match is odd and at least lo; a baby step that meets the identity
     # gives an even c at most 2(m + 1), m the baby-step count.
@@ -770,7 +773,7 @@ def test_odd_annihilator_stays_within_its_windows():
             m = isqrt((width // 2 + 1) // 4) + 2  # at least the code's m
             for lo in range(order + 1, order + 4 * m + 5):
                 hi = lo + width
-                c = curve._annihilator(s, lo, hi, odd_only=True)
+                c = curve._annihilator(s, 1, lo, hi, True, None)
                 if c is None:
                     assert all(n % order for n in range(lo | 1, hi + 1, 2)), (s, lo, hi)
                 else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_points, coset_order_by_walk, isomorphic_config, order_by_walk
-from suppscan import quotient
+from suppscan import finite, quotient
 from suppscan.arith import is_prime, primes_up_to, sorted_divisors, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
 from suppscan.quotient import (
@@ -157,7 +157,7 @@ def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
     monkeypatch.setattr(quotient, "quotient_killed_by", spy)
     monkeypatch.setattr(quotient, "sorted_divisors", spy_divisors)
     hasse_bits = [hasse_interval(q)[1].bit_length() for q in (10**4, 99991)]
-    assert hasse_bits[0] < quotient._COMB_MIN_BITS <= hasse_bits[1] == 17
+    assert hasse_bits[0] < finite._COMB_MIN_BITS <= hasse_bits[1] == 17
     for q, ord_r in ((7, 6), (83, 24), (99991, 16622)):
         tried.clear()
         listed.clear()
@@ -277,11 +277,12 @@ def test_quotient_order_random_split_curves(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_evaluate_prime_same_with_and_without_doublings(data):
-    # Random split curves at a prime q in [10^3, 10^9], r a random point:
-    # the table built at every prime, for point_order (its windowed search
-    # above 2 * 10^7 included) and both sweeps, against the double-and-add
-    # at every one.
-    q = data.draw(st.integers(10**3, 10**9), label="start")
+    # Random split curves at a prime q in [10^3, 10^9], or from 5 up, where
+    # tables are tiny, end in the identity and r may have 2-power order
+    # (ord_R = 4 at q = 5); r a random point: the table built at every
+    # prime, for point_order (its windowed search above 2 * 10^7 included)
+    # and both sweeps, against the double-and-add at every one.
+    q = data.draw(st.integers(10**3, 10**9) | st.integers(5, 10**3), label="start")
     while not is_prime(q):
         q += 1
     e1 = data.draw(st.integers(0, q - 1), label="e1")
@@ -295,7 +296,7 @@ def test_evaluate_prime_same_with_and_without_doublings(data):
         x = (x + 1) % q
     records = []
     for bits in (0, 10**9):
-        with mock.patch.object(quotient, "_COMB_MIN_BITS", bits):
+        with mock.patch.object(finite, "_COMB_MIN_BITS", bits):
             records.append(evaluate_prime(ctx, RationalPoint(x, y))._replace(elapsed_us=0))
     assert records[0] == records[1], (ctx, x, y)
 
@@ -349,12 +350,12 @@ def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
     ctxs = {}
     for q in primes_up_to(17000):
         bits = hasse_interval(q)[1].bit_length()
-        if q > 15000 and (bits < quotient._COMB_MIN_BITS or bits not in ctxs):
+        if q > 15000 and (bits < finite._COMB_MIN_BITS or bits not in ctxs):
             try:
                 ctxs[bits] = make_context(DEFAULT, R1, R2, 2, q)
             except ValueError:
                 pass
-    assert sorted(ctxs) == [14, 15] == [quotient._COMB_MIN_BITS - 1, quotient._COMB_MIN_BITS]
+    assert sorted(ctxs) == [14, 15] == [finite._COMB_MIN_BITS - 1, finite._COMB_MIN_BITS]
     for bits, ctx in sorted(ctxs.items()):
         tables.clear()
         given.clear()
@@ -370,30 +371,30 @@ def test_evaluate_prime_either_side_of_the_crossover(monkeypatch):
             coset_order_by_walk(curve.add, ctx.kernel(), (r, r)),
         )
         assert (rec.ord_r, rec.ord_p, rec.ord_q) == walked, ctx.curve.q
-        other_path = 0 if bits < quotient._COMB_MIN_BITS else 10**9
-        with mock.patch.object(quotient, "_COMB_MIN_BITS", other_path):
+        other_path = 0 if bits < finite._COMB_MIN_BITS else 10**9
+        with mock.patch.object(finite, "_COMB_MIN_BITS", other_path):
             assert evaluate_prime(ctx, R)._replace(elapsed_us=0) == rec._replace(elapsed_us=0)
 
 
 def spy_on_the_table(monkeypatch):
     """Spy on evaluate_prime's table of r's doublings: a list of
-    (sweep, n, kept, halved, made) per _table_mul call, where sweep is "P"
+    (sweep, n, kept, halved, made) per _multiple call, where sweep is "P"
     or "Q" inside a quotient-order sweep and None before them, kept and
     halved say whether n itself or, for an even n, its half was in the
     table's sums before the call, and made lists the (kind, n) of each
     _comb ("comb") and _jacobian_mul ("jac") call the call made."""
     sweep, calls, made = [None], [], []
-    order, table_mul = quotient.quotient_order, FiniteCurve._table_mul
+    order, multiple = quotient.quotient_order, FiniteCurve._multiple
     comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
 
     def spy_order(ctx, s, m, doublings=None, divisors=None):
         sweep[0] = "Q" if s.rep2 is not None else "P"
         return order(ctx, s, m, doublings, divisors)
 
-    def spy_table_mul(self, n, table):
+    def spy_multiple(self, n, s, table):
         kept, halved = n in table.sums, not n & 1 and n >> 1 in table.sums
         before = len(made)
-        total = table_mul(self, n, table)
+        total = multiple(self, n, s, table)
         calls.append((sweep[0], n, kept, halved, made[before:]))
         return total
 
@@ -406,7 +407,7 @@ def spy_on_the_table(monkeypatch):
         return jacobian_mul(self, n, s)
 
     monkeypatch.setattr(quotient, "quotient_order", spy_order)
-    monkeypatch.setattr(FiniteCurve, "_table_mul", spy_table_mul)
+    monkeypatch.setattr(FiniteCurve, "_multiple", spy_multiple)
     monkeypatch.setattr(FiniteCurve, "_comb", spy_comb)
     monkeypatch.setattr(FiniteCurve, "_jacobian_mul", spy_jacobian_mul)
     return calls

@@ -471,7 +471,7 @@ def test_cli_unequal_orders_name_each_prime_and_a_repro_line(tmp_path, capsys, m
 def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
     # A scan at p = 2 passes the kernel's 2-torsion x-coordinates, and the
     # repro line repeats them, so it takes the same path as the scan.
-    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, t, lo, hi, odd_only=False, **table: None)
+    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, s, k, lo, hi, odd_only, table: None)
     path = write_config(tmp_path, small_config(bound=50))
     out = ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")]
     assert cli_main(["scan", "--config", path, *out]) == 3
@@ -495,7 +495,7 @@ def test_point_order_repro_line_takes_the_windowed_path(monkeypatch):
     # windowed search again.
     calls = []
 
-    def no_annihilator(self, t, lo, hi, odd_only=False, **table):
+    def no_annihilator(self, s, k, lo, hi, odd_only, table):
         calls.append((lo, hi, odd_only))
         return None
 

@@ -68,7 +68,7 @@ def test_killed_by_matches_sympy(q, a, b):
     curve = FiniteCurve(q, a, b)
     for s, order in sympy_orders(EllipticCurve(a, b, modulus=q)).items():
         for n in range(-2 * order - 1, 2 * order + 2):
-            assert curve.killed_by(n, s) is (n % order == 0), (s, n)
+            assert (curve.index_of_multiple(n, s, (None,)) == 0) is (n % order == 0), (s, n)
 
 
 def test_order_of_r_matches_sympy_at_every_good_prime_below_2000():
