@@ -1,4 +1,4 @@
-"""Exact integer helpers: primality, sieves, factoring, divisors, square roots mod p."""
+"""Exact integer helpers: primality, sieves, factoring, divisors, quadratic residues mod p."""
 
 from bisect import bisect_right
 from functools import lru_cache
@@ -134,30 +134,43 @@ def sorted_divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n), odd n >= 1: at a prime n, 1, -1 or 0 as a is
+    a nonzero square, a non-square or 0 mod n. Binary reciprocity, with no
+    exponentiation (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.4.10): a factor 2 of a flips the sign at n = 3, 5 mod 8, and a
+    swap of a and n flips it when both are 3 mod 4."""
+    a, t = a % n, 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & 3 == 3 and n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def sqrt_mod(a: int, q: int):
     """A square root of a modulo the odd prime q, or None when a is not a
     square mod q (Tonelli-Shanks: Cohen, A Course in Computational Algebraic
     Number Theory, Algorithm 1.5.1).
 
-    With q - 1 = 2^e * odd, one exponentiation gives r = a^((odd + 1)/2) and
-    t = a^odd, with r^2 = a*t and t in the 2-Sylow subgroup of F_q*. a is a
-    square iff t^(2^(e-1)) = 1 (Euler's criterion), e - 1 squarings past t.
-    Each step of the loop multiplies t by a square of the subgroup until
-    t = 1, and r by its root.
+    The Jacobi symbol decides squareness, so a non-square costs no
+    exponentiation. With q - 1 = 2^e * odd, one exponentiation gives
+    r = a^((odd + 1)/2) and t = a^odd, with r^2 = a*t and t in the 2-Sylow
+    subgroup of F_q*; each step of the loop multiplies t by a square of the
+    subgroup until t = 1, and r by its root.
     """
     a %= q
-    if a == 0:
-        return 0
+    if jacobi(a, q) != 1:
+        return None if a else 0
     e = ((q - 1) & (1 - q)).bit_length() - 1
     odd = (q - 1) >> e
     w = pow(a, odd >> 1, q)
     r = a * w % q
     t = r * w % q
-    u = t
-    for _ in range(e - 1):
-        u = u * u % q
-    if u != 1:
-        return None
     if t == 1:
         return r
     c, m = _two_sylow_generator(q, odd), e  # c has order 2^m, t order 2^i, i < m
@@ -178,7 +191,7 @@ def _two_sylow_generator(q: int, odd: int) -> int:
     of the 2-Sylow subgroup of F_q*. Kept for the last q, since sqrt_mod is
     called at one q many times in a row."""
     z = 2
-    while pow(z, (q - 1) // 2, q) == 1:
+    while jacobi(z, q) == 1:
         z += 1
     return pow(z, odd, q)
 

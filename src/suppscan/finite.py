@@ -7,21 +7,21 @@ one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
 inverts its final Z once to return an affine point, while index_of_multiple
 compares the multiple with affine points projectively, inverting nothing.
 At large q a point's multiples can instead come from one table of its
-doublings (table_of): _comb sums the entries at the signed digits of the
-scalar's non-adjacent form, by additions alone. _multiple alone picks the
-table or the double-and-add for every multiple inside index_of_multiple and
-point_order. The table keeps each sum it has made, so a multiple asked for
-twice, say by both quotient-order sweeps of one prime, is summed once, and
-an even multiple whose half is kept is that half doubled (_double), not a
-sum. Orders come from a baby-step/giant-step annihilator search over the
-Hasse interval, whose steps run in pairs of lanes, followed by a recursive
-strip of the annihilator's prime powers, so no full point count is ever
-needed in the scanning path.
+doublings (table_of, a chain of add): _comb sums the entries at the signed
+digits of the scalar's non-adjacent form, by additions alone. _multiple
+alone picks the table or the double-and-add for every multiple inside
+index_of_multiple and point_order. The table keeps each sum it has made,
+so a multiple asked for twice, say by both quotient-order sweeps of one
+prime, is summed once, and an even multiple whose half is kept is that
+half doubled (_double), not a sum. Orders come from a baby-step/giant-step
+annihilator search over the Hasse interval, whose steps run in pairs of
+lanes, then a recursive split of the annihilator's prime powers, each
+climbed to its part of the order: no point count is ever needed.
 """
 
 from math import isqrt
 
-from .arith import factorize, is_prime, sqrt_mod
+from .arith import factorize, is_prime, jacobi, sqrt_mod
 
 FinitePoint = tuple[int, int] | None
 
@@ -234,37 +234,19 @@ class FiniteCurve:
         length >= 1, the identity as None: a tuple that also keeps, in its
         attribute sums, every multiple of s that _multiple makes from it.
 
-        length - 1 Jacobian doublings (_double), then one inversion for all
-        the Zs by Montgomery's trick (Math. Comp. 48, 1987): with the prefix
-        products P_j = Z_1 * ... * Z_j, P_0 = 1, and I = 1/P_j, 1/Z_j =
-        I * P_(j-1) and 1/P_(j-1) = I * Z_j, from the last entry down. Once
-        a doubling meets the identity (s of 2-power order), every later
-        entry is the identity.
+        A chain of length - 1 doublings by add, one inversion each: near
+        q = 10^10 it took 0.83x the time of Jacobian doublings sharing one
+        inversion (README). After a doubling meets the identity (s of
+        2-power order), every entry is the identity.
         """
-        if s is None:
-            return _Doublings((None,) * length)
-        q = self.q
-        X, Y, Z = s[0], s[1], 1
-        jacobian, prefix = [], [1]  # 2^j * s at index j - 1, P_j at index j
+        table = [s]
         for _ in range(length - 1):
-            X, Y, Z = self._double(X, Y, Z)
-            if not Z:
-                break
-            jacobian.append((X, Y, Z))
-            prefix.append(prefix[-1] * Z % q)
-        table = [s] + [None] * (length - 1)
-        inv = pow(prefix[-1], -1, q)
-        for j in range(len(jacobian), 0, -1):
-            X, Y, Z = jacobian[j - 1]
-            zi = inv * prefix[j - 1] % q
-            inv = inv * Z % q
-            zz = zi * zi % q
-            table[j] = X * zz % q, Y * zz * zi % q
+            table.append(self.add(table[-1], table[-1]))
         return _Doublings(table)
 
     def _double(self, X: int, Y: int, Z: int):
-        """2 * (X : Y : Z) in Jacobian coordinates, the doubling of
-        _jacobian_mul; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion."""
+        """2 * (X : Y : Z) in Jacobian coordinates for _multiple's kept
+        halves; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion."""
         q = self.q
         YY = Y * Y % q
         S = 4 * X * YY % q
@@ -283,13 +265,12 @@ class FiniteCurve:
         double) the double-and-add.
 
         Each result is kept in table.sums under n and read back when n comes
-        again: point_order's searches and strip and both quotient-order
+        again: point_order's searches and climbs and both quotient-order
         sweeps of a prime share one table, and the sweep for Q asks for the
-        multiples the sweep for P has just made. The sweep for P tries the
-        divisors of ord_R ascending, so the half of each even one is kept by
-        then, and only its odd divisors are summed. A half that is the
-        identity or of order 2 doubles to Z = 0, the identity, with no
-        branch of its own.
+        multiples the sweep for P has just made. The sweep for P (divisors
+        of ord_R ascending) and a climb up a power of 2 ask for n/2 before
+        n, so only odd scalars are summed. A half that is the identity or
+        of order 2 doubles to Z = 0, the identity, with no branch of its own.
         """
         if table is None:
             return self._jacobian_mul(n, s)
@@ -374,7 +355,7 @@ class FiniteCurve:
         interval. Cost is O(q^(1/4)) group operations.
 
         Each search's point k*s, its walk's first point and each kill test
-        of the strip are made by _multiple with table, s's table_of or None;
+        of the climbs are made by _multiple with table, s's table_of or None;
         the result does not depend on the table.
         """
         if s is None:
@@ -405,21 +386,21 @@ class FiniteCurve:
         E(F_q)[2^inf] is Z/2^alpha x Z/2^beta with 1 <= alpha <= beta, and by
         2-descent a point (x, y) lies in 2E(F_q) iff every x - e_i is a
         square (Knapp, Elliptic Curves, Thm 4.2); for T_i = (e_i, 0) that
-        reads e_i - e_j square for both j != i. No T_i halves iff beta = 1:
-        v = 2. All three halve iff alpha >= 2: v >= 4, a lower bound.
-        Otherwise alpha = 1, and the one T_i that halves spans
-        2^(beta-1) * Z/2^beta. Its branch is walked up by halving, one level
-        a step, until no half of the point reached halves again: v = 1 + beta.
-        The halves of a point differ by 2-torsion, so some half halves iff
-        the half Q found or Q + T_j does, for a T_j that does not halve.
-        Raises ValueError unless e1 and e2 are two distinct roots.
+        reads e_i - e_j square for both j != i: three Jacobi symbols and the
+        character of -1. No T_i halves iff beta = 1: v = 2. All three halve
+        iff alpha >= 2: v >= 4, a lower bound. Otherwise alpha = 1, and the
+        one T_i that halves spans 2^(beta-1) * Z/2^beta. Its branch is walked
+        up by halving, one level a step, until no half of the point reached
+        halves again: v = 1 + beta. The halves of a point differ by
+        2-torsion, so some half halves iff the half Q found or Q + T_j does,
+        for a T_j that does not halve. Raises ValueError unless e1 and e2
+        are two distinct roots.
         """
         q, a, b = self.q, self.a, self.b
         roots = e1, e2, e3 = e1 % q, e2 % q, -(e1 + e2) % q
         if e1 == e2 or (e1**3 + a * e1 + b) % q or (e2**3 + a * e2 + b) % q:
             raise ValueError(f"{e1} and {e2} are not two roots of x^3 + {a}x + {b} mod {q}")
-        h = (q - 1) // 2
-        c12, c13, c23 = (1 if pow(d, h, q) == 1 else -1 for d in (e1 - e2, e1 - e3, e2 - e3))
+        c12, c13, c23 = (jacobi(d, q) for d in (e1 - e2, e1 - e3, e2 - e3))
         eps = 1 if q % 4 == 1 else -1  # the character of -1: e_j - e_i = -(e_i - e_j)
         halves = (c12 == c13 == 1, eps * c12 == c23 == 1, eps * c13 == eps * c23 == 1)
         if not any(halves):
@@ -471,22 +452,21 @@ class FiniteCurve:
         about log n bits in all. The halves are split by size: A is the
         longest head with n_A <= sqrt(n), but at least one prime power and
         not all, so that a large prime stands alone and ends its branch. A
-        single prime power is stripped while n/f kills u.
+        single prime power n = f^e climbs to the least f^j < n that kills u, or n.
 
         Without a table, u = s, and each level multiplies its point for the
-        next. With s's table of doublings, u is never formed: the level
-        below gets mult * c, and a kill test c * u = 0 makes c * mult
-        (_multiple). As u may then be the identity unseen, that strip runs
-        down to 1, not to f.
+        next; u, formed, is not the identity, so the climb starts at f. With
+        s's table, u is never formed (the level below gets mult * c, and c * u
+        is c * mult from _multiple) and may be the identity, so it starts at 1.
         """
         if s is None:
             return 1
         if len(powers) == 1:
             f = powers[0][0]
-            floor = f if table is None else 1
-            while n > floor and not self._multiple(n // f * mult, s, table)[2]:
-                n //= f
-            return n
+            k = f if table is None else 1
+            while k < n and self._multiple(k * mult, s, table)[2]:
+                k *= f
+            return k
         h, n_a = 1, powers[0][1]
         while h < len(powers) - 1 and (n_a * powers[h][1]) ** 2 <= n:
             n_a *= powers[h][1]

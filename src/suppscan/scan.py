@@ -310,20 +310,21 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
 
     Worker w evaluates the stripe good[w::workers], so the costly large q
     are shared out evenly, and pickles its records, or the exception that
-    stopped it, back through its own pipe. A worker that ends without an
-    answer is an InvariantViolation naming it, its signal and the first and
-    last q of its stripe. Every child is reaped, the unfinished ones killed
-    first when the sweep fails. A worker whose parent has died, say by
-    SIGTERM, exits before its next prime: it checks os.getppid() between
-    primes.
+    stopped it, back through its own pipe. The parent waits on all pipes at
+    once and reaps each worker at its pipe's end: one that ends without an
+    answer is at once an InvariantViolation naming it, its signal and the
+    first and last q of its stripe. Every child is reaped, the unfinished
+    ones killed first when the sweep fails. A worker whose parent has died,
+    say by SIGTERM, exits before its next prime: it checks os.getppid().
     """
     # Imported here, not at module level: only this branch uses them.
     import pickle
+    import selectors
     import signal
 
-    children = []  # (pid, read end of its pipe), in worker order
-    reaped = 0
+    children = {}  # worker -> (pid, read end of its pipe), until reaped
     parent = os.getpid()
+    selector = selectors.DefaultSelector()
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -346,12 +347,18 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        records = [None] * len(good)
-        for w, (pid, pipe) in enumerate(children):
-            data = pipe.read()
+            children[w] = pid, read_fd
+            selector.register(read_fd, selectors.EVENT_READ, w)
+        records, data = [None] * len(good), {w: bytearray() for w in children}
+        while children:
+            w = selector.select()[0][0].data
+            pid, fd = children[w]
+            if chunk := os.read(fd, 1 << 16):
+                data[w] += chunk
+                continue
+            selector.unregister(fd)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped += 1
+            os.close(children.pop(w)[1])
             if code:
                 how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
                 qs = good[w::workers]
@@ -359,15 +366,15 @@ def _forked_sweep(config: LabConfig, good: list, workers: int) -> list:
                     f"sweep worker {w} of {workers} ended without its records ({how}); "
                     f"its stripe runs from q = {qs[0]} to q = {qs[-1]}"
                 )
-            stripe = pickle.loads(data)
+            stripe = pickle.loads(data.pop(w))
             if isinstance(stripe, BaseException):
                 raise stripe
             records[w::workers] = stripe
         return records
     finally:
-        for _, pipe in children:
-            pipe.close()
-        for pid, _ in children[reaped:]:
+        selector.close()
+        for pid, fd in children.values():
+            os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

@@ -148,23 +148,16 @@ MUTANTS = (
     # doublings and _comb: the table of a point's doublings and its sums.
     Mutant(
         FINITE,
-        "table[j] = X * zz % q, Y * zz * zi % q",
-        "table[j - 1] = X * zz % q, Y * zz * zi % q",
-        "doublings: 2^j * s stored at index j - 1",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "zi = inv * prefix[j - 1] % q",
-        "zi = inv * prefix[j] % q",
-        "doublings: 1/Z_j from the prefix product P_j, not P_(j-1)",
+        "table.append(self.add(table[-1], table[-1]))",
+        "table.append(self.add(table[0], table[0]))",
+        "doublings: every entry past s doubles s, not the entry before it",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
         "8 * YY * YY) % q, 2 * Y * Z % q",
         "8 * YY * YY) % q, (2 * Y * Z % q) or Z",
-        "_double: doubling a point of order 2 stays finite, so no entry of doublings is the identity",
+        "_double: a kept half of order 2 doubles to a finite point, not the identity",
         (T_FINITE,),
     ),
     Mutant(
@@ -278,9 +271,9 @@ MUTANTS = (
     # point_order: the recursive strip of the annihilator's prime powers.
     Mutant(
         FINITE,
-        "while n > floor and not self._multiple(n // f * mult, s, table)[2]:",
-        "if n > floor and not self._multiple(n // f * mult, s, table)[2]:",
-        "_order_within: the strip removes one power of each prime only",
+        "while k < n and self._multiple(k * mult, s, table)[2]:",
+        "if k < n and self._multiple(k * mult, s, table)[2]:",
+        "_order_within: a prime power's climb takes one step at most",
         (T_FINITE,),
     ),
     Mutant(
@@ -335,16 +328,16 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "self._multiple(n // f * mult, s, table)",
-        "self._multiple(n // f, s, table)",
-        "_order_within: a strip's kill test below the top makes n/f, not n/f * mult, from the table",
+        "self._multiple(k * mult, s, table)",
+        "self._multiple(k, s, table)",
+        "_order_within: a climb's kill test below the top makes k, not k * mult, from the table",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "floor = f if table is None else 1",
-        "floor = f",
-        "_order_within: the table's strip stops at f, so an unseen identity gets order f",
+        "k = f if table is None else 1",
+        "k = f",
+        "_order_within: the table's climb starts at f, so an unseen identity gets order f",
         (T_FINITE,),
     ),
     # _annihilator: two baby lanes and two giant lanes, one inversion a step.
@@ -546,6 +539,28 @@ MUTANTS = (
         "for _ in range(s - 1):",
         "for _ in range(s - 2):",
         "is_prime: one squaring short in each Miller-Rabin round",
+        (T_ARITH,),
+    ),
+    # Quadratic characters: the Jacobi symbol and the square roots it gates.
+    Mutant(
+        ARITH,
+        "n & 7 in (3, 5)",
+        "n & 7 in (1, 7)",
+        "jacobi: a factor 2 flips the sign at n = 1, 7 mod 8, not 3, 5",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "if a & 3 == 3 and n & 3 == 3:",
+        "if a & 3 == 3 or n & 3 == 3:",
+        "jacobi: reciprocity flips the sign when either of a, n is 3 mod 4, not both",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "return t if n == 1 else 0",
+        "return t",
+        "jacobi: a and n with a common factor give +-1, not 0",
         (T_ARITH,),
     ),
     Mutant(

@@ -7,6 +7,7 @@ from suppscan.arith import (
     factorize,
     is_perfect_square,
     is_prime,
+    jacobi,
     primes_up_to,
     sorted_divisors,
     sqrt_mod,
@@ -187,6 +188,23 @@ def test_is_perfect_square():
     squares = {k * k for k in range(50)}
     for n in range(-5, 2000):
         assert is_perfect_square(n) == (n in squares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_jacobi_is_eulers_criterion_at_primes(data):
+    # At an odd prime q up to 10^12 the Jacobi symbol is the Legendre
+    # symbol, a^((q-1)/2) mod q read as 1, -1 or 0; a runs over negative
+    # values, multiples of q (0 included) and values past q.
+    q = data.draw(st.integers(3, 10**12), label="start")
+    while not is_prime(q):
+        q += 1
+    a = data.draw(
+        st.integers(-(10**13), 10**13) | st.integers(-3, 3).map(lambda k: k * q) | st.integers(-5, 5),
+        label="a",
+    )
+    euler = pow(a, (q - 1) // 2, q)
+    assert jacobi(a, q) == (-1 if euler == q - 1 else euler), (a, q)
 
 
 def test_sqrt_mod_brute_force_small_primes():

@@ -695,6 +695,53 @@ def test_point_order_with_doublings_runs_the_same_searches(monkeypatch):
         assert len(searches[0][1]) == 1 and searches[0][1][0][-1], q
 
 
+def test_strip_climbs_a_power_of_2_by_doubling_kept_halves(monkeypatch):
+    # At q = 10^10 + 19 the default curve's R has order 2^2 * 3 * 208330669,
+    # and the table's strip reaches the power of 2 as one leaf, u = mult * s.
+    # The leaf climbs from 1: its first multiple, mult * s, is one _comb,
+    # and each step after it is the kept half doubled, one _double and no
+    # sum, until 4 * mult * s is the identity.
+    leaves, active = [], []  # (mult, calls) per leaf; the open leaf's calls
+    order_within, multiple = FiniteCurve._order_within, FiniteCurve._multiple
+    comb, double = FiniteCurve._comb, FiniteCurve._double
+
+    def spy_order_within(self, s, n, powers, table=None, mult=1):
+        if len(powers) == 1 and powers[0][0] == 2 and table is not None:
+            leaves.append((mult, []))
+            active.append(leaves[-1][1])
+        try:
+            return order_within(self, s, n, powers, table, mult)
+        finally:
+            active.clear()
+
+    def spy(name, method):
+        def wrapped(self, n, *args):
+            if active:
+                active[0].append((name, None if name == "double" else n))
+            return method(self, n, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(FiniteCurve, "_order_within", spy_order_within)
+    monkeypatch.setattr(FiniteCurve, "_multiple", spy("mul", multiple))
+    monkeypatch.setattr(FiniteCurve, "_comb", spy("comb", comb))
+    monkeypatch.setattr(FiniteCurve, "_double", spy("double", double))
+    q = 10**10 + 19
+    curve, s = FiniteCurve(q, -21, -20), (-3 % q, 4)
+    order = curve.point_order(s, (-4, -1), curve.table_of(s))
+    assert order == 2**2 * 3 * 208330669 == curve.point_order(s, (-4, -1))
+    assert len(leaves) == 1
+    mult, made = leaves[0]
+    assert made == [
+        ("mul", mult),
+        ("comb", mult),
+        ("mul", 2 * mult),
+        ("double", None),
+        ("mul", 4 * mult),
+        ("double", None),
+    ]
+
+
 def two_adic_valuation(n):
     return (n & -n).bit_length() - 1
 

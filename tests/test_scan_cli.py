@@ -678,6 +678,31 @@ def test_cli_dead_sweep_worker_is_one_line(tmp_path, capsys, monkeypatch):
     assert stripe[0] < 101 < stripe[-1]
 
 
+def test_cli_dead_sweep_worker_is_reported_while_the_others_run(tmp_path, capsys, monkeypatch):
+    # Worker 1 dies at its first prime while worker 0 sleeps 10 s at its
+    # own first: the parent waits on both pipes at once, so the line comes
+    # within 2 s, and worker 0 is killed, not waited for.
+    import signal
+    import time
+
+    good = classify_primes(small_config(bound=400))[0]
+    stripe = good[1::2]
+
+    def fail(q):
+        if q == good[0]:
+            time.sleep(10)
+        elif q == stripe[0]:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    start = time.monotonic()
+    assert scan_with_failing_worker(tmp_path, capsys, monkeypatch, fail) == (
+        3,
+        "invariant violation: sweep worker 1 of 2 ended without its records (killed by SIGKILL); "
+        f"its stripe runs from q = {stripe[0]} to q = {stripe[-1]}\n",
+    )
+    assert time.monotonic() - start < 2
+
+
 def test_cli_sweep_worker_exceptions_keep_their_exit_codes(tmp_path, capsys, monkeypatch):
     # An exception inside a worker is raised again in the parent, type and
     # message intact, so cli_main's failure table applies as in a serial scan.

@@ -3,7 +3,7 @@ factorization share no code with the package or with tests/oracles.py."""
 
 import random
 from itertools import takewhile
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.ntheory.elliptic_curve import EllipticCurve
 
 from oracles import count_points_brute, split_curves
-from suppscan.arith import factorize, is_prime, primes_up_to, sqrt_mod
+from suppscan.arith import factorize, is_prime, jacobi, primes_up_to, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
 from suppscan.rational import reduce_onto
 from suppscan.scan import default_config, iter_good_primes
@@ -202,6 +202,19 @@ def test_sqrt_mod_matches_sympy_at_large_q():
                 r = sqrt_mod(a, q)
                 assert (r is None) is (root is None), (q, a)
                 assert root is None or r in (root, q - root), (q, a, r, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_jacobi_matches_sympy_at_odd_composites(data):
+    # n is a product of two to four odd factors, some sharing a prime with
+    # a (symbol 0), and a is negative, zero, below n or past it.
+    factors = data.draw(st.lists(st.integers(1, 10**4).map(lambda k: 2 * k + 1), min_size=2, max_size=4))
+    n = prod(factors)
+    a = data.draw(
+        st.integers(-(n**2), n**2) | st.sampled_from(factors).map(lambda f: -7 * f) | st.just(0), label="a"
+    )
+    assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
 
 
 def test_primes_match_sympy_below_10_5():
