@@ -15,8 +15,8 @@ so a multiple asked for twice, say by both quotient-order sweeps of one
 prime, is summed once, and an even multiple whose half is kept is that
 half doubled (_double), not a sum. Orders come from a baby-step/giant-step
 annihilator search over the Hasse interval, whose steps run in pairs of
-lanes, then a recursive split of the annihilator's prime powers, each
-climbed to its part of the order: no point count is ever needed.
+lanes, then one climb per prime power of the annihilator to its part of
+the order: no point count is ever needed.
 """
 
 from math import isqrt
@@ -36,16 +36,10 @@ _WINDOW_MIN_Q = 2 * 10**7
 # FiniteCurve.table_of builds a point's table of doublings, which serves
 # point_order and both quotient-order sweeps, only from this bit length of
 # the Hasse bound on: ord_R is not known when the table is built, and every
-# multiple of r that it serves is at most about that bound. Per prime, with
-# the table against without (Python 3.11.7, shared 2-core x86-64 host; up to
-# 100 of the default config's good primes whose Hasse bound has b bits, each
-# timed both ways in turn, best of 7), the table took 0.96x the time at
-# b = 6, 0.86x at 8, 0.81x at 10, 0.75x at 12, 0.70x at 14, 0.67x at 15,
-# 0.63x at 16, 0.59x at 20, 0.56x at 28 and 0.45x at 34 (q near 1.2*10^10).
-# It pays at every size measured. It stays at 15 bits, so that every
-# q <= 10^4 keeps the double-and-add, only because a faster scan makes more
-# benchmark passes and so reads a higher peak_rss_mib: lowering it waits for
-# that memory fix (ROADMAP item 1(a)).
+# multiple of r that it serves is at most about that bound. It stays at 15
+# bits, so that every q <= 10^4 keeps the double-and-add, because a faster
+# scan makes more benchmark passes and so reads a higher peak_rss_mib:
+# lowering it waits for that memory fix (ROADMAP item 1(a)).
 _COMB_MIN_BITS = 15
 
 
@@ -265,12 +259,12 @@ class FiniteCurve:
         double) the double-and-add.
 
         Each result is kept in table.sums under n and read back when n comes
-        again: point_order's searches and climbs and both quotient-order
-        sweeps of a prime share one table, and the sweep for Q asks for the
-        multiples the sweep for P has just made. The sweep for P (divisors
-        of ord_R ascending) and a climb up a power of 2 ask for n/2 before
-        n, so only odd scalars are summed. A half that is the identity or
-        of order 2 doubles to Z = 0, the identity, with no branch of its own.
+        again: point_order and both quotient-order sweeps of a prime share
+        one table, and the sweep for Q asks for the multiples the sweep for
+        P has just made. The sweep for P (divisors of ord_R ascending) asks
+        for n/2 before n, so it sums only odd scalars. A half that is the
+        identity or of order 2 doubles to Z = 0, the identity, with no
+        branch of its own.
         """
         if table is None:
             return self._jacobian_mul(n, s)
@@ -338,9 +332,9 @@ class FiniteCurve:
         """Exact order of s.
 
         Finds an annihilator N of s in (or just past) hasse_interval(q) by
-        baby-step/giant-step, then takes the exact order out of N's factors
-        (_order_within); the exact order is unique, so neither the N found
-        nor the window searched changes the result.
+        baby-step/giant-step, then takes the exact order out of N's prime
+        powers; the exact order is unique, so neither the N found nor the
+        window searched changes the result.
 
         The window: the scanned curves have full rational 2-torsion, which
         injects into E(F_q), so 4 | #E(F_q) and the search runs on t = 4*s
@@ -354,9 +348,15 @@ class FiniteCurve:
         the search on 4*s, then the search on s itself over the whole
         interval. Cost is O(q^(1/4)) group operations.
 
-        Each search's point k*s, its walk's first point and each kill test
-        of the climbs are made by _multiple with table, s's table_of or None;
-        the result does not depend on the table.
+        For each prime power f^e of N, u = (N / f^e) * s carries the f-part
+        of the order: 1 if u is the identity, else the least f^j < f^e that
+        kills u, climbed from j = 1, or f^e. f^e, known to kill u, is never
+        tested, so even a broken group law ends the climb.
+
+        Each search's point k*s, its walk's first point and each (N / f^e)*s
+        are made by _multiple with table, s's table_of or None; the climb
+        multiplies the affine u (formed only when e >= 2) by the
+        double-and-add. The result does not depend on the table.
         """
         if s is None:
             return 1
@@ -377,7 +377,19 @@ class FiniteCurve:
                 f"no annihilator of {s} in the Hasse interval at q = {q}; the group law "
                 f"is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({args})"
             )
-        return self._order_within(s, n, [(f, f**e) for f, e in factorize(n).items()], table)
+        order = 1
+        for f, e in factorize(n).items():
+            fe = f**e
+            X, Y, Z = self._multiple(n // fe, s, table)
+            if not Z:  # (n / f^e) * s = 0: the f-part is 1
+                continue
+            k = f
+            if e >= 2:
+                u = self._affine(X, Y, Z)
+                while k < fe and self._jacobian_mul(k, u)[2]:
+                    k *= f
+            order *= k
+        return order
 
     def _two_part(self, e1: int, e2: int):
         """(v, exact) with 2^v | #E(F_q), exact when 2^v is the 2-part, for
@@ -441,47 +453,6 @@ class FiniteCurve:
         ri = y * pow(rj * rk, -1, q) % q
         return (x + ri * rj + ri * rk + rj * rk) % q, (ri + rj) * (ri + rk) * (rj + rk) % q
 
-    def _order_within(self, s, n: int, powers, table=None, mult: int = 1) -> int:
-        """Exact order of u = mult * s, given an n with n*u = 0 and the prime
-        powers of n as (f, f^e) pairs, f ascending.
-
-        Recursive halving (Sutherland, Order computations in generic groups,
-        MIT thesis, 2007, ch. 7): for n = n_A * n_B over the halves A, B of
-        the prime powers, n_B*s carries the A-part of the order and n_A*s the
-        B-part, so the multiplications of one level of the recursion come to
-        about log n bits in all. The halves are split by size: A is the
-        longest head with n_A <= sqrt(n), but at least one prime power and
-        not all, so that a large prime stands alone and ends its branch. A
-        single prime power n = f^e climbs to the least f^j < n that kills u, or n.
-
-        Without a table, u = s, and each level multiplies its point for the
-        next; u, formed, is not the identity, so the climb starts at f. With
-        s's table, u is never formed (the level below gets mult * c, and c * u
-        is c * mult from _multiple) and may be the identity, so it starts at 1.
-        """
-        if s is None:
-            return 1
-        if len(powers) == 1:
-            f = powers[0][0]
-            k = f if table is None else 1
-            while k < n and self._multiple(k * mult, s, table)[2]:
-                k *= f
-            return k
-        h, n_a = 1, powers[0][1]
-        while h < len(powers) - 1 and (n_a * powers[h][1]) ** 2 <= n:
-            n_a *= powers[h][1]
-            h += 1
-        n_b = n // n_a
-        order = 1
-        for c, part, n_part in ((n_b, powers[:h], n_a), (n_a, powers[h:], n_b)):
-            if n_part == part[0][0]:  # one prime f: the f-part of the order is 1 or f
-                order *= n_part if self._multiple(c * mult, s, table)[2] else 1
-            elif table is None:
-                order *= self._order_within(self.scalar_mul(c, s), n_part, part)
-            else:
-                order *= self._order_within(s, n_part, part, table, mult * c)
-        return order
-
     def _annihilator(self, s, k: int, lo: int, hi: int, odd_only: bool, table):
         """Some c >= 1 with c*t = 0 for t = k*s, or None if no c in [lo, hi]
         kills t (no odd c, with odd_only). t and the walk's first point are
@@ -524,18 +495,6 @@ class FiniteCurve:
             return 2 * step
         baby = {}
         odd, even, j = u, two, 1  # j*u and (j + 1)*u
-        if m >= 5:
-            # The first pair step would add 2u to 2u, a doubling that
-            # _add_pair hands to add: 3u and 4u come from add, and the
-            # paired loop starts at j = 3.
-            baby.setdefault(u[0], (1, u[1]))
-            baby.setdefault(two[0], (2, two[1]))
-            odd, even = self.add(u, two), self.add(two, two)
-            if even is None:
-                return 4 * step
-            if odd is None:
-                return 3 * step
-            j = 3
         while j < m:
             baby.setdefault(odd[0], (j, odd[1]))
             baby.setdefault(even[0], (j + 1, even[1]))

@@ -268,26 +268,47 @@ MUTANTS = (
         "_comb: a negative digit adds table[j], not -table[j]",
         (T_FINITE,),
     ),
-    # point_order: the recursive strip of the annihilator's prime powers.
+    # point_order: one climb per prime power f^e of the annihilator n.
     Mutant(
         FINITE,
-        "while k < n and self._multiple(k * mult, s, table)[2]:",
-        "if k < n and self._multiple(k * mult, s, table)[2]:",
-        "_order_within: a prime power's climb takes one step at most",
+        "X, Y, Z = self._multiple(n // fe, s, table)",
+        "X, Y, Z = self._multiple(n // f, s, table)",
+        "point_order: the f-part read off (n / f) * s, not (n / f^e) * s",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "for c, part, n_part in ((n_b, powers[:h], n_a),",
-        "for c, part, n_part in ((n_a, powers[:h], n_a),",
-        "_order_within: the head's part of the order read off n_A*s, not n_B*s",
+        "while k < fe and self._jacobian_mul(k, u)[2]:",
+        "if k < fe and self._jacobian_mul(k, u)[2]:",
+        "point_order: a prime power's climb takes one step at most",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "order *= n_part if self._multiple(c * mult, s, table)[2] else 1",
-        "order *= n_part",
-        "_order_within: a half that is one prime taken into the order unchecked",
+        "while k < fe and",
+        "while k <= fe and",
+        "point_order: the climb tests f^e too, so a broken group law climbs past it",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "order *= k\n",
+        "order = k\n",
+        "point_order: the order is the last prime's part alone",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if not Z:  # (n / f^e) * s = 0: the f-part is 1\n                continue",
+        "if not Z:  # (n / f^e) * s = 0: the f-part is 1\n                pass",
+        "point_order: a prime whose (n / f^e) * s is the identity still counted as f",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if e >= 2:\n                u = self._affine(X, Y, Z)",
+        "if e >= 3:\n                u = self._affine(X, Y, Z)",
+        "point_order: a square prime power f^2 taken as f without a climb",
         (T_FINITE,),
     ),
     Mutant(
@@ -317,27 +338,6 @@ MUTANTS = (
         "self._multiple(k * start, s, table)",
         "self._multiple(start, s, table)",
         "_annihilator: the walk's first point made without the factor k of t = k*s",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "self._multiple(c * mult, s, table)",
-        "self._multiple(c, s, table)",
-        "_order_within: a one-prime kill test below the top makes c, not c * mult, from the table",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "self._multiple(k * mult, s, table)",
-        "self._multiple(k, s, table)",
-        "_order_within: a climb's kill test below the top makes k, not k * mult, from the table",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "k = f if table is None else 1",
-        "k = f",
-        "_order_within: the table's climb starts at f, so an unseen identity gets order f",
         (T_FINITE,),
     ),
     # _annihilator: two baby lanes and two giant lanes, one inversion a step.
@@ -382,13 +382,6 @@ MUTANTS = (
         "lam = (y2 - y1) * d1 * inv % q\n                mu = (y4 - y3) * d2 * inv % q",
         "_add_pair: the two lanes' denominators swapped in the shared inversion",
         (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "            j = 3\n",
-        "            j = 1\n",
-        "_annihilator: the paired baby loop starts at j = 1 after 3u and 4u are built",
-        (T_FINITE, T_QUOTIENT),
     ),
     Mutant(
         FINITE,

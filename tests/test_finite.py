@@ -658,8 +658,8 @@ def draw_split_curve_point(data, lo, hi):
 @given(st.data())
 def test_point_order_same_with_and_without_doublings(data):
     # Random split curves at a prime q in [10^3, 10^12] and random points,
-    # times a small cofactor so that parts of the strip meet an identity
-    # that the table's path never forms: with two_torsion and without,
+    # times a small cofactor so that some (n / f^e) * s made from the
+    # table are the identity: with two_torsion and without,
     # point_order with the table finds the order that it finds without.
     # The window opens above 2 * 10^7.
     curve, roots, s = draw_split_curve_point(data, 10**3, 10**12)
@@ -695,51 +695,85 @@ def test_point_order_with_doublings_runs_the_same_searches(monkeypatch):
         assert len(searches[0][1]) == 1 and searches[0][1][0][-1], q
 
 
-def test_strip_climbs_a_power_of_2_by_doubling_kept_halves(monkeypatch):
-    # At q = 10^10 + 19 the default curve's R has order 2^2 * 3 * 208330669,
-    # and the table's strip reaches the power of 2 as one leaf, u = mult * s.
-    # The leaf climbs from 1: its first multiple, mult * s, is one _comb,
-    # and each step after it is the kept half doubled, one _double and no
-    # sum, until 4 * mult * s is the identity.
-    leaves, active = [], []  # (mult, calls) per leaf; the open leaf's calls
-    order_within, multiple = FiniteCurve._order_within, FiniteCurve._multiple
-    comb, double = FiniteCurve._comb, FiniteCurve._double
+def test_point_order_climbs_each_prime_power_once(monkeypatch):
+    # With the table, after the searches: one _multiple of s per prime f of
+    # the annihilator n, (n / f^e) * s, in the order of n's factors, and the
+    # only other group work is the climb, _jacobian_mul(k, u) on the affine
+    # u = (n / f^e) * s with k = f, f^2, ... below f^e, stopping at the
+    # first k that kills u. At 10^10 + 19, n = 2^4 * 3 * 208330669 and the
+    # 2-part of the order is 4 (k = 2, 4); at 10^10 + 33 the 3-part is 1
+    # (no climb); at 10^10 + 61 the 7-part is 7^2 = f^e (k = 7 alone).
+    events, found, inside = [], [], []
+    annihilator, multiple, jacobian_mul = (
+        FiniteCurve._annihilator,
+        FiniteCurve._multiple,
+        FiniteCurve._jacobian_mul,
+    )
 
-    def spy_order_within(self, s, n, powers, table=None, mult=1):
-        if len(powers) == 1 and powers[0][0] == 2 and table is not None:
-            leaves.append((mult, []))
-            active.append(leaves[-1][1])
+    def spy_annihilator(self, s, k, lo, hi, odd_only, table):
+        c = annihilator(self, s, k, lo, hi, odd_only, table)
+        events.clear()
+        found.append(k * c if c else None)
+        return c
+
+    def spy_multiple(self, n, s, table):
+        events.append(("mul", n, s))
+        inside.append(None)
         try:
-            return order_within(self, s, n, powers, table, mult)
+            return multiple(self, n, s, table)
         finally:
-            active.clear()
+            inside.pop()
 
-    def spy(name, method):
-        def wrapped(self, n, *args):
-            if active:
-                active[0].append((name, None if name == "double" else n))
-            return method(self, n, *args)
+    def spy_jacobian_mul(self, n, s):
+        if not inside:
+            events.append(("climb", n, s))
+        return jacobian_mul(self, n, s)
 
-        return wrapped
+    monkeypatch.setattr(FiniteCurve, "_annihilator", spy_annihilator)
+    monkeypatch.setattr(FiniteCurve, "_multiple", spy_multiple)
+    monkeypatch.setattr(FiniteCurve, "_jacobian_mul", spy_jacobian_mul)
+    climbed = set()
+    for q in (10**10 + 19, 10**10 + 33, 10**10 + 61):
+        curve, s = FiniteCurve(q, -21, -20), (-3 % q, 4)
+        found.clear()
+        order = curve.point_order(s, (-4, -1), curve.table_of(s))
+        n = found[-1]
+        expected = []
+        for f, e in factorize(n).items():
+            expected.append(("mul", n // f**e, s))
+            u = curve.scalar_mul(n // f**e, s)
+            part = order_by_walk(curve.add, u) if u is not None and e >= 2 else 1
+            k = f
+            while e >= 2 and k < f**e and k <= part:
+                expected.append(("climb", k, u))
+                climbed.add((q, f, k))
+                k *= f
+        assert order == curve.point_order(s, (-4, -1)), q
+        assert events == expected, q
+    assert {(10**10 + 19, 2, 4), (10**10 + 61, 7, 7)} <= climbed
+    assert not any(q == 10**10 + 33 and f == 3 for q, f, _ in climbed)
 
-    monkeypatch.setattr(FiniteCurve, "_order_within", spy_order_within)
-    monkeypatch.setattr(FiniteCurve, "_multiple", spy("mul", multiple))
-    monkeypatch.setattr(FiniteCurve, "_comb", spy("comb", comb))
-    monkeypatch.setattr(FiniteCurve, "_double", spy("double", double))
-    q = 10**10 + 19
-    curve, s = FiniteCurve(q, -21, -20), (-3 % q, 4)
-    order = curve.point_order(s, (-4, -1), curve.table_of(s))
-    assert order == 2**2 * 3 * 208330669 == curve.point_order(s, (-4, -1))
-    assert len(leaves) == 1
-    mult, made = leaves[0]
-    assert made == [
-        ("mul", mult),
-        ("comb", mult),
-        ("mul", 2 * mult),
-        ("double", None),
-        ("mul", 4 * mult),
-        ("double", None),
-    ]
+
+def test_climb_stops_below_each_prime_power(monkeypatch):
+    # A broken group law whose kill tests never report the identity: every
+    # multiple is the finite (1 : 1 : 1). The annihilator n = 2^5 * 3^3 * 7
+    # is stubbed, so the climb is the only loop left. Each prime's climb
+    # tests f, f^2, ... below f^e and stops at f^e untested, so point_order
+    # ends and returns n itself.
+    n = 2**5 * 3**3 * 7
+    climbs = []
+
+    def broken_jacobian_mul(self, k, u):
+        if u != s:
+            climbs.append(k)
+            assert len(climbs) < 50, "the climb does not stop"
+        return 1, 1, 1
+
+    monkeypatch.setattr(FiniteCurve, "_annihilator", lambda self, s, k, *rest: n // k)
+    monkeypatch.setattr(FiniteCurve, "_jacobian_mul", broken_jacobian_mul)
+    curve, s = FiniteCurve(10007, -21, -20), (10007 - 3, 4)
+    assert curve.point_order(s) == n
+    assert climbs == [2, 4, 8, 16, 3, 9]
 
 
 def two_adic_valuation(n):

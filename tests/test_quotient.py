@@ -578,34 +578,6 @@ def test_evaluate_prime_group_operation_budget(monkeypatch):
     assert len(calls) <= 920 and len(pairs) <= 249
 
 
-def test_baby_pair_steps_never_fall_back(monkeypatch):
-    # The baby lanes of _annihilator add 2u to j*u and (j + 1)*u. 3u and 4u
-    # come from add, because 2u + 2u is a doubling, so no baby pair step
-    # meets a doubling and _add_pair never hands one to add. Near 10^4 the
-    # search runs on 4r with m = 5 baby steps, where the one pair step used to
-    # be that doubling and now none is left; near 10^10 on 2^v r over odd
-    # cofactors, with dozens of pair steps.
-    adds = count_adds(monkeypatch)
-    add_pair = FiniteCurve._add_pair
-    baby_pairs, fallbacks = [], []
-
-    def counted_pair(self, s, g, t, h):
-        before = len(adds)
-        out = add_pair(self, s, g, t, h)
-        if g == h:  # both baby lanes add 2u; the giant lanes add w*u and -w*u
-            baby_pairs.append(self.q)
-            if len(adds) > before:
-                fallbacks.append((self.q, s, t))
-        return out
-
-    monkeypatch.setattr(FiniteCurve, "_add_pair", counted_pair)
-    for base, count in ((10**4, 40), (10**10, 6)):
-        for q in [q for q in range(base, base + 1000) if is_prime(q)][:count]:
-            evaluate_prime(make_context(DEFAULT, R1, R2, 2, q), R)
-    assert len(baby_pairs) > 6 * 20 and min(baby_pairs) > 10**10
-    assert fallbacks == []
-
-
 def test_evaluate_prime_small():
     ctx = make_context(DEFAULT, R1, R2, 2, 5)
     rec = evaluate_prime(ctx, R)
