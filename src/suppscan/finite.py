@@ -12,8 +12,9 @@ digits of the scalar's non-adjacent form, by additions alone. _multiple
 alone picks the table or the double-and-add for every multiple inside
 index_of_multiple and point_order. The table keeps each sum it has made,
 so a multiple asked for twice, say by both quotient-order sweeps of one
-prime, is summed once, and an even multiple whose half is kept is that
-half doubled (_double), not a sum. Orders come from a baby-step/giant-step
+prime, each of which tries only ord_R / p and ord_R where a table exists,
+is summed once, and an even multiple whose half is kept is that half
+doubled (_double), not a sum. Orders come from a baby-step/giant-step
 annihilator search over the Hasse interval, whose steps run in pairs of
 lanes, then one climb per prime power of the annihilator to its part of
 the order: no point count is ever needed.
@@ -36,8 +37,10 @@ _WINDOW_MIN_Q = 2 * 10**7
 # FiniteCurve.table_of builds a point's table of doublings, which serves
 # point_order and both quotient-order sweeps, only from this bit length of
 # the Hasse bound on: ord_R is not known when the table is built, and every
-# multiple of r that it serves is at most about that bound. It stays at 15
-# bits, so that every q <= 10^4 keeps the double-and-add, because a faster
+# multiple of r that it serves is at most about that bound. Where there is
+# a table, quotient.evaluate_prime's sweeps also try only ord_R / p and
+# ord_R, not every divisor of ord_R. It stays at 15 bits, so that every
+# q <= 10^4 keeps the double-and-add and every divisor, because a faster
 # scan makes more benchmark passes and so reads a higher peak_rss_mib:
 # lowering it waits for that memory fix (ROADMAP item 1(a)).
 _COMB_MIN_BITS = 15
@@ -261,8 +264,8 @@ class FiniteCurve:
         Each result is kept in table.sums under n and read back when n comes
         again: point_order and both quotient-order sweeps of a prime share
         one table, and the sweep for Q asks for the multiples the sweep for
-        P has just made. The sweep for P (divisors of ord_R ascending) asks
-        for n/2 before n, so it sums only odd scalars. A half that is the
+        P has just made. The sweep for P asks for ord_R / 2 before ord_R at
+        p = 2, so ord_R is one doubling of its kept half. A half that is the
         identity or of order 2 doubles to Z = 0, the identity, with no
         branch of its own.
         """

@@ -139,11 +139,13 @@ def quotient_order(
     the orders of s.rep1 and s.rep2.
 
     The order divides m, because m * s is 0 and so lies in the kernel. The
-    divisors of m are tested ascending, so the result is deterministic;
-    divisors, when given, is sorted_divisors(m), so that callers with one m
-    factorize it once. Each trial is one Jacobian multiple n * rep1 compared
-    with the kernel projectively (quotient_killed_by), made with table,
-    rep1's table of doublings (curve.table_of) or None.
+    candidates are tested ascending, so the result is deterministic: every
+    divisor of m (sorted_divisors(m)), or divisors when given, ascending
+    divisors of m among which the order is known to lie, such as
+    evaluate_prime's (m / p, m) past the table crossover. Each trial is one
+    Jacobian multiple n * rep1 compared with the kernel projectively
+    (quotient_killed_by), made with table, rep1's table of doublings
+    (curve.table_of) or None.
     """
     for n in sorted_divisors(m) if divisors is None else divisors:
         if quotient_killed_by(ctx, n, s, table):
@@ -180,9 +182,16 @@ def evaluate_prime(ctx: QuotientContext, R: RationalPoint) -> PrimeRecord:
     # r's doublings at large q, and by the double-and-add below it.
     table = curve.table_of(r)
     ord_r = curve.point_order(r, two_torsion, table)
-    divisors = sorted_divisors(ord_r)
-    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, table, divisors)
-    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, table, divisors)
+    if table is None:
+        candidates = sorted_divisors(ord_r)
+    else:
+        # For a pair s whose components' orders have lcm m, the quotient
+        # order n divides m, since m * s = 0; and m divides p * n, since
+        # n * s lies in the kernel, which p kills. So n is m, or m / p when
+        # p divides m.
+        candidates = (ord_r // ctx.p, ord_r) if ord_r % ctx.p == 0 else (ord_r,)
+    ord_p = quotient_order(ctx, QuotientPoint(r, None), ord_r, table, candidates)
+    ord_q = quotient_order(ctx, QuotientPoint(r, r), ord_r, table, candidates)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     return PrimeRecord(
         q=curve.q,

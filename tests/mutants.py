@@ -457,16 +457,45 @@ MUTANTS = (
     ),
     Mutant(
         QUOTIENT,
-        "divisors = sorted_divisors(ord_r)",
-        "divisors = sorted_divisors(ord_r)[::-1]",
+        "candidates = sorted_divisors(ord_r)",
+        "candidates = sorted_divisors(ord_r)[::-1]",
         "evaluate_prime: the shared divisor list descending, so each sweep stops at ord_R",
         (T_QUOTIENT,),
     ),
     Mutant(
         QUOTIENT,
-        "QuotientPoint(r, r), ord_r, table, divisors)",
+        "QuotientPoint(r, r), ord_r, table, candidates)",
         "QuotientPoint(r, r), ord_r, table)",
         "evaluate_prime: the sweep for Q factorizes ord_R again",
+        (T_QUOTIENT,),
+    ),
+    # Past the table crossover: the order of P or Q is ord_R / p or ord_R.
+    Mutant(
+        QUOTIENT,
+        "candidates = (ord_r // ctx.p, ord_r)",
+        "candidates = (ord_r, ord_r)",
+        "evaluate_prime: the candidate ord_R / p read as ord_R (same output on valid input)",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "(ord_r // ctx.p, ord_r)",
+        "(ord_r // 2, ord_r)",
+        "evaluate_prime: the candidate ord_R / p read as ord_R // 2, the same at p = 2 (killed at p = 3)",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "if ord_r % ctx.p == 0 else (ord_r,)",
+        "if ord_r % ctx.p != 0 else (ord_r,)",
+        "evaluate_prime: ord_R / p tried only when p does not divide ord_R (same output on valid input)",
+        (T_QUOTIENT,),
+    ),
+    Mutant(
+        QUOTIENT,
+        "if table is None:\n        candidates",
+        "if table is not None:\n        candidates",
+        "evaluate_prime: the two candidates below the crossover, every divisor past it (same output)",
         (T_QUOTIENT,),
     ),
     # The relation search and the impossibility certificate.

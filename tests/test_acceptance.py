@@ -6,7 +6,9 @@ print. Criteria with stated budgets are timed single-threaded.
 
 import json
 import time
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,11 @@ from suppscan.rational import (
     search_curve,
 )
 from suppscan.scan import LabConfig, default_config, run_scan, write_report
+
+# perfbench's modular arithmetic, loaded by path: it imports nothing of suppscan.
+_spec = spec_from_file_location("arith_check", Path(__file__).parents[1] / "perfbench" / "arith_check.py")
+arith_check = module_from_spec(_spec)
+_spec.loader.exec_module(arith_check)
 
 # report_digest of the default config (prime_bound 10^4). A change that alters
 # the report on purpose records the old and the new digest in CHANGES.md.
@@ -262,11 +269,18 @@ def test_criterion_7_determinism(tmp_path, full_scan):
     )
 
 
-def test_criterion_7_digest_at_10_5():
+@pytest.fixture(scope="module")
+def scan_10_5():
+    """The default scan to 10^5, single-threaded, with wall time."""
     cfg = default_config()._replace(prime_bound=10**5, workers=1)
     start = time.perf_counter()
     report = run_scan(cfg)
     elapsed = time.perf_counter() - start
+    return cfg, report, elapsed
+
+
+def test_criterion_7_digest_at_10_5(scan_10_5):
+    _, report, elapsed = scan_10_5
     table = [r.q for r in report.records if hasse_interval(r.q)[1].bit_length() >= _COMB_MIN_BITS]
     _report(
         7,
@@ -275,6 +289,37 @@ def test_criterion_7_digest_at_10_5():
         report.digest() == DEFAULT_REPORT_DIGEST_10_5
         and (len(report.records), len(table)) == (9590, 7715),
         f"digest {report.digest()}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_7_records_at_10_5_checked_independently(scan_10_5):
+    # perfbench's Jacobian arithmetic, which shares no code with suppscan,
+    # checks every record of the scan to 10^5: ord_R is the exact order of r,
+    # and for each prime f | ord_R the multiple (ord_R / f) * r puts neither
+    # P = (r, 0) nor Q = (r, r) into <(K1, K2)>, so both have order ord_R.
+    cfg, report, _ = scan_10_5
+    R, R1, R2 = tuple(cfg.R), tuple(cfg.R1), tuple(cfg.R2)
+    wrong = []
+    for rec in report.records:
+        q, m, a = rec.q, rec.ord_r, cfg.curve.a % rec.q
+        r = arith_check.reduce_projective(q, R)
+        k1, k2 = (arith_check.reduce_projective(q, K) for K in (R1, R2))
+        kernel = {
+            tuple(arith_check.to_affine(q, arith_check.jacobian_mul(q, a, i, (*k, 1))) for k in (k1, k2))
+            for i in range(cfg.p)
+        }
+        ok = rec.ord_p == rec.ord_q == m and arith_check.is_exact_order(q, a, r, m)
+        for f in arith_check.prime_factors(m):
+            u = arith_check.to_affine(q, arith_check.jacobian_mul(q, a, m // f, (*r, 1)))
+            ok = ok and (u, None) not in kernel and (u, u) not in kernel
+        if not ok:
+            wrong.append(q)
+    _report(
+        7,
+        "every record of the default report at prime_bound 10^5 has the exact ord_R, "
+        "and P and Q of that order, by independent Jacobian arithmetic",
+        len(report.records) == 9590 and not wrong,
+        f"{len(report.records)} records, wrong at {wrong[:5]}",
     )
 
 

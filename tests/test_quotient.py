@@ -25,7 +25,7 @@ from suppscan.quotient import (
     quotient_scalar_mul,
 )
 from suppscan.rational import RationalCurve, RationalPoint, reduce_onto
-from suppscan.scan import classify_primes, default_config, run_scan, write_report
+from suppscan.scan import _check_order_equality, classify_primes, default_config, run_scan, write_report
 
 DEFAULT = RationalCurve(-21, -20)
 R = RationalPoint(-3, 4)
@@ -139,11 +139,12 @@ def test_quotient_order_matches_walk_oracle():
 def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
     # ord_R = 2 * 3 at q = 7 and 2^3 * 3 at q = 83: the divisor 2^(a+1) of
     # 2 * ord_R lies below ord_R, yet no order in the quotient can take it.
-    # At q = 99991 (ord_R = 2 * 8311) the Hasse bound has 17 bits, past the
-    # crossover: both sweeps there sum n * r from the one table of r's
-    # doublings, one entry longer than the bound's bits. Every q <= 10^4
-    # stays below the crossover. Each sweep tries the divisors of ord_R in
-    # ascending order up to its order, from one divisor list for both.
+    # Every q <= 10^4 stays below the crossover, where each sweep tries the
+    # divisors of ord_R in ascending order up to its order, from one divisor
+    # list for both. At q = 99991 (ord_R = 2 * 8311) the Hasse bound has 17
+    # bits, past the crossover: both sweeps there sum n * r from the one
+    # table of r's doublings, one entry longer than the bound's bits, and
+    # try only (ord_R / p, ord_R), which needs no divisor list.
     tried, listed = [], []
 
     def spy(ctx, n, s, doublings=None):
@@ -164,12 +165,13 @@ def test_quotient_order_tries_only_divisors_of_m(monkeypatch):
         ctx = make_context(DEFAULT, R1, R2, 2, q)
         rec = evaluate_prime(ctx, R)
         assert rec.ord_r == ord_r and rec.ord_p == rec.ord_q == ord_r
-        assert listed == [ord_r], q
         r = reduce_onto(R, ctx.curve)
         table = ctx.curve.doublings(r, 18) if q == 99991 else None
+        assert listed == ([] if table else [ord_r]), q
         for pair in (QuotientPoint(r, None), QuotientPoint(r, r)):
             sweep = [n for s, n, _ in tried if s == pair]
-            assert sweep == sorted_divisors(ord_r), (q, pair, sweep)
+            expected = [ord_r // 2, ord_r] if table else sorted_divisors(ord_r)
+            assert sweep == expected, (q, pair, sweep)
         assert all(doublings == table for _, _, doublings in tried), q
 
 
@@ -272,6 +274,29 @@ def test_quotient_order_random_split_curves(data):
         assert n == coset_order_by_walk(curve.add, ctx.kernel(), (s, t))
         m = lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
         assert n == m or n * ctx.p == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_order_is_m_or_m_over_p(data):
+    # General pairs on split curves at p = 2 and on full 3-torsion curves at
+    # p = 3: the sweep over every divisor of m finds m or m / p, and the two
+    # candidates that evaluate_prime tries past the table crossover find the
+    # same order.
+    if data.draw(st.booleans(), label="p = 3"):
+        ctx = data.draw(st.sampled_from(p3_contexts()), label="ctx")
+    else:
+        ctx = draw_split_context(data, 500)
+    curve, p = ctx.curve, ctx.p
+    pts = all_points(curve)
+    s = data.draw(st.sampled_from(pts), label="s")
+    t = data.draw(st.sampled_from(pts), label="t")
+    m = lcm(order_by_walk(curve.add, s), order_by_walk(curve.add, t))
+    pair = QuotientPoint(s, t)
+    n = quotient_order(ctx, pair, m)
+    assert n in (m, m // p) and m % n == 0, (ctx, pair, m, n)
+    candidates = (m // p, m) if m % p == 0 else (m,)
+    assert quotient_order(ctx, pair, m, None, candidates) == n, (ctx, pair, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,10 +407,11 @@ def spy_on_the_table(monkeypatch):
     or "Q" inside a quotient-order sweep and None before them, kept and
     halved say whether n itself or, for an even n, its half was in the
     table's sums before the call, and made lists the (kind, n) of each
-    _comb ("comb") and _jacobian_mul ("jac") call the call made."""
-    sweep, calls, made = [None], [], []
+    _comb ("comb"), _jacobian_mul ("jac") and _double ("double") call the
+    call made."""
+    sweep, calls, made, asked = [None], [], [], [None]
     order, multiple = quotient.quotient_order, FiniteCurve._multiple
-    comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
+    comb, jacobian_mul, double = FiniteCurve._comb, FiniteCurve._jacobian_mul, FiniteCurve._double
 
     def spy_order(ctx, s, m, doublings=None, divisors=None):
         sweep[0] = "Q" if s.rep2 is not None else "P"
@@ -393,7 +419,7 @@ def spy_on_the_table(monkeypatch):
 
     def spy_multiple(self, n, s, table):
         kept, halved = n in table.sums, not n & 1 and n >> 1 in table.sums
-        before = len(made)
+        before, asked[0] = len(made), n
         total = multiple(self, n, s, table)
         calls.append((sweep[0], n, kept, halved, made[before:]))
         return total
@@ -406,51 +432,106 @@ def spy_on_the_table(monkeypatch):
         made.append(("jac", n))
         return jacobian_mul(self, n, s)
 
+    def spy_double(self, X, Y, Z):
+        made.append(("double", asked[0]))
+        return double(self, X, Y, Z)
+
     monkeypatch.setattr(quotient, "quotient_order", spy_order)
     monkeypatch.setattr(FiniteCurve, "_multiple", spy_multiple)
     monkeypatch.setattr(FiniteCurve, "_comb", spy_comb)
     monkeypatch.setattr(FiniteCurve, "_jacobian_mul", spy_jacobian_mul)
+    monkeypatch.setattr(FiniteCurve, "_double", spy_double)
     return calls
 
 
 def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
     # At q = 10^10 + 19 point_order's walk starts and kill tests and both
-    # sweeps ask the one table of r's doublings for multiples of r, some of
-    # them more than once. A scalar is summed (_comb, then the double-and-add
-    # if that falls back) only when it is neither kept nor an even n whose
-    # half is kept, and then once; those others run neither. The sweep for
-    # Q, which asks for the multiples that the sweep for P has just made,
-    # sums none.
+    # sweeps ask the one table of r's doublings for multiples of r. A scalar
+    # that is kept is read back and makes nothing; an even one whose half is
+    # kept is one doubling of that half; any other is summed (_comb, then
+    # the double-and-add if that falls back), and then once. Past the
+    # crossover each sweep tries exactly (ord_R / 2, ord_R), so the sweep for
+    # Q asks for the two multiples that the sweep for P has just made and
+    # makes nothing.
     calls = spy_on_the_table(monkeypatch)
     rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 10**10 + 19), R)
-    assert rec.ord_r == rec.ord_p == rec.ord_q
+    m = rec.ord_r
+    assert m == rec.ord_p == rec.ord_q and m % 2 == 0
+    for name in ("P", "Q"):
+        assert [n for s, n, _, _, _ in calls if s == name] == [m // 2, m], name
     asked = [n for _, n, _, _, _ in calls]
     assert len(asked) > len(set(asked))
-    summed = []
+    summed, doubled = [], []
     for sweep, n, kept, halved, made in calls:
-        if kept or halved:
+        if kept:
             assert made == [], (sweep, n, made)
+        elif halved:
+            assert made == [("double", n)], (sweep, n, made)
+            doubled.append(n)
         else:
             assert made[0] == ("comb", n) and set(made) <= {("comb", n), ("jac", n)}, (sweep, n, made)
             summed.append(n)
     # Each distinct scalar is made once, summed or doubled.
-    doubled = [n for _, n, kept, halved, _ in calls if halved and not kept]
     assert doubled and sorted(summed + doubled) == sorted(set(asked))
-    assert not any(made for s, _, _, _, made in calls if s == "Q")
-    assert any(s == "P" and made for s, _, _, _, made in calls)
+    assert all(kept and not made for s, _, kept, _, made in calls if s == "Q")
 
 
-def test_sweep_for_p_sums_only_odd_multiples(monkeypatch):
-    # The sweep for P tries the divisors of ord_R ascending, so when it
-    # reaches an even divisor its half is kept, and that multiple is one
-    # doubling: _comb runs there on odd divisors alone, while even ones are
-    # tried too.
-    calls = spy_on_the_table(monkeypatch)
-    rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 10**10 + 19), R)
-    sweep = [(n, made) for s, n, _, _, made in calls if s == "P"]
-    assert rec.ord_p % 2 == 0 and any(n % 2 == 0 for n, _ in sweep)
-    combed = [n for _, made in sweep for kind, n in made if kind == "comb"]
-    assert combed and all(n % 2 for n in combed), combed
+def test_sweep_for_p_doubles_m_from_its_kept_half(monkeypatch):
+    # Past the crossover the sweep for P tries m / 2 and then m = ord_R, so
+    # when it reaches m its half is kept, and m is one doubling of it. At
+    # q = 99991 (m = 2 * 8311) the sweep sums m / 2 first; at q = 10^10 + 19
+    # point_order has kept m / 4, so m / 2 is a doubling too.
+    for q, sums_half in ((99991, True), (10**10 + 19, False)):
+        monkeypatch.undo()
+        calls = spy_on_the_table(monkeypatch)
+        rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, q), R)
+        m = rec.ord_p
+        sweep = [(n, kept, halved, made) for s, n, kept, halved, made in calls if s == "P"]
+        assert [n for n, _, _, _ in sweep] == [m // 2, m], q
+        n, kept, halved, made = sweep[0]
+        assert not kept and made[0] == (("comb", n) if sums_half else ("double", n)), (q, made)
+        assert sweep[1] == (m, False, True, [("double", m)]), (q, sweep[1])
+
+
+def test_evaluate_prime_tries_two_candidates_past_the_crossover(monkeypatch):
+    # Below the crossover each sweep tries every divisor of ord_R; past it,
+    # (ord_R / p, ord_R), or ord_R alone when p does not divide it. P and Q
+    # have order ord_R on valid input, so only the candidates tell those
+    # paths apart: at p = 2 on the default config, and at p = 3 on the
+    # curve over F_31 (points of order 6 and 2) with the crossover moved to
+    # 0. Then quotient_killed_by is stubbed to find Q killed by every n: the
+    # sweep for Q stops at ord_R / 2, and _check_order_equality names it.
+    given = []
+    order, killed = quotient.quotient_order, quotient.quotient_killed_by
+
+    def spy_order(ctx, s, m, table=None, divisors=None):
+        given.append(tuple(divisors))
+        return order(ctx, s, m, table, divisors)
+
+    monkeypatch.setattr(quotient, "quotient_order", spy_order)
+    ctx31 = next(ctx for ctx in p3_contexts() if ctx.curve.q == 31)
+    cases = [
+        (make_context(DEFAULT, R1, R2, 2, 7), R, finite._COMB_MIN_BITS, (1, 2, 3, 6)),
+        (make_context(DEFAULT, R1, R2, 2, 99991), R, finite._COMB_MIN_BITS, (8311, 16622)),
+        (ctx31, RationalPoint(1, 8), 0, (2, 6)),
+        (ctx31, RationalPoint(6, 0), 0, (2,)),
+    ]
+    for ctx, r, bits, candidates in cases:
+        given.clear()
+        with mock.patch.object(finite, "_COMB_MIN_BITS", bits):
+            rec = evaluate_prime(ctx, r)
+        assert rec.ord_r == rec.ord_p == rec.ord_q == candidates[-1], (ctx, r)
+        assert given == [candidates, candidates], (ctx, r, given)
+
+    def q_killed_by_all(ctx, n, s, table=None):
+        return s.rep2 is not None or killed(ctx, n, s, table)
+
+    monkeypatch.setattr(quotient, "quotient_killed_by", q_killed_by_all)
+    rec = evaluate_prime(make_context(DEFAULT, R1, R2, 2, 99991), R)
+    assert (rec.ord_r, rec.ord_p, rec.ord_q) == (16622, 16622, 8311)
+    with pytest.raises(InvariantViolation) as info:
+        _check_order_equality(default_config(), [rec])
+    assert "q = 99991: ord_R = 16622, ord_P = 16622, ord_Q = 8311 on " in str(info.value)
 
 
 def test_quotient_order_names_a_wrong_m():
