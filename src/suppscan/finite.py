@@ -14,10 +14,10 @@ index_of_multiple and point_order. The table keeps each sum it has made,
 so a multiple asked for twice, say by both quotient-order sweeps of one
 prime, each of which tries only ord_R / p and ord_R where a table exists,
 is summed once, and an even multiple whose half is kept is that half
-doubled (_double), not a sum. Orders come from a baby-step/giant-step
-annihilator search over the Hasse interval, whose steps run in pairs of
-lanes, then one climb per prime power of the annihilator to its part of
-the order: no point count is ever needed.
+doubled by _jacobian_mul, not a sum. Orders come from one
+baby-step/giant-step annihilator search over the Hasse interval, whose
+steps run in pairs of lanes, then one climb per prime power of the
+annihilator to its part of the order: no point count is ever needed.
 """
 
 from math import isqrt
@@ -28,10 +28,8 @@ FinitePoint = tuple[int, int] | None
 
 # point_order reads its search window off the rational 2-torsion only above
 # this q. The 2-descent costs about a dozen modular exponentiations, and the
-# narrower search saves more than that only past here: with the window,
-# point_order took 1.04-1.06x its time without at q near 10^7, 0.97-0.99x
-# near 2*10^7, 0.90x near 5*10^7 and 0.78x near 10^10 (Python 3.11, 2-core
-# x86-64 host, 600 primes each).
+# narrower search saves more than that only past here (CHANGES.md has the
+# measurements).
 _WINDOW_MIN_Q = 2 * 10**7
 
 # FiniteCurve.table_of builds a point's table of doublings, which serves
@@ -72,10 +70,9 @@ class FiniteCurve:
     """y^2 = x^3 + a*x + b over F_q; a and b are stored reduced mod q.
 
     An immutable slotted class rather than a named tuple: add reads q, and a
-    when doubling, at every group operation, and a slot is read about 16 ns
-    faster than a named-tuple field (Python 3.11, 2-core Xeon host), some
-    4 % of a scan's time per prime. Copies and unpickling call the class, so
-    every curve has passed its checks.
+    when doubling, at every group operation, and a slot is read faster than
+    a named-tuple field. Copies and unpickling call the class, so every
+    curve has passed its checks.
     """
 
     __slots__ = ("q", "a", "b")
@@ -231,8 +228,8 @@ class FiniteCurve:
         length >= 1, the identity as None: a tuple that also keeps, in its
         attribute sums, every multiple of s that _multiple makes from it.
 
-        A chain of length - 1 doublings by add, one inversion each: near
-        q = 10^10 it took 0.83x the time of Jacobian doublings sharing one
+        A chain of length - 1 doublings by add, one inversion each, which in
+        Python mostly costs less than Jacobian doublings sharing one
         inversion (README). After a doubling meets the identity (s of
         2-power order), every entry is the identity.
         """
@@ -241,33 +238,21 @@ class FiniteCurve:
             table.append(self.add(table[-1], table[-1]))
         return _Doublings(table)
 
-    def _double(self, X: int, Y: int, Z: int):
-        """2 * (X : Y : Z) in Jacobian coordinates for _multiple's kept
-        halves; Z3 = 2*Y*Z is 0 for the identity and for 2-torsion."""
-        q = self.q
-        YY = Y * Y % q
-        S = 4 * X * YY % q
-        ZZ = Z * Z % q
-        M = (3 * X * X + self.a * ZZ * ZZ) % q
-        X3 = (M * M - 2 * S) % q
-        return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
-
     def _multiple(self, n: int, s, table):
         """n * s as Jacobian (X, Y, Z) for n >= 0, s affine and not the
         identity, and s's table doublings(s, L) or None: every multiple of s
         is made here. Without a table, the double-and-add (_jacobian_mul).
-        With one, a doubling (_double) of (n/2) * s when n is even and that
-        half is kept, else a sum of table entries (_comb) when n's
-        non-adjacent form fits, n < 2^(L - 1), else (or when a sum would
-        double) the double-and-add.
+        With one, one of three: when n is even and (n/2) * s is kept, that
+        half doubled, _jacobian_mul(2, ·) on its affine point; else when
+        n's non-adjacent form fits, n < 2^(L - 1), a sum of table entries
+        (_comb); else the double-and-add.
 
         Each result is kept in table.sums under n and read back when n comes
         again: point_order and both quotient-order sweeps of a prime share
         one table, and the sweep for Q asks for the multiples the sweep for
         P has just made. The sweep for P asks for ord_R / 2 before ord_R at
         p = 2, so ord_R is one doubling of its kept half. A half that is the
-        identity or of order 2 doubles to Z = 0, the identity, with no
-        branch of its own.
+        identity (Z = 0) is its own double; one of order 2 doubles to Z = 0.
         """
         if table is None:
             return self._jacobian_mul(n, s)
@@ -275,10 +260,10 @@ class FiniteCurve:
         if total is None:
             half = None if n & 1 else table.sums.get(n >> 1)
             if half is not None:
-                total = self._double(*half)
+                total = self._jacobian_mul(2, self._affine(*half)) if half[2] else half
             elif n.bit_length() < len(table):
                 total = self._comb(n, table)
-            if total is None:
+            else:
                 total = self._jacobian_mul(n, s)
             table.sums[n] = total
         return total
@@ -286,9 +271,10 @@ class FiniteCurve:
     def _comb(self, n: int, table):
         """n * s as Jacobian (X, Y, Z) for 0 <= n < 2^(len(table) - 1),
         table = doublings(s, len(table)), by mixed additions (_jacobian_mul's)
-        and no doubling, a fixed-base comb of one row (Lim-Lee, CRYPTO '94).
-        None when a sum would double, the running sum meeting the entry it
-        adds.
+        and no Jacobian doubling, a fixed-base comb of one row (Lim-Lee,
+        CRYPTO '94). A running sum that meets the entry it adds doubles in
+        place, by add, as in _jacobian_mul; one that meets its negative is
+        the identity and goes on.
 
         The sum runs over the nonzero digits d_j = +-1 of n's non-adjacent
         form (Morain-Olivos, RAIRO 24, 1990), about a third of its bits
@@ -320,8 +306,10 @@ class FiniteCurve:
             if not H:
                 if r:  # the running sum is -table[j]
                     Z = 0
-                    continue
-                return None
+                else:  # the running sum is the entry: it doubles, to the identity at order 2
+                    t = self.add((x, y), (x, y))
+                    X, Y, Z = (*t, 1) if t else (1, 1, 0)
+                continue
             HH = H * H % q
             HHH = H * HH % q
             V = X * HH % q
@@ -339,17 +327,18 @@ class FiniteCurve:
         powers; the exact order is unique, so neither the N found nor the
         window searched changes the result.
 
-        The window: the scanned curves have full rational 2-torsion, which
-        injects into E(F_q), so 4 | #E(F_q) and the search runs on t = 4*s
-        over N/4. Above q = _WINDOW_MIN_Q, the measured crossover, the
-        x-coordinates two_torsion = (e1, e2) of two points of order 2 narrow
-        it further: 2-descent gives a v with 2^v | #E(F_q) (_two_part). When
-        2^v is exactly the 2-part, #E = 2^v * c with c odd, and the search
-        runs on t = 2^v * s over odd c only; when v is a lower bound, over
-        every c. At or below the crossover, or without two_torsion, that
-        search is skipped. Two fallbacks follow a search that finds nothing:
-        the search on 4*s, then the search on s itself over the whole
-        interval. Cost is O(q^(1/4)) group operations.
+        One search runs, on t = k*s over the c with k*c in the interval. k
+        divides #E(F_q), so c = #E(F_q) / k is among them, and the search
+        always finds an annihilator. Without two_torsion, k = 1. The
+        x-coordinates two_torsion = (e1, e2) of two points of order 2 say
+        that the rational 2-torsion is full; it injects into E(F_q), so
+        4 | #E(F_q): k = 4. Above q = _WINDOW_MIN_Q, the measured crossover,
+        2-descent narrows the search further: it gives a v with
+        2^v | #E(F_q) (_two_part), and k = 2^v. When 2^v is exactly the
+        2-part, #E = 2^v * c with c odd, and the search runs over odd c
+        only; when v is a lower bound, over every c. Cost is O(q^(1/4))
+        group operations. Raises ValueError, at every q, unless e1 and e2
+        are two distinct roots of x^3 + a*x + b.
 
         For each prime power f^e of N, u = (N / f^e) * s carries the f-part
         of the order: 1 if u is the identity, else the least f^j < f^e that
@@ -361,25 +350,29 @@ class FiniteCurve:
         multiplies the affine u (formed only when e >= 2) by the
         double-and-add. The result does not depend on the table.
         """
+        q, a, b = self.q, self.a, self.b
+        if two_torsion is not None:
+            e1, e2 = (e % q for e in two_torsion)
+            if e1 == e2 or (e1**3 + a * e1 + b) % q or (e2**3 + a * e2 + b) % q:
+                raise ValueError(f"{e1} and {e2} are not two roots of x^3 + {a}x + {b} mod {q}")
         if s is None:
             return 1
-        q = self.q
         lo, hi = hasse_interval(q)
-        n = None
-        if two_torsion is not None and q > _WINDOW_MIN_Q:
-            v, exact = self._two_part(*two_torsion)
+        if two_torsion is None:
+            k, odd_only = 1, False
+        elif q > _WINDOW_MIN_Q:
+            v, odd_only = self._two_part(*two_torsion)
             k = 1 << v
-            c = self._annihilator(s, k, -(-lo // k), hi // k, exact, table)
-            n = k * c if c else None
-        if n is None:
-            c = self._annihilator(s, 4, -(-lo // 4), hi // 4, False, table)
-            n = 4 * c if c else self._annihilator(s, 1, lo, hi, False, table)
-        if n is None:
+        else:
+            k, odd_only = 4, False
+        c = self._annihilator(s, k, -(-lo // k), hi // k, odd_only, table)
+        if c is None:
             args = f"{s}" if two_torsion is None else f"{s}, two_torsion={tuple(two_torsion)}"
             raise InvariantViolation(
                 f"no annihilator of {s} in the Hasse interval at q = {q}; the group law "
-                f"is broken: FiniteCurve({q}, {self.a}, {self.b}).point_order({args})"
+                f"is broken: FiniteCurve({q}, {a}, {b}).point_order({args})"
             )
+        n = k * c
         order = 1
         for f, e in factorize(n).items():
             fe = f**e
@@ -408,13 +401,11 @@ class FiniteCurve:
         up by halving, one level a step, until no half of the point reached
         halves again: v = 1 + beta. The halves of a point differ by
         2-torsion, so some half halves iff the half Q found or Q + T_j does,
-        for a T_j that does not halve. Raises ValueError unless e1 and e2
-        are two distinct roots.
+        for a T_j that does not halve. e1 and e2 must be two distinct roots
+        (point_order checks them).
         """
-        q, a, b = self.q, self.a, self.b
+        q = self.q
         roots = e1, e2, e3 = e1 % q, e2 % q, -(e1 + e2) % q
-        if e1 == e2 or (e1**3 + a * e1 + b) % q or (e2**3 + a * e2 + b) % q:
-            raise ValueError(f"{e1} and {e2} are not two roots of x^3 + {a}x + {b} mod {q}")
         c12, c13, c23 = (jacobi(d, q) for d in (e1 - e2, e1 - e3, e2 - e3))
         eps = 1 if q % 4 == 1 else -1  # the character of -1: e_j - e_i = -(e_i - e_j)
         halves = (c12 == c13 == 1, eps * c12 == c23 == 1, eps * c13 == eps * c23 == 1)

@@ -155,20 +155,6 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "8 * YY * YY) % q, 2 * Y * Z % q",
-        "8 * YY * YY) % q, (2 * Y * Z % q) or Z",
-        "_double: a kept half of order 2 doubles to a finite point, not the identity",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
-        "8 * YY * YY) % q, 2 * Y * Z % q",
-        "8 * YY * YY) % q, Y * Z % q",
-        "_double: the doubled Z without its factor 2",
-        (T_FINITE,),
-    ),
-    Mutant(
-        FINITE,
         "if not Z:\n                X, Y, Z = x, y, 1\n                continue\n            ZZ",
         "ZZ",
         "_comb: the identity branch dropped, so the empty sum stays the identity",
@@ -179,6 +165,13 @@ MUTANTS = (
         "if r:  # the running sum is -table[j]\n                    Z = 0",
         "if r:  # the running sum is -table[j]\n                    Z = Z",
         "_comb: a sum that meets -table[j] stays finite instead of the identity",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "X, Y, Z = (*t, 1) if t else (1, 1, 0)",
+        "X, Y, Z = 1, 1, 0",
+        "_comb: a running sum that meets the entry it adds becomes the identity, not its double",
         (T_FINITE,),
     ),
     Mutant(
@@ -230,6 +223,13 @@ MUTANTS = (
         "half = None if n & 1 else table.sums.get(n >> 1)",
         "half = table.sums.get(n >> 1)",
         "_multiple: the parity guard dropped, so an odd n is doubled from n >> 1",
+        (T_FINITE, T_QUOTIENT),
+    ),
+    Mutant(
+        FINITE,
+        "if half[2] else half",
+        "if not half[2] else half",
+        "_multiple: a finite kept half returned undoubled, and the identity made affine",
         (T_FINITE, T_QUOTIENT),
     ),
     Mutant(
@@ -313,9 +313,38 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "n = 4 * c if c else",
-        "n = 2 * c if c else",
-        "point_order: the annihilator of 4s taken back to s with the wrong factor",
+        "n = k * c\n",
+        "n = 2 * c\n",
+        "point_order: the annihilator of k*s taken back to s with the factor 2, not k",
+        (T_FINITE,),
+    ),
+    # point_order's one search: its (k, odd_only) and the check of two_torsion.
+    Mutant(
+        FINITE,
+        "if two_torsion is None:\n            k, odd_only = 1, False",
+        "if two_torsion is None:\n            k, odd_only = 4, False",
+        "point_order: without two_torsion the search runs on 4*s, although 4 need not divide #E",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "else:\n            k, odd_only = 4, False",
+        "else:\n            k, odd_only = 1, False",
+        "point_order: with two_torsion at or below the crossover the search runs on s, not 4*s",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "k = 1 << v",
+        "k = 1 << (v - 1)",
+        "point_order: the windowed search on 2^(v-1) * s, so an exact 2-part leaves an even cofactor",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if two_torsion is not None:\n            e1, e2",
+        "if two_torsion is not None and q > _WINDOW_MIN_Q:\n            e1, e2",
+        "point_order: two_torsion checked only where the window reads it",
         (T_FINITE,),
     ),
     # Every multiple of s from one dispatcher (_multiple), with s's table or None.

@@ -6,13 +6,12 @@ print. Criteria with stated budgets are timed single-threaded.
 
 import json
 import time
-from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from oracles import all_points, coset_order_by_walk, order_by_walk
+from pinned_records import wrong_records
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import (
@@ -32,11 +31,6 @@ from suppscan.rational import (
     search_curve,
 )
 from suppscan.scan import LabConfig, default_config, run_scan, write_report
-
-# perfbench's modular arithmetic, loaded by path: it imports nothing of suppscan.
-_spec = spec_from_file_location("arith_check", Path(__file__).parents[1] / "perfbench" / "arith_check.py")
-arith_check = module_from_spec(_spec)
-_spec.loader.exec_module(arith_check)
 
 # report_digest of the default config (prime_bound 10^4). A change that alters
 # the report on purpose records the old and the new digest in CHANGES.md.
@@ -294,26 +288,10 @@ def test_criterion_7_digest_at_10_5(scan_10_5):
 
 def test_criterion_7_records_at_10_5_checked_independently(scan_10_5):
     # perfbench's Jacobian arithmetic, which shares no code with suppscan,
-    # checks every record of the scan to 10^5: ord_R is the exact order of r,
-    # and for each prime f | ord_R the multiple (ord_R / f) * r puts neither
-    # P = (r, 0) nor Q = (r, r) into <(K1, K2)>, so both have order ord_R.
+    # checks every record of the scan to 10^5 (pinned_records.wrong_records):
+    # ord_R is exact, and P and Q have that order.
     cfg, report, _ = scan_10_5
-    R, R1, R2 = tuple(cfg.R), tuple(cfg.R1), tuple(cfg.R2)
-    wrong = []
-    for rec in report.records:
-        q, m, a = rec.q, rec.ord_r, cfg.curve.a % rec.q
-        r = arith_check.reduce_projective(q, R)
-        k1, k2 = (arith_check.reduce_projective(q, K) for K in (R1, R2))
-        kernel = {
-            tuple(arith_check.to_affine(q, arith_check.jacobian_mul(q, a, i, (*k, 1))) for k in (k1, k2))
-            for i in range(cfg.p)
-        }
-        ok = rec.ord_p == rec.ord_q == m and arith_check.is_exact_order(q, a, r, m)
-        for f in arith_check.prime_factors(m):
-            u = arith_check.to_affine(q, arith_check.jacobian_mul(q, a, m // f, (*r, 1)))
-            ok = ok and (u, None) not in kernel and (u, u) not in kernel
-        if not ok:
-            wrong.append(q)
+    wrong = wrong_records(cfg, report.records)
     _report(
         7,
         "every record of the default report at prime_bound 10^5 has the exact ord_R, "

@@ -18,7 +18,7 @@ from oracles import (
 )
 from suppscan import finite
 from suppscan.arith import factorize, is_prime, primes_up_to, sqrt_mod
-from suppscan.finite import FiniteCurve, hasse_interval
+from suppscan.finite import FiniteCurve, InvariantViolation, hasse_interval
 
 # y^2 = x^3 - x over F_5: the fully hand-checked table
 F5 = FiniteCurve(5, -1, 0)
@@ -232,8 +232,9 @@ def test_group_axioms_random_curves(data):
 
 
 def test_point_order_group_order_not_divisible_by_4():
-    # #E = 1057 = 7 * 151: no c in [lo/4, hi/4] kills 4*s, so only the
-    # stride-1 search can find the order
+    # #E = 1057 = 7 * 151: no c in [lo/4, hi/4] kills 4*s. Without
+    # two_torsion point_order searches on s itself, over the whole interval,
+    # and finds the order
     curve = FiniteCurve(997, 0, 7)
     s = (3, 55)
     assert len(all_points(curve)) == 1057
@@ -440,8 +441,8 @@ def test_comb_matches_double_and_add(data):
     # index_of_multiple summing the table against the double-and-add, for n
     # in [-2^L, 2^L] (those of L bits or more fall back): n = 0, and at
     # q < 400 sums that meet the negative of the entry they add, and so
-    # return to the identity and go on, or the entry itself, a doubling,
-    # which falls back.
+    # return to the identity and go on, or the entry itself, and so double
+    # in place.
     # Such an n is n_low + d*2^j + H*2^(j+2) with 3*|n_low| < 2^j: its
     # non-adjacent form is n_low's, whose digits stop below j - 1, then the
     # digit d at j, then H's from j + 2, so the sum adds d*2^j*s to n_low*s.
@@ -472,12 +473,11 @@ def test_comb_matches_double_and_add(data):
 def test_signed_comb_against_the_naf_oracle_on_small_fields():
     # Every point of the default curve at q = 37 and 53, points of 2-power
     # order (whose tables end in the identity) among them, and every n below
-    # 2^(L-1), L = 4 + the bit length of the order. Walking the oracle's
-    # non-adjacent form of n through the multiples of s mod its order, _comb
-    # returns None exactly where the running sum meets the entry it adds, a
-    # doubling, and otherwise n*s; _multiple always returns n*s. Both
-    # degenerate sums, the doubling and the return to the identity with
-    # digits still to come, are met.
+    # 2^(L-1), L = 4 + the bit length of the order: _comb and _multiple both
+    # return n*s. Walking the oracle's non-adjacent form of n through the
+    # multiples of s mod its order shows that both degenerate sums are met:
+    # the running sum meeting the entry it adds, which doubles in place, and
+    # the return to the identity with digits still to come.
     seen = set()
     for q in (37, 53):
         curve = FiniteCurve(q, -21, -20)
@@ -488,24 +488,18 @@ def test_signed_comb_against_the_naf_oracle_on_small_fields():
             for n in range(1 << (length - 1)):
                 digits = naf_digits(n)
                 assert len(digits) <= length and sum(d << j for j, d in enumerate(digits)) == n
-                running, doubles = 0, False
+                running = 0
                 for j, d in enumerate(digits):
                     entry = (d << j) % order
                     if not entry:  # d = 0, or 2^j * s is the identity
                         continue
                     if running == entry:
-                        doubles = True
-                        break
+                        seen.add("doubling")
                     running = (running + entry) % order
                     if not running and any(digits[j + 1 :]):
                         seen.add("identity on the way")
-                total = curve._comb(n, table)
                 multiple = curve.scalar_mul(n, s)
-                if doubles:
-                    seen.add("doubling")
-                    assert total is None, (q, s, n)
-                else:
-                    assert curve._affine(*total) == multiple, (q, s, n)
+                assert curve._affine(*curve._comb(n, table)) == multiple, (q, s, n)
                 assert curve._affine(*curve._multiple(n, s, table)) == multiple, (q, s, n)
     assert seen == {"doubling", "identity on the way"}
 
@@ -517,8 +511,7 @@ def test_table_mul_matches_scalar_mul(data):
     # 2-power order half the time) or at q in [10^3, 10^12], for n over
     # [0, 2^L): an n of L bits falls back to the double-and-add. n = 2^L - 1
     # is one: its non-adjacent form 2^L - 1 has a digit at L, one past the
-    # table. From the table one entry longer _comb sums it, unless the sum
-    # would double (a point of small order, even at large q).
+    # table. From the table one entry longer _comb sums it.
     small = data.draw(st.booleans(), label="q < 400")
     curve, s, order = draw_curve_and_point(data, small)
     assume(s is not None)  # index_of_multiple answers the identity first
@@ -528,8 +521,7 @@ def test_table_mul_matches_scalar_mul(data):
     n = data.draw(st.integers(0, top - 1) | st.sampled_from([0, top - 1, top // 2 - 1]), label="n")
     assert curve._affine(*curve._multiple(n, s, table)) == curve.scalar_mul(n, s), (curve, s, n)
     total = curve._comb(top - 1, curve.doublings(s, length + 1))
-    if total is not None:
-        assert curve._affine(*total) == curve.scalar_mul(top - 1, s), (curve, s, length)
+    assert curve._affine(*total) == curve.scalar_mul(top - 1, s), (curve, s, length)
 
 
 @settings(max_examples=200, deadline=None)
@@ -538,8 +530,8 @@ def test_table_mul_keeps_each_tables_sums(data):
     # Two tables, on two curves or on two points of one curve, and a random
     # interleaving of scalars from one small pool, so that a scalar comes
     # again on its own table and on the other: every answer is scalar_mul's,
-    # whether it was summed (_comb), fell back (n of L bits, or a sum that
-    # would double, at q < 400) or was kept from an earlier call.
+    # whether it was summed (_comb), fell back (n of L bits) or was kept
+    # from an earlier call.
     small = data.draw(st.booleans(), label="q < 400")
     curve, s, _ = draw_curve_and_point(data, small)
     if not data.draw(st.booleans(), label="one curve"):
@@ -566,18 +558,21 @@ def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
     # 4, whose table ends in the identity. Every n below 2^L on both, in one
     # shuffled order and then again, in turns: each table keeps exactly the
     # scalars asked of it, each under its own n. A scalar is made once per
-    # table: an even n whose half is kept is that half doubled, with no
-    # _comb and no double-and-add; any other n runs _comb, and the
-    # double-and-add after it when it falls back. The identity's table is
-    # of the same kind.
+    # table, by one call: an even n whose half is kept is that half doubled,
+    # one _jacobian_mul(2, ·), or no call at all when the half is the
+    # identity; any other n is one _comb when it fits the table, n < 2^(L-1),
+    # and one double-and-add when it does not. The identity's table is of
+    # the same kind.
     curve = FiniteCurve(47, -21, -20)
     orders = {u: order_by_walk(curve.add, u) for u in all_points(curve)[1:]}
     s, t = (next(u for u, order in orders.items() if order == k) for k in (28, 4))
     made = []
     comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
-    monkeypatch.setattr(FiniteCurve, "_comb", lambda self, n, table: made.append(n) or comb(self, n, table))
     monkeypatch.setattr(
-        FiniteCurve, "_jacobian_mul", lambda self, n, u: made.append(n) or jacobian_mul(self, n, u)
+        FiniteCurve, "_comb", lambda self, n, table: made.append(("comb", n)) or comb(self, n, table)
+    )
+    monkeypatch.setattr(
+        FiniteCurve, "_jacobian_mul", lambda self, n, u: made.append(("jac", n)) or jacobian_mul(self, n, u)
     )
     length = 7
     tables = {s: curve.doublings(s, length), t: curve.doublings(t, length)}
@@ -588,17 +583,21 @@ def test_table_mul_sums_each_scalar_once_per_table(monkeypatch):
         for n in scalars:
             for u, table in tables.items():
                 made.clear()
-                doubled = not n & 1 and n >> 1 in table.sums
+                half = None if n & 1 else table.sums.get(n >> 1)
                 total = curve._multiple(n, u, table)
-                if again or doubled:
+                if again or (half is not None and not half[2]):
                     assert not made, (u, n, made)
+                elif half is not None:
+                    assert made == [("jac", 2)], (u, n, made)
                 else:
-                    assert set(made) == {n}, (u, n, made)
+                    assert made == [("comb" if n < 1 << (length - 1) else "jac", n)], (u, n, made)
                 if not again:
-                    kinds.add((n & 1, doubled))
+                    kinds.add((n & 1, None if half is None else bool(half[2])))
                 assert total is table.sums[n], (u, n)
                 assert curve._affine(*total) == curve.scalar_mul(n, u), (u, n)
-    assert kinds == {(1, False), (0, False), (0, True)}  # even n made both ways
+    # Even n made all three ways: summed, and doubled from a finite half and
+    # from the identity.
+    assert kinds == {(1, None), (0, None), (0, True), (0, False)}
     for u, table in tables.items():
         assert sorted(table.sums) == list(range(1 << length)), u
     identity = curve.doublings(None, length)
@@ -803,12 +802,20 @@ def test_two_part_matches_point_counts():
     assert max(v for v, _ in seen if v != "lower") >= 8
 
 
-def test_two_part_rejects_non_roots():
+def test_point_order_rejects_non_roots_at_every_q(monkeypatch):
+    # point_order checks two_torsion before anything else, whether the
+    # window is read or not: at q = 101, at or below the crossover and with
+    # the crossover moved under it, and for the identity too. Roots may be
+    # given as any residues.
     curve = FiniteCurve(101, -21, -20)  # roots -4, -1, 5
     assert curve._two_part(-4, -1) == curve._two_part(-1 + 101, 5)
-    for roots in ((-4, -4), (-4, 2), (0, 1)):
-        with pytest.raises(ValueError, match="not two roots"):
-            curve._two_part(*roots)
+    assert curve.point_order((0, 9), (-4, -1)) == curve.point_order((0, 9), (-1 + 101, 5)) == 8
+    for window_min_q in (finite._WINDOW_MIN_Q, 100):
+        monkeypatch.setattr(finite, "_WINDOW_MIN_Q", window_min_q)
+        for roots in ((-4, -4), (-4, -4 + 101), (-4, 2), (0, 1)):
+            for s in ((0, 9), None):
+                with pytest.raises(ValueError, match="not two roots"):
+                    curve.point_order(s, two_torsion=roots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -832,14 +839,52 @@ def test_windowed_point_order_random_split_curves(data):
 
 
 def test_window_is_read_only_above_the_crossover(monkeypatch):
-    # Bad roots are never looked at below the crossover, and are refused
-    # above it.
+    # The 2-descent (_two_part) runs only above the crossover: at q = 101
+    # not at all, and once with the crossover moved under 101. The order is
+    # the same either way.
+    calls = []
+    two_part = FiniteCurve._two_part
+    monkeypatch.setattr(
+        FiniteCurve, "_two_part", lambda self, e1, e2: calls.append((e1, e2)) or two_part(self, e1, e2)
+    )
     curve = FiniteCurve(101, -21, -20)
-    assert curve.point_order((0, 9), two_torsion=(0, 1)) == curve.point_order((0, 9)) == 8
+    assert curve.point_order((0, 9), two_torsion=(-4, -1)) == curve.point_order((0, 9)) == 8
+    assert calls == []
     monkeypatch.setattr(finite, "_WINDOW_MIN_Q", 100)
-    with pytest.raises(ValueError, match="not two roots"):
-        curve.point_order((0, 9), two_torsion=(0, 1))
     assert curve.point_order((0, 9), two_torsion=(-4, -1)) == 8
+    assert calls == [(-4, -1)]
+
+
+def test_point_order_runs_one_search(monkeypatch):
+    # With every search stubbed to find nothing, each of point_order's three
+    # cases makes exactly one, with its own (k, odd_only) over the c with
+    # k*c in the Hasse interval, and then raises: without two_torsion
+    # (1, False); with it at or below the crossover (4, False); above it
+    # (2^v, exact) from _two_part, at 10^10 + 19 (v = 4, exact) and at
+    # 10^10 + 33 (v = 4, a lower bound).
+    calls = []
+
+    def no_annihilator(self, s, k, lo, hi, odd_only, table):
+        calls.append((k, odd_only, lo, hi))
+        return None
+
+    monkeypatch.setattr(FiniteCurve, "_annihilator", no_annihilator)
+    cases = [
+        (10**6 + 3, None, (1, False)),
+        (10**6 + 3, (-4, -1), (4, False)),
+        (finite._WINDOW_MIN_Q - 1, (-4, -1), (4, False)),  # 2 * 10^7 - 1 is prime
+        (10**10 + 19, None, (1, False)),
+        (10**10 + 19, (-4, -1), (16, True)),
+        (10**10 + 33, (-4, -1), (16, False)),
+    ]
+    for q, two_torsion, (k, odd_only) in cases:
+        # The default curve, its 2-torsion roots -4 and -1, and R = (-3, 4).
+        curve, s = FiniteCurve(q, -21, -20), (-3 % q, 4)
+        lo, hi = hasse_interval(q)
+        calls.clear()
+        with pytest.raises(InvariantViolation, match="no annihilator"):
+            curve.point_order(s, two_torsion, curve.table_of(s))
+        assert calls == [(k, odd_only, -(-lo // k), hi // k)], (q, two_torsion)
 
 
 def test_odd_annihilator_stays_within_its_windows():

@@ -407,11 +407,11 @@ def spy_on_the_table(monkeypatch):
     or "Q" inside a quotient-order sweep and None before them, kept and
     halved say whether n itself or, for an even n, its half was in the
     table's sums before the call, and made lists the (kind, n) of each
-    _comb ("comb"), _jacobian_mul ("jac") and _double ("double") call the
-    call made."""
-    sweep, calls, made, asked = [None], [], [], [None]
+    _comb ("comb") and _jacobian_mul ("jac") call the call made; a kept
+    half doubled is ("jac", 2)."""
+    sweep, calls, made = [None], [], []
     order, multiple = quotient.quotient_order, FiniteCurve._multiple
-    comb, jacobian_mul, double = FiniteCurve._comb, FiniteCurve._jacobian_mul, FiniteCurve._double
+    comb, jacobian_mul = FiniteCurve._comb, FiniteCurve._jacobian_mul
 
     def spy_order(ctx, s, m, doublings=None, divisors=None):
         sweep[0] = "Q" if s.rep2 is not None else "P"
@@ -419,7 +419,7 @@ def spy_on_the_table(monkeypatch):
 
     def spy_multiple(self, n, s, table):
         kept, halved = n in table.sums, not n & 1 and n >> 1 in table.sums
-        before, asked[0] = len(made), n
+        before = len(made)
         total = multiple(self, n, s, table)
         calls.append((sweep[0], n, kept, halved, made[before:]))
         return total
@@ -432,15 +432,10 @@ def spy_on_the_table(monkeypatch):
         made.append(("jac", n))
         return jacobian_mul(self, n, s)
 
-    def spy_double(self, X, Y, Z):
-        made.append(("double", asked[0]))
-        return double(self, X, Y, Z)
-
     monkeypatch.setattr(quotient, "quotient_order", spy_order)
     monkeypatch.setattr(FiniteCurve, "_multiple", spy_multiple)
     monkeypatch.setattr(FiniteCurve, "_comb", spy_comb)
     monkeypatch.setattr(FiniteCurve, "_jacobian_mul", spy_jacobian_mul)
-    monkeypatch.setattr(FiniteCurve, "_double", spy_double)
     return calls
 
 
@@ -448,8 +443,8 @@ def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
     # At q = 10^10 + 19 point_order's walk starts and kill tests and both
     # sweeps ask the one table of r's doublings for multiples of r. A scalar
     # that is kept is read back and makes nothing; an even one whose half is
-    # kept is one doubling of that half; any other is summed (_comb, then
-    # the double-and-add if that falls back), and then once. Past the
+    # kept is one doubling of that half, _jacobian_mul(2, ·); any other is
+    # summed, one _comb, since every scalar asked for fits the table. Past the
     # crossover each sweep tries exactly (ord_R / 2, ord_R), so the sweep for
     # Q asks for the two multiples that the sweep for P has just made and
     # makes nothing.
@@ -466,10 +461,10 @@ def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
         if kept:
             assert made == [], (sweep, n, made)
         elif halved:
-            assert made == [("double", n)], (sweep, n, made)
+            assert made == [("jac", 2)], (sweep, n, made)
             doubled.append(n)
         else:
-            assert made[0] == ("comb", n) and set(made) <= {("comb", n), ("jac", n)}, (sweep, n, made)
+            assert made == [("comb", n)], (sweep, n, made)
             summed.append(n)
     # Each distinct scalar is made once, summed or doubled.
     assert doubled and sorted(summed + doubled) == sorted(set(asked))
@@ -478,7 +473,8 @@ def test_evaluate_prime_sums_each_multiple_of_r_once(monkeypatch):
 
 def test_sweep_for_p_doubles_m_from_its_kept_half(monkeypatch):
     # Past the crossover the sweep for P tries m / 2 and then m = ord_R, so
-    # when it reaches m its half is kept, and m is one doubling of it. At
+    # when it reaches m its half is kept, and m is one doubling of it,
+    # _jacobian_mul(2, ·) on the half's affine point. At
     # q = 99991 (m = 2 * 8311) the sweep sums m / 2 first; at q = 10^10 + 19
     # point_order has kept m / 4, so m / 2 is a doubling too.
     for q, sums_half in ((99991, True), (10**10 + 19, False)):
@@ -489,8 +485,8 @@ def test_sweep_for_p_doubles_m_from_its_kept_half(monkeypatch):
         sweep = [(n, kept, halved, made) for s, n, kept, halved, made in calls if s == "P"]
         assert [n for n, _, _, _ in sweep] == [m // 2, m], q
         n, kept, halved, made = sweep[0]
-        assert not kept and made[0] == (("comb", n) if sums_half else ("double", n)), (q, made)
-        assert sweep[1] == (m, False, True, [("double", m)]), (q, sweep[1])
+        assert not kept and made == [("comb", n) if sums_half else ("jac", 2)], (q, made)
+        assert sweep[1] == (m, False, True, [("jac", 2)]), (q, sweep[1])
 
 
 def test_evaluate_prime_tries_two_candidates_past_the_crossover(monkeypatch):

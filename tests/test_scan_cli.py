@@ -490,9 +490,9 @@ def test_cli_point_order_without_annihilator_is_an_invariant_violation(tmp_path,
 
 
 def test_point_order_repro_line_takes_the_windowed_path(monkeypatch):
-    # Above the crossover the windowed search runs first; with every search
-    # failing, the repro line names two_torsion, and evaluating it calls the
-    # windowed search again.
+    # Above the crossover point_order runs one search, the windowed one;
+    # with it failing, the repro line names two_torsion, and evaluating it
+    # runs that search again.
     calls = []
 
     def no_annihilator(self, s, k, lo, hi, odd_only, table):
@@ -511,7 +511,7 @@ def test_point_order_repro_line_takes_the_windowed_path(monkeypatch):
     calls.clear()
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         eval(expression, {"FiniteCurve": FiniteCurve})
-    assert calls == first and len(first) == 3
+    assert calls == first and len(first) == 1
 
 
 def test_report_digest_ignores_elapsed():
