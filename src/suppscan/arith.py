@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -67,26 +67,34 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if not crossed[n]]
 
 
-# Trial division runs over the primes below this; Pollard's rho does the rest.
+# factorize divides out the primes below this that one gcd names; Pollard's rho does the rest.
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {prime: exponent} of n >= 1, keys ascending.
 
-    Trial division takes the factors below 1000; a cofactor left after that
-    is split by Pollard's rho, with is_prime deciding when to stop.
+    One gcd with the product of the primes below 1000 names n's small
+    primes, and only those are divided out, ascending; once a prime's square
+    exceeds what is left of the gcd, that rest is prime. Pollard's rho
+    splits the cofactor left, with is_prime deciding when to stop.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for f in _SMALL_PRIMES:
-        if f * f > n:
-            break
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+    g, primes = gcd(n, _SMALL_PRODUCT), iter(_SMALL_PRIMES)
+    while g > 1:
+        f = next(primes)
+        if f * f > g:
+            f = g
+        if g % f == 0:
+            g //= f
+            out[f] = 0
+            while n % f == 0:
+                n //= f
+                out[f] += 1
     # Below 1000^2 a cofactor free of the small primes is 1 or prime.
     if n >= _TRIAL_LIMIT**2:
         large: list[int] = []

@@ -1,23 +1,23 @@
 """Short-Weierstrass arithmetic over prime fields F_q, q >= 5.
 
-Points are None (the identity) or (x, y) tuples of canonical residues.
-add is the affine group law, one inversion per operation; _add_pair makes
-two affine additions with one shared inversion. Scalar multiples come from
-one double-and-add in Jacobian coordinates (_jacobian_mul): scalar_mul
-inverts its final Z once to return an affine point, while index_of_multiple
-compares the multiple with affine points projectively, inverting nothing.
-At large q a point's multiples can instead come from one table of its
-doublings (table_of, a chain of add): _comb sums the entries at the signed
-digits of the scalar's non-adjacent form, by additions alone. _multiple
-alone picks the table or the double-and-add for every multiple inside
-index_of_multiple and point_order. The table keeps each sum it has made,
-so a multiple asked for twice, say by both quotient-order sweeps of one
-prime, each of which tries only ord_R / p and ord_R where a table exists,
-is summed once, and an even multiple whose half is kept is that half
-doubled by _jacobian_mul, not a sum. Orders come from one
-baby-step/giant-step annihilator search over the Hasse interval, whose
-steps run in pairs of lanes, then one climb per prime power of the
-annihilator to its part of the order: no point count is ever needed.
+Points are None (the identity) or (x, y) tuples of canonical residues. add
+is the affine group law, one inversion per operation; the annihilator search
+writes its additions inline and calls add only at a doubling, a sum of
+opposites or the identity. Scalar multiples come from one double-and-add in
+Jacobian coordinates (_jacobian_mul): scalar_mul inverts its final Z once to
+return an affine point, while index_of_multiple compares the multiple with
+affine points projectively, inverting nothing. At large q a point's
+multiples can instead come from one table of its doublings (table_of, a
+chain of inline tangents): _comb sums the entries at the signed digits of
+the scalar's non-adjacent form, by additions alone. _multiple alone picks
+the table or the double-and-add for every multiple inside index_of_multiple
+and point_order. The table keeps each sum it has made, so a multiple asked
+for twice, say by both quotient-order sweeps of one prime, each of which
+tries only ord_R / p and ord_R where a table exists, is summed once, and an
+even multiple whose half is kept is that half doubled by _jacobian_mul, not
+a sum. Orders come from one baby-step/giant-step annihilator search over the
+Hasse interval, whose steps run in pairs of lanes, then one climb per prime
+power of the annihilator to its part of the order: no point count is needed.
 """
 
 from math import isqrt
@@ -228,15 +228,18 @@ class FiniteCurve:
         length >= 1, the identity as None: a tuple that also keeps, in its
         attribute sums, every multiple of s that _multiple makes from it.
 
-        A chain of length - 1 doublings by add, one inversion each, which in
-        Python mostly costs less than Jacobian doublings sharing one
-        inversion (README). After a doubling meets the identity (s of
-        2-power order), every entry is the identity.
+        A chain of affine tangent doublings written inline, one inversion
+        each, which in Python mostly costs less than Jacobian doublings
+        sharing one inversion (README). Once an entry has y = 0 or is the
+        identity, every later entry is the identity.
         """
-        table = [s]
-        for _ in range(length - 1):
-            table.append(self.add(table[-1], table[-1]))
-        return _Doublings(table)
+        table, q, a = [s], self.q, self.a
+        x, y = s or (0, 0)  # the identity, like a point with y = 0, doubles to the identity
+        while y and len(table) < length:  # the tangent at (x, y)
+            lam = (3 * x * x + a) * pow(2 * y, -1, q) % q
+            x, y = (lam * lam - 2 * x) % q, (lam * (3 * x - lam * lam) - y) % q
+            table.append((x, y))
+        return _Doublings(table + [None] * (length - len(table)))
 
     def _multiple(self, n: int, s, table):
         """n * s as Jacobian (X, Y, Z) for n >= 0, s affine and not the
@@ -466,8 +469,10 @@ class FiniteCurve:
         baby steps run as two lanes, odd j and even j, each adding 2u; the
         giant walk runs as two lanes from the window that holds the middle
         of [lo', hi'], one up and one down, because #E(F_q) clusters near
-        q + 1 (Sato-Tate, for curves without CM). The two additions of a
-        step share one inversion (_add_pair).
+        q + 1 (Sato-Tate, for curves without CM). A step's two chord
+        additions, in local integers, share the inversion of d1*d2
+        (Montgomery, Math. Comp. 48, 1987); giant and -giant share x. A zero
+        d1*d2 (a doubling, opposites) or a lane at the identity steps by add.
         """
         t = self._affine(*self._multiple(k, s, table))
         if t is None:
@@ -487,58 +492,65 @@ class FiniteCurve:
         two = self.add(u, u)
         if two is None:
             return 2 * step
-        baby = {}
-        odd, even, j = u, two, 1  # j*u and (j + 1)*u
+        q, (tx, ty) = self.q, two
+        baby, ys = {}, [None] * (m + 1)  # x of j*u -> its first j; ys[j] = y of j*u
+        ox, oy, ex, ey, j = *u, tx, ty, 1  # j*u and (j + 1)*u
         while j < m:
-            baby.setdefault(odd[0], (j, odd[1]))
-            baby.setdefault(even[0], (j + 1, even[1]))
-            if j + 3 <= m:  # the next even multiple is a baby step too
-                odd, even = self._add_pair(odd, two, even, two)
+            baby.setdefault(ox, j)
+            baby.setdefault(ex, j + 1)
+            ys[j], ys[j + 1] = oy, ey
+            d1, d2 = tx - ox, tx - ex
+            d = d1 * d2 % q
+            if d:  # both lanes step, sharing one inversion
+                inv = pow(d, -1, q)
+                lam, mu = (ty - oy) * d2 * inv % q, (ty - ey) * d1 * inv % q
+                x = (lam * lam - ox - tx) % q
+                ox, oy = x, (lam * (ox - x) - oy) % q
+                x = (mu * mu - ex - tx) % q
+                ex, ey = x, (mu * (ex - x) - ey) % q
+            else:  # a doubling or a sum of opposites: add, the even lane not at the last step
+                odd = self.add((ox, oy), two)
+                even = self.add((ex, ey), two) if j + 3 <= m else two
                 if even is None:
                     return (j + 3) * step
-            else:
-                odd = self.add(odd, two)
-            if odd is None:
-                return (j + 2) * step
+                if odd is None:
+                    return (j + 2) * step
+                (ox, oy), (ex, ey) = odd, even
             j += 2
-        baby.setdefault(odd[0], (m, odd[1]))
+        baby.setdefault(ox, m)
+        ys[m] = oy
         w = 2 * m
-        giant = self.add(odd, odd) if m > 1 else two  # w * u
-        down_giant = self.neg(giant)
-        # Both lanes start at the window holding the middle of [lo, hi]; their
-        # first step, up + giant and up - giant, shares the one denominator.
+        giant = self.add((ox, oy), (ox, oy)) if m > 1 else two  # w * u
+        gx, gy = giant or (0, 0)  # never stepped by: with giant None the first probe decides
+        # Both lanes start at the window holding the middle of [lo, hi]. A lane
+        # at the identity is (gx, None): its zero denominator sends it to add.
         up_centre = down_centre = lo + m + (hi - lo) // 2 // w * w
-        start = step * up_centre + offset
-        up = down = self._affine(*self._multiple(k * start, s, table))
+        start = self._multiple(k * (step * up_centre + offset), s, table)
+        ux, uy = vx, vy = self._affine(*start) or (gx, None)
         while up_centre - m <= hi or down_centre + m > lo:
-            for centre, walk in ((up_centre, up), (down_centre, down)):
-                if lo - m < centre <= hi + m:  # meets [lo, hi]; not the window ending at lo
-                    if walk is None:
-                        return step * centre + offset
-                    hit = baby.get(walk[0])
-                    if hit is not None:
-                        j, y = hit
-                        return step * (centre - j if y == walk[1] else centre + j) + offset
-            up, down = self._add_pair(up, giant, down, down_giant)
-            up_centre += w
-            down_centre -= w
-        return None
-
-    def _add_pair(self, s, g, t, h):
-        """(s + g, t + h), the two chord additions sharing one inversion:
-        1/d1 = d2/(d1*d2) and 1/d2 = d1/(d1*d2) (Montgomery, Math. Comp. 48,
-        1987). A doubling, a sum of opposites or an identity among s and t
-        goes through add; g and h are never the identity."""
-        if s is not None and t is not None:
-            q = self.q
-            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = s, g, t, h
-            d1, d2 = x2 - x1, x4 - x3
+            if lo - m < up_centre <= hi + m:  # meets [lo, hi]; not the window ending at lo
+                j = 0 if uy is None else baby.get(ux)  # 0: the lane is the identity, ys[0] None
+                if j is not None:
+                    return step * (up_centre - j if ys[j] == uy else up_centre + j) + offset
+            if lo - m < down_centre <= hi + m:
+                j = 0 if vy is None else baby.get(vx)
+                if j is not None:
+                    return step * (down_centre - j if ys[j] == vy else down_centre + j) + offset
+            if giant is None:  # u has order w: the first probe met every multiple of u
+                return None
+            d1, d2 = gx - ux, gx - vx
             d = d1 * d2 % q
             if d:
                 inv = pow(d, -1, q)
-                lam = (y2 - y1) * d2 * inv % q
-                mu = (y4 - y3) * d1 * inv % q
-                x5 = (lam * lam - x1 - x2) % q
-                x6 = (mu * mu - x3 - x4) % q
-                return (x5, (lam * (x1 - x5) - y1) % q), (x6, (mu * (x3 - x6) - y3) % q)
-        return self.add(s, g), self.add(t, h)
+                lam, mu = (gy - uy) * d2 * inv % q, (-gy - vy) * d1 * inv % q
+                x = (lam * lam - ux - gx) % q
+                ux, uy = x, (lam * (ux - x) - uy) % q
+                x = (mu * mu - vx - gx) % q
+                vx, vy = x, (mu * (vx - x) - vy) % q
+            else:
+                up = self.add(None if uy is None else (ux, uy), giant)
+                down = self.add(None if vy is None else (vx, vy), (gx, -gy % q))
+                (ux, uy), (vx, vy) = up or (gx, None), down or (gx, None)
+            up_centre += w
+            down_centre -= w
+        return None

@@ -148,9 +148,23 @@ MUTANTS = (
     # doublings and _comb: the table of a point's doublings and its sums.
     Mutant(
         FINITE,
-        "table.append(self.add(table[-1], table[-1]))",
-        "table.append(self.add(table[0], table[0]))",
-        "doublings: every entry past s doubles s, not the entry before it",
+        "lam = (3 * x * x + a) * pow(2 * y, -1, q) % q",
+        "lam = 3 * x * x * pow(2 * y, -1, q) % q",
+        "doublings: the chain's tangent slope without a",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "while y and len(table) < length:",
+        "while len(table) < length:",
+        "doublings: the chain doubles on past a point with y = 0, inverting 0",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "return _Doublings(table + [None] * (length - len(table)))",
+        "return _Doublings(table)",
+        "doublings: a table that meets the identity stops short, without its None entries",
         (T_FINITE,),
     ),
     Mutant(
@@ -364,58 +378,93 @@ MUTANTS = (
     ),
     Mutant(
         FINITE,
-        "self._multiple(k * start, s, table)",
-        "self._multiple(start, s, table)",
+        "self._multiple(k * (step * up_centre + offset), s, table)",
+        "self._multiple(step * up_centre + offset, s, table)",
         "_annihilator: the walk's first point made without the factor k of t = k*s",
         (T_FINITE,),
     ),
     # _annihilator: two baby lanes and two giant lanes, one inversion a step.
     Mutant(
         FINITE,
-        "(centre - j if y == walk[1] else centre + j)",
-        "(centre + j if y == walk[1] else centre - j)",
-        "_annihilator: the baby-step match with the sign of j swapped",
+        "(up_centre - j if ys[j] == uy else up_centre + j)",
+        "(up_centre + j if ys[j] == uy else up_centre - j)",
+        "_annihilator: the up lane's baby-step match with the sign of j swapped",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "up, down = self._add_pair(up, giant, down, down_giant)",
-        "up, down = self._add_pair(up, giant, down, giant)",
-        "_annihilator: the down lane steps by +giant",
+        "(down_centre - j if ys[j] == vy else down_centre + j)",
+        "(down_centre + j if ys[j] == vy else down_centre - j)",
+        "_annihilator: the down lane's baby-step match with the sign of j swapped",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "if lo - m < centre <= hi + m:",
-        "if centre <= hi + m:",
+        "down = self.add(None if vy is None else (vx, vy), (gx, -gy % q))",
+        "down = self.add(None if vy is None else (vx, vy), giant)",
+        "_annihilator: the down lane steps by +giant where it falls back to add",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "(-gy - vy) * d1 * inv % q",
+        "(gy - vy) * d1 * inv % q",
+        "_annihilator: the down lane's slope numerator gy - vy, a step by +giant",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "d1, d2 = gx - ux, gx - vx",
+        "d1, d2 = gx - ux, gx + vx",
+        "_annihilator: the down lane's denominator taken as gx + vx",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "if lo - m < down_centre <= hi + m:",
+        "if down_centre <= hi + m:",
         "_annihilator: the down lane still probed once its window lies below lo",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "if lo - m < centre <= hi + m:",
-        "if lo - m <= centre <= hi + m:",
+        "if lo - m < down_centre <= hi + m:",
+        "if lo - m <= down_centre <= hi + m:",
         "_annihilator: the window that ends at lo probed too, finding c < lo",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "giant = self.add(odd, odd) if m > 1 else two",
-        "giant = self.add(odd, two) if m > 1 else two",
+        "giant = self.add((ox, oy), (ox, oy)) if m > 1 else two",
+        "giant = self.add((ox, oy), two) if m > 1 else two",
         "_annihilator: a giant step of (m + 2)*t, not 2m*t",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "lam = (y2 - y1) * d2 * inv % q\n                mu = (y4 - y3) * d1 * inv % q",
-        "lam = (y2 - y1) * d1 * inv % q\n                mu = (y4 - y3) * d2 * inv % q",
-        "_add_pair: the two lanes' denominators swapped in the shared inversion",
+        "if giant is None:  # u has order w",
+        "if giant is None and False:  # u has order w",
+        "_annihilator: a giant step that is the identity walks on, adding a placeholder point",
         (T_FINITE,),
     ),
     Mutant(
         FINITE,
-        "start = step * up_centre + offset",
-        "start = step * up_centre",
+        "lam, mu = (ty - oy) * d2 * inv % q, (ty - ey) * d1 * inv % q",
+        "lam, mu = (ty - oy) * d1 * inv % q, (ty - ey) * d2 * inv % q",
+        "_annihilator: the baby lanes' denominators swapped in the shared inversion",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "lam, mu = (gy - uy) * d2 * inv % q, (-gy - vy) * d1 * inv % q",
+        "lam, mu = (gy - uy) * d1 * inv % q, (-gy - vy) * d2 * inv % q",
+        "_annihilator: the giant lanes' denominators swapped in the shared inversion",
+        (T_FINITE,),
+    ),
+    Mutant(
+        FINITE,
+        "k * (step * up_centre + offset)",
+        "k * (step * up_centre)",
         "_annihilator: the odd-cofactor walk without its +t offset",
         (T_FINITE,),
     ),
@@ -559,9 +608,23 @@ MUTANTS = (
     ),
     Mutant(
         ARITH,
-        "if f * f > n:",
-        "if f * f >= n:",
-        "factorize: trial division stops before a square of a small prime",
+        "if f * f > g:\n            f = g",
+        "if f * f > g:\n            break",
+        "factorize: the last small prime of the gcd left in n, read as the cofactor",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "g //= f\n",
+        "g //= 1\n",
+        "factorize: the gcd keeps each prime divided out, so the strip runs past the last small prime",
+        (T_ARITH,),
+    ),
+    Mutant(
+        ARITH,
+        "while n % f == 0:\n                n //= f",
+        "if n % f == 0:\n                n //= f",
+        "factorize: a small prime's higher powers skipped",
         (T_ARITH,),
     ),
     Mutant(

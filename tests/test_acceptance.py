@@ -5,14 +5,15 @@ print. Criteria with stated budgets are timed single-threaded.
 """
 
 import json
+import random
 import time
 from itertools import product
 
 import pytest
 
 from oracles import all_points, coset_order_by_walk, order_by_walk
-from pinned_records import wrong_records
-from suppscan.arith import primes_up_to
+from pinned_records import ROOT, wrong_records
+from suppscan.arith import is_prime, primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import (
     EndoMatrix,
@@ -298,6 +299,43 @@ def test_criterion_7_records_at_10_5_checked_independently(scan_10_5):
         "and P and Q of that order, by independent Jacobian arithmetic",
         len(report.records) == 9590 and not wrong,
         f"{len(report.records)} records, wrong at {wrong[:5]}",
+    )
+
+
+def test_criterion_7_large_q_records_checked_independently(monkeypatch):
+    # evaluate_prime at 60 seeded primes drawn log-uniformly from [10^9, 10^12],
+    # 20 for each of 3 configs drawn as the benchmark draws them, each record
+    # checked by the same independent arithmetic (pinned_records.wrong_records).
+    # The primes meet every class of FiniteCurve._two_part, which sets
+    # point_order's window: (2, exact), a halving walk to v >= 5 (exact), and
+    # the lower bound (4, not exact).
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import inputs
+
+    two_part, classes = FiniteCurve._two_part, set()
+
+    def spy(self, e1, e2):
+        found = two_part(self, e1, e2)
+        classes.add(found)
+        return found
+
+    monkeypatch.setattr(FiniteCurve, "_two_part", spy)
+    rng, wrong, start = random.Random(33), [], time.perf_counter()
+    for config in map(LabConfig.from_dict, inputs.draw_configs(33, 3)):
+        disc, records = config.curve.discriminant(), []
+        for _ in range(20):
+            q = int(10 ** rng.uniform(9, 12))
+            while not is_prime(q) or disc % q == 0:
+                q += 1
+            records.append(evaluate_prime(make_context(config.curve, config.R1, config.R2, config.p, q), config.R))
+        wrong += wrong_records(config, records)
+    elapsed = time.perf_counter() - start
+    _report(
+        7,
+        "60 records at q in [10^9, 10^12], every 2-part class among them, have the exact "
+        "ord_R, and P and Q of that order, by independent Jacobian arithmetic",
+        not wrong and {(2, True), (4, False)} <= classes and any(v >= 5 and e for v, e in classes),
+        f"classes {sorted(classes)}, wrong at {wrong[:5]}, {elapsed:.2f}s",
     )
 
 

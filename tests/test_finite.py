@@ -1,6 +1,8 @@
 import copy
+import linecache
 import pickle
 import random
+import sys
 from math import isqrt
 from unittest import mock
 
@@ -264,6 +266,79 @@ def test_annihilator_stays_within_its_windows():
                 else:
                     assert c % order == 0, (s, lo, hi, c)
                     assert lo <= c <= hi + 2 * m or c == order <= m + 1, (s, lo, hi, c)
+
+
+def test_annihilator_reaches_every_lane_fallback(monkeypatch):
+    # The lanes step in local integers and call add only where they cannot:
+    # a zero shared denominator in a baby or a giant step (a doubling or a
+    # sum of opposites), a giant lane at the identity, and a giant step
+    # w*u that is the identity (u of order w). A spy on add reads which
+    # line of _annihilator called it and that frame's locals, and every
+    # case must be met, one with the lane outside [lo - m, hi + m] still
+    # stepping. After a giant step that is the identity the search makes
+    # no inversion: its first probe decides. Split curves over small fields
+    # give points of 2-power orders; lo runs just above a multiple of the
+    # order, where the down lane meets the identity. Every result is
+    # checked against the walk.
+    add, seen = FiniteCurve.add, set()
+
+    def inverse(base, exp, mod):
+        if sys._getframe(1).f_locals.get("giant", ()) is None:
+            seen.add("a step after a giant step that is the identity")
+        return pow(base, exp, mod)
+
+    def spy(self, s, t):
+        total = add(self, s, t)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_annihilator":
+            line, names = linecache.getline(frame.f_code.co_filename, frame.f_lineno), frame.f_locals
+            if line.strip().startswith("odd = self.add("):
+                seen.add("baby denominator")
+            elif line.strip().startswith(("up = self.add(", "down = self.add(")):
+                centre = names["up_centre" if "up =" in line else "down_centre"]
+                seen.add("giant at the identity" if s is None else "giant denominator")
+                if not names["lo"] - names["m"] < centre <= names["hi"] + names["m"]:
+                    seen.add("out of range")
+            elif line.strip().startswith("giant =") and total is None:
+                seen.add("giant step the identity")
+        return total
+
+    monkeypatch.setattr(FiniteCurve, "add", spy)
+    monkeypatch.setattr(finite, "pow", inverse, raising=False)
+    for q in (37, 73, 97, 181):
+        for e1, e2, e3, a, b in split_curves(2):
+            curve = FiniteCurve(q, a, b)
+            for s in all_points(curve)[1::11]:
+                order = order_by_walk(lambda u, v: add(curve, u, v), s)
+                for width in range(0, 48, 5):
+                    m = isqrt((width + 1) // 4) + 2  # at least the code's m
+                    for lo in range(order + 1, order + 2 * m + 3, 2):
+                        hi = lo + width
+                        c = curve._annihilator(s, 1, lo, hi, False, None)
+                        if c is None:
+                            assert all(n % order for n in range(lo, hi + 1)), (q, s, lo, hi)
+                        else:
+                            assert c % order == 0, (q, s, lo, hi, c)
+                            assert lo <= c <= hi + 2 * m or c == order <= m + 1, (q, s, lo, hi, c)
+                        # With odd_only, a None says no odd c in [lo, hi] kills s.
+                        c = curve._annihilator(s, 1, lo, hi, True, None)
+                        if c is None:
+                            assert all(n % order for n in range(lo | 1, hi + 1, 2)), (q, s, lo, hi)
+                        else:
+                            assert c % order == 0, (q, s, lo, hi, c)
+    # With odd_only, s of order 20 and a window of 130 (m = 5), u = 2s has
+    # order 10 = w: the giant step is the identity, and no odd c kills s.
+    curve = FiniteCurve(73, -4, 0)
+    s = next(s for s in all_points(curve)[1:] if order_by_walk(lambda u, v: add(curve, u, v), s) == 20)
+    for lo in range(1, 60):
+        assert curve._annihilator(s, 1, lo, lo + 130, True, None) is None, lo
+    assert seen == {
+        "baby denominator",
+        "giant denominator",
+        "giant at the identity",
+        "out of range",
+        "giant step the identity",
+    }
 
 
 def test_killed_by_every_point_of_small_fields():
