@@ -21,6 +21,7 @@ power of the annihilator to its part of the order: no point count is needed.
 """
 
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, jacobi, sqrt_mod
 
@@ -66,42 +67,42 @@ class _Doublings(tuple):
         return self
 
 
-class FiniteCurve:
-    """y^2 = x^3 + a*x + b over F_q; a and b are stored reduced mod q.
+class CheckedTuple:
+    """Base of a named tuple whose __new__ checks its fields, listed before
+    the fields class: _make (and so _replace), copies and unpickling at every
+    pickle protocol call the class. Without __reduce__, protocols 0 and 1
+    would rebuild the tuple by tuple.__new__, past the checks."""
 
-    An immutable slotted class rather than a named tuple: add reads q, and a
-    when doubling, at every group operation, and a slot is read faster than
-    a named-tuple field. Copies and unpickling call the class, so every
-    curve has passed its checks.
-    """
+    __slots__ = ()
 
-    __slots__ = ("q", "a", "b")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-    def __init__(self, q: int, a: int, b: int):
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _FiniteCurveFields(NamedTuple):
+    q: int
+    a: int
+    b: int
+
+
+class FiniteCurve(CheckedTuple, _FiniteCurveFields):
+    """y^2 = x^3 + a*x + b over F_q; a and b are stored reduced mod q. Every
+    construction path runs __new__ (CheckedTuple): q is a prime >= 5 and
+    the curve is not singular."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, a: int, b: int):
         if q < 5 or not is_prime(q):
             raise ValueError(f"field characteristic must be a prime >= 5, got {q}")
         a, b = a % q, b % q
         if (4 * a**3 + 27 * b**2) % q == 0:
             raise ValueError(f"bad prime {q}: the curve is singular over F_{q}")
-        for name, value in (("q", q), ("a", a), ("b", b)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FiniteCurve is immutable: cannot set {name}")
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteCurve):
-            return NotImplemented
-        return (self.q, self.a, self.b) == (other.q, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.q, self.a, self.b))
-
-    def __repr__(self):
-        return f"FiniteCurve(q={self.q}, a={self.a}, b={self.b})"
-
-    def __reduce__(self):
-        return FiniteCurve, (self.q, self.a, self.b)
+        return super().__new__(cls, q, a, b)
 
     def contains(self, s) -> bool:
         if s is None:

@@ -9,7 +9,7 @@ import time
 from typing import NamedTuple
 
 from .arith import is_prime, sorted_divisors
-from .finite import FiniteCurve, FinitePoint, InvariantViolation
+from .finite import CheckedTuple, FiniteCurve, FinitePoint, InvariantViolation
 from .rational import RationalCurve, RationalPoint, reduce_coordinates, reduce_onto
 
 
@@ -31,12 +31,13 @@ class _QuotientContextFields(NamedTuple):
     p: int
 
 
-class QuotientContext(_QuotientContextFields):
+class QuotientContext(CheckedTuple, _QuotientContextFields):
     """Reduction data at one good prime: the curve, the reduced kernel
     generators K1 = R1 mod q, K2 = R2 mod q, and the torsion prime p.
 
-    Every construction path runs __new__: _make (and so _replace) and
-    unpickling call the class, so each context has checked its kernel.
+    Every construction path runs __new__ (CheckedTuple), so each context
+    has checked its kernel: one walk over i * (K1, K2), i = 0 .. p, proves
+    K1 and K2 of exact order p and independent.
     """
 
     def __new__(cls, curve: FiniteCurve, k1: FinitePoint, k2: FinitePoint, p: int):
@@ -45,26 +46,24 @@ class QuotientContext(_QuotientContextFields):
         for name, pt in (("K1", k1), ("K2", k2)):
             if not curve.contains(pt):
                 raise InvariantViolation(f"{name} is not on the reduced curve")
-            if pt is None or curve.scalar_mul(p, pt) is not None:
-                raise InvariantViolation(f"{name} does not have exact order {p}")
-        # The walk over i * (K1, K2) also proves the reduced generators
-        # independent: K2 is no multiple i * K1, so in particular K2 != K1.
-        pairs = []
-        s, t = None, None
+        pairs, s, t = [], None, None
         for _ in range(p):
-            if s == k2:
-                raise InvariantViolation("K2 lies in the cyclic group generated by K1")
             pairs.append((s, t))
-            s = curve.add(s, k1)
-            t = curve.add(t, k2)
+            s, t = curve.add(s, k1), curve.add(t, k2)
+        # The walk ends at p * (K1, K2). p is prime, so a K other than the
+        # identity that p kills has exact order p.
+        for name, pt, end in (("K1", k1, s), ("K2", k2, t)):
+            if pt is None or end is not None:
+                raise InvariantViolation(f"{name} does not have exact order {p}")
+        # K2 is no multiple i * K1, so the reduced generators are
+        # independent; in particular K2 != K1.
+        k1_multiples = tuple(s for s, _ in pairs)
+        if k2 in k1_multiples:
+            raise InvariantViolation("K2 lies in the cyclic group generated by K1")
         self = super().__new__(cls, curve, k1, k2, p)
         self._kernel = tuple(pairs)
-        self._k1_multiples = tuple(s for s, _ in pairs)
+        self._k1_multiples = k1_multiples
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def kernel(self) -> tuple:
         """The p pairs i * (K1, K2), i = 0 .. p-1."""

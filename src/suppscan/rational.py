@@ -10,7 +10,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import is_perfect_square, is_prime
-from .finite import FiniteCurve, FinitePoint
+from .finite import CheckedTuple, FiniteCurve, FinitePoint
 
 # j-invariants of the rational curves with complex multiplication: one for
 # each imaginary quadratic order of class number one (thirteen in total).
@@ -74,12 +74,12 @@ class _RationalPointFields(NamedTuple):
     z: int = 1
 
 
-class RationalPoint(_RationalPointFields):
+class RationalPoint(CheckedTuple, _RationalPointFields):
     """Projective point (x : y : z) with coprime integer coordinates.
 
     z = 0 only for the identity (0 : 1 : 0); normalization keeps z > 0
     otherwise, so equality is plain field equality. Every construction
-    path runs __new__: _make (and so _replace) and unpickling call the class.
+    path runs __new__ (CheckedTuple).
     """
 
     __slots__ = ()
@@ -95,10 +95,6 @@ class RationalPoint(_RationalPointFields):
             if z < 0:
                 x, y, z = -x, -y, -z
         return super().__new__(cls, x, y, z)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @classmethod
     def identity(cls) -> "RationalPoint":

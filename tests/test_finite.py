@@ -46,13 +46,27 @@ def test_curve_invariants_on_every_construction_path():
     curve = FiniteCurve(7, -10, 17)
     assert (curve.q, curve.a, curve.b) == (7, 4, 3)
     assert curve == FiniteCurve(7, 4, 3) and hash(curve) == hash(FiniteCurve(7, 4, 3))
+    assert curve == (7, 4, 3)  # a named tuple equals its plain tuple
     assert curve != FiniteCurve(7, 4, 1)
     with pytest.raises(AttributeError):
         curve.b = 2  # would make the curve singular
-    # Copies and unpickling rebuild the curve through the class and its checks.
-    assert curve.__reduce__() == (FiniteCurve, (7, 4, 3))
-    assert pickle.loads(pickle.dumps(curve)) == curve
-    assert copy.copy(curve) == curve
+    # _make, _replace, copies and unpickling at every protocol rebuild the
+    # curve through the class and its checks.
+    assert FiniteCurve._make((7, -10, 17)) == curve
+    with pytest.raises(ValueError, match="prime >= 5, got 25"):
+        FiniteCurve._make((25, 1, 1))
+    assert curve._replace(b=10) == curve
+    with pytest.raises(ValueError, match="singular"):
+        curve._replace(b=2)
+    assert copy.copy(curve) == curve and copy.deepcopy(curve) == curve
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert curve.__reduce_ex__(protocol) == (FiniteCurve, (7, 4, 3))
+        assert pickle.loads(pickle.dumps(curve, protocol)) == curve
+    # A protocol-0 stream of the curve with b = 3 edited to the singular b = 2.
+    stream = pickle.dumps(curve, 0)
+    assert stream.count(b"I3\n") == 1
+    with pytest.raises(ValueError, match="singular"):
+        pickle.loads(stream.replace(b"I3\n", b"I2\n"))
 
 
 def test_f5_point_set():

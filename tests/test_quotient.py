@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import cache
 from itertools import islice, product
@@ -43,17 +45,26 @@ def test_context_kernel():
 
 
 def test_context_invariants():
-    curve = FiniteCurve(5, -1, 0)
-    with pytest.raises(InvariantViolation):
-        QuotientContext(curve, (0, 0), (0, 0), 2)  # coincide
-    with pytest.raises(InvariantViolation):
-        QuotientContext(curve, None, (1, 0), 2)  # identity has order 1
-    with pytest.raises(InvariantViolation):
-        QuotientContext(curve, (2, 1), (1, 0), 2)  # (2,1) has order 4
-    with pytest.raises(InvariantViolation):
-        QuotientContext(curve, (0, 1), (1, 0), 2)  # off the curve
-    with pytest.raises(ValueError):
-        QuotientContext(curve, (0, 0), (1, 0), 4)  # p not prime
+    # Each raise of QuotientContext.__new__, at p = 2 and at p = 3, from a
+    # valid context with one field changed. On y^2 = x^3 - x over F_5,
+    # (2, 1) has order 4; y^2 = x^3 + 7x over F_13 has full 3-torsion,
+    # spanned by (3, 3) and (4, 1), and (2, 3) of order 6.
+    for curve, k1, k2, p, wrong_order in (
+        (FiniteCurve(5, -1, 0), (0, 0), (1, 0), 2, (2, 1)),
+        (FiniteCurve(13, 7, 0), (3, 3), (4, 1), 3, (2, 3)),
+    ):
+        valid = QuotientContext(curve, k1, k2, p)
+        for field, name in (("k1", "K1"), ("k2", "K2")):
+            for k in (None, wrong_order):
+                with pytest.raises(InvariantViolation, match=f"^{name} does not have exact order {p}$"):
+                    valid._replace(**{field: k})
+            with pytest.raises(InvariantViolation, match=f"^{name} is not on the reduced curve$"):
+                valid._replace(**{field: (0, 1)})
+        for k in (k1, curve.neg(k1)):  # K1 itself and (p - 1) * K1
+            with pytest.raises(InvariantViolation, match="^K2 lies in the cyclic group generated by K1$"):
+                valid._replace(k2=k)
+        with pytest.raises(ValueError, match=f"^kernel order p = {p * p} must be prime$"):
+            QuotientContext(curve, k1, k2, p * p)
     # y^2 = x^3 + 2 over F_7 has full 3-torsion: (0, 4) = 2 * (0, 3) lies in
     # the group K1 generates, (3, 1) does not; the kernel walk tells them apart.
     f7 = FiniteCurve(7, 0, 2)
@@ -69,6 +80,31 @@ def test_context_rechecks_on_make_and_replace():
         F5_CTX._replace(k2=(0, 0))
     with pytest.raises(ValueError):
         QuotientContext._make((FiniteCurve(5, -1, 0), (0, 0), (1, 0), 4))
+
+
+def test_context_rechecks_on_copies_and_unpickling():
+    for ctx in (copy.copy(F7_CTX), copy.deepcopy(F7_CTX)):
+        assert ctx == F7_CTX and ctx.kernel() == F7_CTX.kernel()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert F7_CTX.__reduce_ex__(protocol) == (QuotientContext, tuple(F7_CTX))
+        ctx = pickle.loads(pickle.dumps(F7_CTX, protocol))
+        assert ctx == F7_CTX and ctx.kernel() == F7_CTX.kernel()
+    # A protocol-0 stream of F5_CTX with K2 = (1, 0) edited to (0, 0) = K1.
+    stream = pickle.dumps(F5_CTX, 0)
+    assert stream.count(b"(I1\n") == 1
+    with pytest.raises(InvariantViolation, match="cyclic group generated by K1"):
+        pickle.loads(stream.replace(b"(I1\n", b"(I0\n"))
+
+
+def test_make_context_multiplies_no_point():
+    # The kernel walk proves p * K = 0 itself: building a context, at p = 2
+    # by make_context and at p = 3 directly, calls no scalar_mul.
+    with mock.patch.object(FiniteCurve, "scalar_mul", autospec=True, side_effect=FiniteCurve.scalar_mul) as spy:
+        for q in (5, 7, 11, 13, 10007):
+            make_context(DEFAULT, R1, R2, 2, q)
+        QuotientContext(FiniteCurve(13, 7, 0), (3, 3), (4, 1), 3)
+        FiniteCurve(13, 7, 0).scalar_mul(3, (3, 3))  # the spy sees a call
+    assert spy.call_count == 1
 
 
 def test_make_context_good_and_bad_primes():

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from fractions import Fraction
@@ -96,7 +97,16 @@ def test_point_invariants_on_every_construction_path():
     with pytest.raises(ValueError):
         pt._replace(z=0)
     assert RationalPoint._make((0, -5, 0)) == RationalPoint.identity()
-    assert pickle.loads(pickle.dumps(pt)) == pt
+    # Copies and unpickling at every protocol rebuild the point through the class.
+    assert copy.copy(pt) == pt and copy.deepcopy(pt) == pt
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pt.__reduce_ex__(protocol) == (RationalPoint, (-1, -2, 1))
+        assert pickle.loads(pickle.dumps(pt, protocol)) == pt
+    # A protocol-0 stream of (1 : 2 : 3) with z edited to 0, no identity.
+    stream = pickle.dumps(RationalPoint(1, 2, 3), 0)
+    assert stream.count(b"I3\n") == 1
+    with pytest.raises(ValueError, match="reserved for the identity"):
+        pickle.loads(stream.replace(b"I3\n", b"I0\n"))
 
 
 def test_from_affine_roundtrip():
