@@ -234,8 +234,8 @@ def cli_main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except MemoryError:  # a sieve to prime_bound or a search box of entry_bound too large
-        print("usage error: out of memory; try a smaller prime_bound or entry_bound", file=sys.stderr)
+    except MemoryError:  # a sieve to prime_bound too large
+        print("usage error: out of memory; try a smaller prime_bound", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,7 +7,7 @@ criterion is kernel preservation at any good prime, and the two are checked
 against each other in the test suite.
 """
 
-from itertools import product
+from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -95,12 +95,25 @@ class RelationCertificate(NamedTuple):
         return out
 
 
-def _signed_values(bound: int) -> list[int]:
+def _signed_values(bound: int):
     """0, 1, -1, 2, -2, ... up to +-bound; search order for matrix entries."""
-    out = [0]
+    yield 0
     for v in range(1, bound + 1):
-        out.extend((v, -v))
-    return out
+        yield from (v, -v)
+
+
+def _first(bound: int, r: int, L: int, s: int = 0, p: int = 1) -> int | None:
+    """First v in search order with v = r (mod L), v = s (mod p), |v| <= bound.
+
+    p is prime or 1; a class's first value is its residue nearest 0, positive on a tie.
+    """
+    if L % p:
+        r, L = r + L * ((s - r) * pow(L, -1, p) % p), L * p
+    elif (r - s) % p:
+        return None
+    r %= L
+    v = r if 2 * r <= L else r - L
+    return v if abs(v) <= bound else None
 
 
 def relation_holds(
@@ -123,27 +136,33 @@ def relation_holds(
 def _first_relation(p: int, bound: int, L: int, transposed: bool):
     """First (k, f) in search order with f descending and L | both differences.
 
-    The differences are (a-k, c-k), or (a+b-k, c+d) when transposed: each
-    is s - t, with s = x (x + y when transposed) for the row (x, y) and t = k
-    (t = 0 for the second row when transposed), so the rows are sorted once
-    into classes of s mod L. A head (a, b) descends with a tail (c, d) only
-    if c = 0 and d = a (mod p), so each class keeps, on first use, its
-    first such tail for each d mod p, and each head looks up a mod p.
+    The differences are (a-k, c-k), or (a+b-k, c+d) when transposed, so
+    each entry is the first value of a class mod L and mod p (_first).
+    Untransposed: a = k (L), b = 0, c = k (L) and 0 (p), d = a (p).
+    Transposed: for each a in order, b = k - a (L) and 0 (p), then the first
+    c = 0 (p) with a d = -c (L) and a (p), kept per a mod p. Existence is
+    periodic in k mod L and in a, c mod lcm(L, p), so each loop stops after
+    one period: O(min(B, L) * min(B, lcm(L, p))) steps, O(p) memory, at any B.
     """
-    classes = {}
-    for x, y in product(_signed_values(bound), repeat=2):
-        classes.setdefault((x + y if transposed else x) % L, []).append((x, y))
-    first_tails = {}
-    for k in range(1, bound + 1):
-        key = 0 if transposed else k % L
-        tails = first_tails.get(key)
-        if tails is None:
-            tails = first_tails[key] = {}
-            for c, d in classes.get(key, []):
-                if c % p == 0:
-                    tails.setdefault(d % p, (c, d))
-        for a, b in classes.get(k % L, []):
-            tail = tails.get(a % p)
+    period, tails = lcm(L, p), {}
+    for k in range(1, min(bound, L) + 1):
+        if transposed:
+            values = islice(_signed_values(bound), period)
+            heads = ((a, _first(bound, k - a, L, 0, p)) for a in values)
+        else:
+            heads = [(_first(bound, k, L), 0)]
+        for a, b in heads:
+            if b is None:
+                continue
+            if not transposed:
+                c = _first(bound, k, L, 0, p)
+                tail = None if c is None else (c, _first(bound, a, p))
+            else:
+                if a % p not in tails:
+                    cs = (c for c in islice(_signed_values(bound), period) if c % p == 0)
+                    ds = ((c, _first(bound, -c, L, a, p)) for c in cs)
+                    tails[a % p] = next(((c, d) for c, d in ds if d is not None), None)
+                tail = tails[a % p]
             if tail is not None and _congruent(f := EndoMatrix(a, b, *tail), p):
                 return k, f
     return None, None
@@ -169,7 +188,8 @@ def find_weak_relation(p: int, records, entry_bound: int) -> RelationCertificate
     of order p, against their independence. And i = 0 means
     j1*r = j2*r = 0. So a candidate holds at every record's prime exactly
     when L = lcm of the records' ord_r divides both differences, and the
-    first one in search order is read off L; no curve is touched.
+    first one is read off L entry by entry (_first_relation), in O(min(B, L)
+    * min(B, lcm(L, p))) steps at any B = entry_bound; no curve is touched.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records to make the search meaningful")

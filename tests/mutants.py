@@ -729,7 +729,55 @@ MUTANTS = (
         "_congruent(f := EndoMatrix(a, b, *tail), 2)",
         "_first_relation: the descent test at p = 2 whatever p is (killed by the p = 3 tests)",
         (T_ENDO,),
-        ("tests/test_endo.py::test_find_weak_relation_at_p3_matches_sweep_oracle[orders0-4]",),
+        ("tests/test_endo.py::test_find_weak_relation_at_p3_matches_sweep_oracle[orders1-4]",),
+    ),
+    Mutant(
+        ENDO,
+        "v = r if 2 * r <= L else r - L",
+        "v = r if 2 * r < L else r - L",
+        "_first: a tie between r and r - L goes to the negative one",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_matches_a_walk_of_the_search_order",),
+    ),
+    Mutant(
+        ENDO,
+        "% p), L * p",
+        "% p), L",
+        "_first: the CRT class kept mod L, not mod L * p",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_matches_a_walk_of_the_search_order",),
+    ),
+    Mutant(
+        ENDO,
+        "    elif (r - s) % p:\n        return None\n",
+        "",
+        "_first: when p | L, classes r (mod L) and s (mod p) that never meet still give a value",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_matches_a_walk_of_the_search_order",),
+    ),
+    Mutant(
+        ENDO,
+        "values = islice(_signed_values(bound), period)",
+        "values = islice(_signed_values(bound), L)",
+        "_first_relation: the transposed a loop stops after L values, not lcm(L, p)",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_relation_matches_box_walk",),
+    ),
+    Mutant(
+        ENDO,
+        "for c in islice(_signed_values(bound), period)",
+        "for c in islice(_signed_values(bound), L)",
+        "_first_relation: the transposed tail's c loop stops after L values, not lcm(L, p)",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_relation_matches_class_table",),
+    ),
+    Mutant(
+        ENDO,
+        "if c % p == 0)",
+        "if c % 2 == 0)",
+        "_first_relation: the transposed tail takes even c, not c = 0 (mod p)",
+        (T_ENDO,),
+        ("tests/test_endo.py::test_first_relation_matches_class_table",),
     ),
     Mutant(
         ENDO,

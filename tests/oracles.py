@@ -210,6 +210,28 @@ def first_relation_by_walk(p, bound, L, transposed):
     return None, None
 
 
+def first_relation_by_classes(p, bound, L, transposed):
+    """(k, f) of endo._first_relation from a table of every row of the box,
+    for boxes too big for first_relation_by_walk: the rows (x, y) are
+    sorted into classes of x mod L (x + y when transposed). For each k the
+    heads (a, b) of class k mod L are tried in order, and each takes the
+    first tail (c, d) of class k mod L (0 when transposed) with c = 0 and
+    d = a (mod p). Builds (2 * bound + 1)^2 rows."""
+    values = [0] + [v for n in range(1, bound + 1) for v in (n, -n)]
+    classes = {}
+    for x, y in product(values, repeat=2):
+        classes.setdefault((x + y if transposed else x) % L, []).append((x, y))
+    for k in range(1, bound + 1):
+        tails = {}
+        for c, d in classes.get(0 if transposed else k % L, []):
+            if c % p == 0:
+                tails.setdefault(d % p, (c, d))
+        for a, b in classes.get(k % L, []):
+            if b % p == 0 and a % p in tails:
+                return k, EndoMatrix(a, b, *tails[a % p])
+    return None, None
+
+
 def class_number(D):
     """Form class number of a negative discriminant, by counting reduced
     primitive positive-definite binary quadratic forms."""

@@ -4,7 +4,14 @@ from itertools import islice, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import all_points, compose, first_relation_by_walk, order_by_walk, weak_relation_by_sweep
+from oracles import (
+    all_points,
+    compose,
+    first_relation_by_classes,
+    first_relation_by_walk,
+    order_by_walk,
+    weak_relation_by_sweep,
+)
 from test_quotient import draw_split_context, full_p_torsion_contexts
 from suppscan import endo
 from suppscan.arith import primes_up_to
@@ -343,6 +350,37 @@ def test_first_relation_matches_box_walk(p, L, entry_bound, transposed):
     )
 
 
+@given(
+    st.integers(0, 40),
+    st.integers(-100, 100),
+    st.integers(1, 30),
+    st.integers(-100, 100),
+    st.sampled_from([1, 2, 3, 5, 7]),
+)
+def test_first_matches_a_walk_of_the_search_order(bound, r, L, s, p):
+    # L from 1 to 30 holds every p both as a divisor and not; when p | L,
+    # the classes r (mod L) and s (mod p) may not meet at all.
+    values = [0] + [v for n in range(1, bound + 1) for v in (n, -n)]
+    want = next((v for v in values if (v - r) % L == 0 and (v - s) % p == 0), None)
+    assert endo._first(bound, r, L, s, p) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 200),
+    st.integers(1, 60),
+    st.booleans(),
+)
+def test_first_relation_matches_class_table(p, L, entry_bound, transposed):
+    # Boxes past first_relation_by_walk's reach, with p | L and p not | L:
+    # the CRT reading must stop each loop after a whole period, lcm(L, p)
+    # for a and c, not L.
+    assert endo._first_relation(p, entry_bound, L, transposed) == first_relation_by_classes(
+        p, entry_bound, L, transposed
+    )
+
+
 @pytest.mark.parametrize("entry_bound", [24, 48])
 def test_first_relation_does_not_walk_class_products(monkeypatch, entry_bound):
     # At p = 2, L = 6 no k = 1 relation exists: c = 1 (mod 6) is odd, and
@@ -355,6 +393,24 @@ def test_first_relation_does_not_walk_class_products(monkeypatch, entry_bound):
     for transposed in (False, True):
         assert endo._first_relation(2, entry_bound, 6, transposed)[0] == 2
     assert len(calls) <= (2 * entry_bound + 1) ** 2
+
+
+def test_first_relation_cost_does_not_grow_with_entry_bound(monkeypatch):
+    # The default config's L is 48 (p = 2). At k = 1 no relation exists in
+    # either orientation, so the transposed search walks a whole period of
+    # a, and of c for the tail of odd a, before k = 2. Every loop stops
+    # after one period, so the box's size changes no call.
+    calls = []
+    first = endo._first
+    monkeypatch.setattr(endo, "_first", lambda *args: calls.append(args) or first(*args))
+    counts = []
+    for entry_bound in (100, 10**18):
+        calls.clear()
+        for transposed in (False, True):
+            got = endo._first_relation(2, entry_bound, 48, transposed)
+            assert got == first_relation_by_classes(2, 100, 48, transposed)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 48
 
 
 def test_relation_holds_tests_no_primality(monkeypatch):

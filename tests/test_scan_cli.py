@@ -628,7 +628,7 @@ def test_cli_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
 
 
 # Exit code and stderr of a scan that runs out of memory.
-OUT_OF_MEMORY = (2, "usage error: out of memory; try a smaller prime_bound or entry_bound\n")
+OUT_OF_MEMORY = (2, "usage error: out of memory; try a smaller prime_bound\n")
 
 
 def scan_with_failing_worker(tmp_path, capsys, monkeypatch, fail):
@@ -799,13 +799,17 @@ def test_cli_sieve_out_of_memory_is_one_line(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
-def test_cli_search_box_out_of_memory_names_entry_bound(tmp_path):
-    # The sieve to 50 is tiny; the relation search's (2 * 20000 + 1)^2 class
-    # table is what exhausts a child capped at 400 MiB, so the line must name
-    # entry_bound too.
-    proc = scan_in_capped_child(tmp_path, small_config(bound=50)._replace(entry_bound=20_000), 400 << 20)
-    assert (proc.returncode, proc.stderr) == OUT_OF_MEMORY
-    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+def test_cli_search_box_fits_in_memory_at_any_entry_bound(tmp_path):
+    # The relation search reads each entry off its class, so its memory does
+    # not grow with entry_bound: a child capped at 400 MiB scans to 50 at
+    # entry_bound 10^6 and certifies what a run at entry_bound 4 does.
+    weak = []
+    for entry_bound, out in ((10**6, tmp_path / "wide"), (4, tmp_path / "narrow")):
+        out.mkdir()
+        proc = scan_in_capped_child(out, small_config(bound=50)._replace(entry_bound=entry_bound), 400 << 20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        weak.append(json.loads((out / "o.json").read_text())["weak_relation"])
+    assert weak[0] == weak[1] and weak[0]["kind"] == "weak_relation_found"
 
 
 def test_cli_no_relation_tests_primality_once(monkeypatch):
