@@ -9,7 +9,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice, product
+from itertools import product
 
 from .endo import EndoMatrix, descends, kernel_preserved, verify_no_medium_relation
 from .quotient import InvariantViolation, make_context
@@ -17,7 +17,7 @@ from .rational import CurveSearchError, search_curve
 from .scan import (
     HypothesisFailure,
     LabConfig,
-    iter_good_primes,
+    first_good_primes,
     run_scan,
     write_report,
 )
@@ -181,7 +181,7 @@ def _cmd_endo_check(args) -> int:
     if not report.ok:
         raise HypothesisFailure(report)
     p = config.p
-    qs = list(islice(iter_good_primes(config), args.primes))
+    qs = first_good_primes(config, args.primes)
     residues = [EndoMatrix(*entries) for entries in product(range(p), repeat=4)]
     mismatches, first = 0, None
     for q in qs:

@@ -8,10 +8,9 @@ the only nondeterministic output and are excluded from every digest.
 import json
 import os
 from fractions import Fraction
-from itertools import count
 from typing import NamedTuple
 
-from .arith import is_prime, primes_up_to
+from .arith import primes_up_to
 from .endo import (
     RelationCertificate,
     find_weak_relation,
@@ -202,10 +201,17 @@ def classify_primes(config: LabConfig):
     return good, skipped
 
 
-def iter_good_primes(config: LabConfig):
-    """Unbounded ascending stream of usable primes for this config."""
-    disc = config.curve.discriminant()
-    return (q for q in count(5) if is_prime(q) and _skip_reason(q, config.p, disc) is None)
+def first_good_primes(config: LabConfig, count: int) -> list[int]:
+    """The first count good primes of config, whatever its prime_bound.
+
+    They are read off classify_primes' sieve, at a bound that starts at 64
+    and doubles until it holds count good primes. A config with no good
+    prime (a singular curve) never returns: validate it first.
+    """
+    bound = 64
+    while len(good := classify_primes(config._replace(prime_bound=bound))[0]) < count:
+        bound *= 2
+    return good[:count]
 
 
 def _scan_one(config: LabConfig, q: int) -> PrimeRecord:
@@ -214,9 +220,12 @@ def _scan_one(config: LabConfig, q: int) -> PrimeRecord:
 
 
 def _relation_certificates(config: LabConfig, records):
-    """Weak-relation search over the sweep's first records plus fresh re-checks."""
-    stream = iter_good_primes(config)
-    qs = [next(stream) for _ in range(SEARCH_CONTEXTS + FRESH_CONTEXTS)]
+    """Weak-relation search over the sweep's first records plus fresh re-checks.
+
+    The search reads the first SEARCH_CONTEXTS good primes and the re-checks
+    the next FRESH_CONTEXTS, all of them from first_good_primes.
+    """
+    qs = first_good_primes(config, SEARCH_CONTEXTS + FRESH_CONTEXTS)
     # records are in ascending q; a search prime above prime_bound has none.
     search = records[:SEARCH_CONTEXTS]
     search += [_scan_one(config, q) for q in qs[len(search) : SEARCH_CONTEXTS]]

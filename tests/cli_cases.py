@@ -7,6 +7,7 @@ import json
 import re
 from typing import NamedTuple
 
+from oracles import good_primes_by_trial_division
 from suppscan.scan import default_config
 
 
@@ -216,6 +217,12 @@ CASES = {
         Case("endo-check --config config.json --primes 4", 0, files=CFG,
              out="".join(f"q={q}: 16/16 residue matrices agree\n" for q in (5, 7, 11, 13))
              + "descent criterion and kernel preservation agree at all 4 primes\n"),
+        # 40 good primes, to q = 181, take first_good_primes past its first
+        # doubling of the sieve's bound.
+        Case("endo-check --config config.json --primes 40", 0, files=CFG,
+             out="".join(f"q={q}: 16/16 residue matrices agree\n"
+                         for q in good_primes_by_trial_division(default_config(), 40))
+             + "descent criterion and kernel preservation agree at all 40 primes\n"),
     ],
     "test_cli_endo_check_validates_first": [
         Case("endo-check --config bad.json", 1, failure(why), files={"bad.json": config(**bad)})
@@ -224,8 +231,8 @@ CASES = {
             ({"R1": [0, 1, 0]}, "torsion: R1 does not have exact order 2"),
         )
     ] + [
-        # A singular curve has no good prime, so the prime stream never
-        # yields: only validation stops it.
+        # A singular curve has no good prime, so first_good_primes never
+        # returns: only validation stops it.
         Case("endo-check --config singular.json", 1, failure("curve: discriminant is zero"),
              files={"singular.json": config(curve=[0, 0])}, timeout=60),
     ],

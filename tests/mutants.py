@@ -4,9 +4,9 @@
 
 Each mutant is one textual edit (file, old, new, why) of a module under
 src/suppscan, plus the test modules expected to catch it and the node ids
-of the tests in them that kill it today (killers). The gate copies src/
-and tests/ into a temporary directory, applies the edit there, and runs
-pytest -x under the derandomized ``ci`` hypothesis profile
+of the tests in them that kill it today (killers). The gate copies src/,
+tests/ and perfbench/ into a temporary directory, applies the edit there,
+and runs pytest -x under the derandomized ``ci`` hypothesis profile
 (tests/conftest.py), so a verdict does not depend on the draw: first on
 the killers, then, only when none of them fails, on the modules in full,
 after printing one line that names the killers that no longer kill. So a
@@ -885,6 +885,18 @@ MUTANTS = (
         (T_ARITH,),
         ("tests/test_arith.py::test_sqrt_mod_brute_force_small_primes",),
     ),
+    # The certificate and endo-check primes, read off the sweep's sieve.
+    Mutant(
+        SCAN,
+        "return good[:count]",
+        "return good[1 : count + 1]",
+        "first_good_primes: the first good prime dropped, the list shifted by one",
+        (T_SCAN,),
+        (
+            "tests/test_scan_cli.py::test_first_good_primes_extends_classify_primes",
+            "tests/test_scan_cli.py::test_first_good_primes_match_trial_division_on_every_drawable_config",
+        ),
+    ),
     # The report.
     Mutant(
         SCAN,
@@ -959,6 +971,8 @@ def run_mutant(mutant: Mutant) -> tuple[str, str]:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", work / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        # Tests draw the benchmark's configs from perfbench/inputs.py.
+        shutil.copytree(ROOT / "perfbench", work / "perfbench", ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
         path = work / "src" / "suppscan" / mutant.file
         text = path.read_text()

@@ -100,6 +100,18 @@ def count_points_by_squares(q, a, b):
     return total
 
 
+def good_primes_by_trial_division(config, count):
+    """The first count good primes of a LabConfig: each integer from 2 on
+    tested by trial division, then skipped when it is 2 or 3, equals p or
+    divides the discriminant. No sieve."""
+    disc, good, q = config.curve.discriminant(), [], 2
+    while len(good) < count:
+        if all(q % d for d in range(2, isqrt(q) + 1)) and q not in (2, 3) and q != config.p and disc % q:
+            good.append(q)
+        q += 1
+    return good
+
+
 def split_curves(bound):
     """(e1, e2, e3, a, b) for every y^2 = (x - e1)(x - e2)(x - e3) with
     distinct integers e1 < e2 < e3, e1 + e2 + e3 = 0 and |e_i| <= bound."""

@@ -7,14 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from hashlib import sha256
-from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_cases import CASES, SEARCH_CURVE_5, Link
-from oracles import isomorphic_config
+from oracles import good_primes_by_trial_division, isomorphic_config
 from suppscan.arith import primes_up_to
 from suppscan.cli import cli_main
 from suppscan.endo import EndoMatrix
@@ -29,7 +28,7 @@ from suppscan.scan import (
     ScanReport,
     classify_primes,
     default_config,
-    iter_good_primes,
+    first_good_primes,
     run_scan,
     write_report,
 )
@@ -102,15 +101,29 @@ def test_config_defaults():
     assert LabConfig(cfg.curve, cfg.R, cfg.R1, cfg.R2, 2, 10_000, 100_000, 4, 1) == cfg
 
 
-def test_iter_good_primes_extends_classify_primes():
+def test_first_good_primes_extends_classify_primes():
     base = small_config(bound=100)
     for cfg in (base, base._replace(curve=RationalCurve(-7, -6)), base._replace(p=7)):
         good, _ = classify_primes(cfg)
-        stream = iter_good_primes(cfg)
-        assert list(islice(stream, len(good))) == good
-        assert list(islice(stream, 2)) == [101, 103]
+        assert first_good_primes(cfg, len(good)) == good
+        assert first_good_primes(cfg, len(good) + 2)[len(good) :] == [101, 103]
     assert 5 not in classify_primes(base._replace(curve=RationalCurve(-7, -6)))[0]
     assert 7 not in classify_primes(base._replace(p=7))[0]
+
+
+def test_first_good_primes_match_trial_division_on_every_drawable_config(monkeypatch):
+    # The 63 configs the benchmark can draw, whose discriminants skip many
+    # small primes, and the default curve at p = 7 for the torsion-prime
+    # rule. Counts 1-40 take the helper through its first doublings.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import inputs
+
+    configs = [LabConfig.from_dict(c) for c in inputs.all_configs()]
+    assert len(configs) == 63
+    for cfg in configs + [configs[0]._replace(p=7)]:
+        expected = good_primes_by_trial_division(cfg, 40)
+        for count in range(1, 41):
+            assert first_good_primes(cfg, count) == expected[:count], (cfg.curve, cfg.p, count)
 
 
 def test_classify_primes_complete():
@@ -402,8 +415,7 @@ def test_transposed_relation_alone_is_reverified(tmp_path, monkeypatch):
         return search
 
     cfg = small_config(bound=50)
-    stream = iter_good_primes(cfg)
-    fresh = list(islice(stream, 8, 18))
+    fresh = first_good_primes(cfg, 18)[8:]
     # The default config's transposed relation 2P = (0 2; 0 0) Q holds.
     monkeypatch.setattr(scan_mod, "find_weak_relation", search_finding(EndoMatrix(0, 2, 0, 0)))
     rep = run_scan(cfg)
@@ -841,7 +853,7 @@ def test_cli_endo_check_mismatch_is_an_invariant_violation(tmp_path, capsys, mon
     from suppscan.endo import descends
 
     path = write_config(tmp_path, small_config())
-    first, second, _ = islice(iter_good_primes(small_config()), 3)
+    first, second, _ = first_good_primes(small_config(), 3)
     stubs = (
         lambda m, ctx: descends(m, 2) if ctx.curve.q == first else True,
         lambda m, ctx: False,

@@ -2,7 +2,6 @@
 factorization share no code with the package or with tests/oracles.py."""
 
 import random
-from itertools import takewhile
 from math import gcd, prod
 
 import pytest
@@ -15,7 +14,7 @@ from oracles import count_points_brute, split_curves
 from suppscan.arith import factorize, is_prime, jacobi, primes_up_to, sqrt_mod
 from suppscan.finite import FiniteCurve, hasse_interval
 from suppscan.rational import reduce_onto
-from suppscan.scan import default_config, iter_good_primes
+from suppscan.scan import classify_primes, default_config
 
 
 class UncheckedCurve(EllipticCurve):
@@ -74,7 +73,7 @@ def test_killed_by_matches_sympy(q, a, b):
 def test_order_of_r_matches_sympy_at_every_good_prime_below_2000():
     # n is the order of P iff n*P = O and (n/f)*P != O for each prime f | n.
     cfg = default_config()
-    for q in takewhile(lambda q: q < 2000, iter_good_primes(cfg)):
+    for q in classify_primes(cfg._replace(prime_bound=1999))[0]:
         curve = cfg.curve.reduce(q)
         r = reduce_onto(cfg.R, curve)
         n = curve.point_order(r)
